@@ -3,50 +3,62 @@
 Everything here works on Python ints, which are arbitrary precision, so
 no intermediate result can overflow or pick up rounding error.  The
 public entry points are ``integer_rank`` and ``integer_kernel_basis``;
-both run the same fraction-free column elimination.
+both run the same fraction-free column elimination on sparse columns,
+each a dict ``{row: value}`` of its nonzero entries.  Design matrices
+and their kernel vectors are mostly zeros, so an update costs the
+pivot column's nonzeros rather than the column's full height.
 """
-
-from math import gcd
 
 import numpy as np
 
 
-def _as_int_columns(mat):
-    """Return (columns, n_rows) with each column a list of Python ints."""
+def _sparse_columns(mat):
+    """Return (n_rows, columns), each column a dict of its nonzero entries."""
     arr = np.asarray(mat)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    n, d = arr.shape
-    return [[int(arr[r, j]) for r in range(n)] for j in range(d)], n
+    return arr.shape[0], [
+        {r: v for r, v in enumerate(map(int, column)) if v}
+        for column in arr.T.tolist()
+    ]
 
 
 def _column_echelon(cols, n_rows):
     """Reduce the top ``n_rows`` block of ``cols`` to column echelon form.
 
-    Uses unimodular column operations only (swap, subtract integer
-    multiples), so the integer span of the columns is preserved.  Rows
-    above the current one are already zero in every non-pivot column,
-    hence updates can start at the current row.  Returns the pivot
-    count, i.e. the rank of the top block.
+    Each column is a dict ``{row: value}`` of its nonzeros; entries that
+    cancel to 0 are dropped.  Uses unimodular column operations only
+    (swap, subtract integer multiples), so the integer span of the
+    columns is preserved.  Rows above the current one are already zero
+    in every non-pivot column, so an update touches only the pivot
+    column's nonzeros, all at the current row or below: each row costs
+    one scan of the remaining columns plus, per update, the pivot
+    column's nonzero count.  Returns the pivot count, i.e. the rank of
+    the top block.
     """
     pivots = 0
     for r in range(n_rows):
-        active = [j for j in range(pivots, len(cols)) if cols[j][r] != 0]
+        active = [j for j in range(pivots, len(cols)) if r in cols[j]]
         while len(active) > 1:
             # Reduce against the column with the smallest nonzero entry
             # in this row; Euclidean shrinking terminates quickly.
             jmin = min(active, key=lambda j: abs(cols[j][r]))
-            pivot_val = cols[jmin][r]
+            piv = cols[jmin]
+            pivot_val = piv[r]
             still = []
             for j in active:
                 if j == jmin:
                     continue
-                q = cols[j][r] // pivot_val
+                col = cols[j]
+                q = col[r] // pivot_val
                 if q:
-                    col, piv = cols[j], cols[jmin]
-                    for i in range(r, len(col)):
-                        col[i] -= q * piv[i]
-                if cols[j][r] != 0:
+                    for i, v in piv.items():
+                        w = col.get(i, 0) - q * v
+                        if w:
+                            col[i] = w
+                        else:
+                            del col[i]
+                if r in col:
                     still.append(j)
             still.append(jmin)
             active = still
@@ -59,26 +71,8 @@ def _column_echelon(cols, n_rows):
 
 def integer_rank(mat):
     """Rank of an integer matrix, computed exactly."""
-    cols, n = _as_int_columns(mat)
-    if not cols or n == 0:
-        return 0
+    n, cols = _sparse_columns(mat)
     return _column_echelon(cols, n)
-
-
-def make_primitive(vec):
-    """Divide out the entry gcd and make the first nonzero entry positive."""
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return list(vec)
-    out = [v // g for v in vec]
-    for v in out:
-        if v != 0:
-            if v < 0:
-                out = [-x for x in out]
-            break
-    return out
 
 
 def integer_kernel_basis(mat):
@@ -86,29 +80,34 @@ def integer_kernel_basis(mat):
 
     Eliminates the stacked matrix [mat; I] by columns: once the top
     block of a column is zeroed, its bottom block is an exact integer
-    kernel vector.  Returns a list of primitive, sign-normalized
-    vectors of length ``mat.shape[1]``; the list has exactly
-    ``d - rank(mat)`` elements and full rank by construction (the
-    bottom block starts as the identity and only unimodular column
-    operations are applied).
+    kernel vector.  Returns a ``(d - rank(mat), d)`` int64 array whose
+    rows are sign-normalized (first nonzero entry positive).  The bottom
+    block starts as the identity and only unimodular column operations
+    are applied, so it stays unimodular: the rows have full rank and
+    each is primitive (entry gcd 1) by construction.
     """
-    arr = np.asarray(mat)
-    n, d = arr.shape
-    cols = [[int(arr[r, j]) for r in range(n)] + [0] * d for j in range(d)]
-    for j in range(d):
-        cols[j][n + j] = 1
+    n, cols = _sparse_columns(mat)
+    d = len(cols)
+    for j, col in enumerate(cols):
+        col[n + j] = 1
     pivots = _column_echelon(cols, n)
-    kernel = []
-    for j in range(pivots, d):
-        if any(cols[j][r] != 0 for r in range(n)):  # pragma: no cover
+    kernel = np.zeros((d - pivots, d), dtype=np.int64)
+    for out, col in zip(kernel, cols[pivots:]):
+        first = min(col)
+        if first < n:  # pragma: no cover
             raise AssertionError("column echelon left a nonzero top block")
-        kernel.append(make_primitive(cols[j][n:]))
+        sign = -1 if col[first] < 0 else 1
+        for i, v in col.items():
+            out[i - n] = sign * v
     return kernel
 
 
 def exact_matvec(mat, vec):
-    """mat @ vec with Python-int arithmetic; returns a list of ints."""
+    """mat @ vec in Python ints over the nonzeros of mat; returns a list."""
     arr = np.asarray(mat)
-    n, d = arr.shape
+    rows, cols = np.nonzero(arr)
     xs = [int(v) for v in vec]
-    return [sum(int(arr[r, j]) * xs[j] for j in range(d)) for r in range(n)]
+    out = [0] * arr.shape[0]
+    for r, j, a in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist()):
+        out[r] += int(a) * xs[j]
+    return out

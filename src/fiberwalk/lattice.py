@@ -99,11 +99,7 @@ def compute_lattice_basis(design):
     mat = _entries(design)
     if mat.size == 0:
         raise ContractViolation("design matrix is empty")
-    kernel = integer_kernel_basis(mat)
-    d = mat.shape[1]
-    if not kernel:
-        return LatticeBasis(vectors=np.zeros((0, d), dtype=np.int64))
-    return LatticeBasis(vectors=np.array(kernel, dtype=np.int64))
+    return LatticeBasis(vectors=integer_kernel_basis(mat))
 
 
 def combine_moves(coeffs, basis):
@@ -177,7 +173,6 @@ def decompose_initial_point(edges, n_nodes, strategy, k=None, node_sets=None):
     subs = []
     for g in groups:
         nodes = tuple(sorted(g))
-        local = {v: i for i, v in enumerate(nodes)}
         spec = beta_model(len(nodes))
         design = build_design_matrix(spec)
         labels = [(nodes[i], nodes[j]) for (i, j) in design.column_labels]
@@ -190,7 +185,6 @@ def decompose_initial_point(edges, n_nodes, strategy, k=None, node_sets=None):
                 node_set=nodes,
             )
         )
-        del local
     if not subs:
         raise DecompositionError(f"strategy {strategy!r} produced no usable sub-problem")
     return subs
@@ -287,7 +281,7 @@ def save_basis(path, basis):
     with open(path, "w") as fh:
         fh.write(f"c={basis.count} d={basis.dim}\n")
         for vec in basis.vectors:
-            fh.write(" ".join(str(int(v)) for v in vec) + "\n")
+            fh.write(" ".join(map(str, vec.tolist())) + "\n")
 
 
 def load_basis(path):
@@ -296,16 +290,20 @@ def load_basis(path):
         try:
             count = int(header[0].split("=")[1])
             dim = int(header[1].split("=")[1])
+            vectors = np.zeros((count, dim), dtype=np.int64)
         except (IndexError, ValueError):
             raise ValidationError(
                 f"{path}: basis file must start with 'c=<count> d=<dim>'"
             ) from None
-        rows = []
+        mismatch = f"{path}: basis body does not match its header"
+        rows = 0
         for line in fh:
             if line.strip():
-                rows.append([int(v) for v in line.split()])
-    if len(rows) != count or any(len(r) != dim for r in rows):
-        raise ValidationError(f"{path}: basis body does not match its header")
-    if not rows:
-        return LatticeBasis(vectors=np.zeros((0, dim), dtype=np.int64))
-    return LatticeBasis(vectors=np.array(rows, dtype=np.int64))
+                row = np.array(line.split(), dtype=np.int64)
+                if rows == count or row.shape != (dim,):
+                    raise ValidationError(mismatch)
+                vectors[rows] = row
+                rows += 1
+    if rows != count:
+        raise ValidationError(mismatch)
+    return LatticeBasis(vectors=vectors)

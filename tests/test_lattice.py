@@ -1,7 +1,12 @@
 """Tests for kernel bases, moves, decomposition, lifting, and enumeration."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fiberwalk._exact import exact_matvec, integer_rank
 from fiberwalk.errors import (
@@ -24,7 +29,7 @@ from fiberwalk.lattice import (
     load_basis,
     save_basis,
 )
-from fiberwalk.models import beta_model, build_design_matrix, independence
+from fiberwalk.models import all_two_way, beta_model, build_design_matrix, independence
 
 from .oracles import rational_rank
 
@@ -74,6 +79,75 @@ class TestComputeLatticeBasis:
         for _ in range(20):
             mat = rng.integers(-3, 4, size=(4, 6))
             assert integer_rank(mat) == rational_rank(mat)
+
+
+# sha256 of each basis as little-endian int64 bytes.  The values come
+# from the dense-column form of the elimination; the sparse columns run
+# the same operations in the same order and must give the same bytes.
+GOLDEN_BASES = [
+    ("independence(4,4)", independence(4, 4),
+     "544b94f10f3e13d236079a4a0286cdb50ca3b6e1eb36eeb33538ed72c2d00ced"),
+    ("all_two_way(3,3,3,zeros)", all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]),
+     "f203626dfb786a9d71bdf8a2bf0e7db4e8f06d71df0d2c2eed8956f72629f570"),
+    ("beta_model(30)", beta_model(30),
+     "014f64ab9e8568a9d235edfb24c98724c0dc82bd93946c2339151f76ac0b3def"),
+    ("beta_model(50)", beta_model(50),
+     "632900e372237571e0dc3906be41862da38dedcbd8ea8d6addb889a155df75b4"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, digest", [g[1:] for g in GOLDEN_BASES], ids=[g[0] for g in GOLDEN_BASES]
+)
+def test_basis_bytes_are_golden(spec, digest):
+    basis = compute_lattice_basis(build_design_matrix(spec))
+    assert hashlib.sha256(basis.vectors.astype("<i8").tobytes()).hexdigest() == digest
+
+
+# Small integer matrices with negative and non-0/1 entries (zeros too,
+# so some columns vanish and some rows are dependent).
+small_matrices = hnp.arrays(
+    np.int64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7),
+    elements=st.integers(-4, 4),
+)
+
+
+class TestEliminationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices)
+    def test_integer_rank_matches_rational_oracle(self, mat):
+        assert integer_rank(mat) == rational_rank(mat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices)
+    def test_kernel_basis_is_exact_full_rank_primitive_normalized(self, mat):
+        d = mat.shape[1]
+        basis = compute_lattice_basis(mat)
+        assert basis.vectors.shape == (d - rational_rank(mat), d)
+        assert basis.vectors.dtype == np.int64
+        if not basis.count:
+            return
+        # Object dtype multiplies in Python ints, independently of the package.
+        assert not (mat.astype(object) @ basis.vectors.T.astype(object)).any()
+        assert rational_rank(basis.vectors) == basis.count
+        for vec in basis.vectors:
+            support = vec[vec != 0]
+            assert np.gcd.reduce(np.abs(support)) == 1
+            assert support[0] > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices, st.data())
+    def test_combine_moves_equals_dense_product(self, mat, data):
+        basis = compute_lattice_basis(mat)
+        coeffs = np.array(
+            data.draw(st.lists(st.integers(-3, 3), min_size=basis.count, max_size=basis.count)),
+            dtype=np.int64,
+        )
+        move = combine_moves(coeffs, basis)
+        assert move.delta.dtype == np.int64
+        assert np.array_equal(move.delta, coeffs @ basis.vectors)
+        assert in_kernel(mat, move)
 
 
 class TestCombineMoves:
@@ -256,6 +330,35 @@ class TestBasisFile:
         assert np.array_equal(back.vectors, basis.vectors)
         assert path.read_text().startswith(f"c={basis.count} d={basis.dim}\n")
 
+    def test_file_bytes(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        save_basis(path, LatticeBasis(vectors=np.array([[1, -1, 0], [0, 12, -12]])))
+        assert path.read_bytes() == b"c=2 d=3\n1 -1 0\n0 12 -12\n"
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        dm = build_design_matrix(all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]))
+        basis = compute_lattice_basis(dm)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_basis(first, basis)
+        back = load_basis(first)
+        save_basis(second, back)
+        assert back.vectors.dtype == np.int64
+        assert np.array_equal(back.vectors, basis.vectors)
+        assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(0, 6), st.integers(1, 6)),
+            elements=st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+        )
+    )
+    def test_round_trip_property(self, tmp_path_factory, vectors):
+        path = tmp_path_factory.mktemp("basis") / "basis.txt"
+        save_basis(path, LatticeBasis(vectors=vectors))
+        assert np.array_equal(load_basis(path).vectors, vectors)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("vectors follow\n1 2\n")
@@ -265,6 +368,15 @@ class TestBasisFile:
     def test_body_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("c=2 d=3\n1 0 -1\n")
+        with pytest.raises(ValidationError):
+            load_basis(path)
+
+    @pytest.mark.parametrize(
+        "text", ["c=1 d=3\n1 0 -1\n0 1 -1\n", "c=1 d=3\n1 -1\n", "c=1 d=3\n5\n"]
+    )
+    def test_extra_row_or_wrong_width_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
         with pytest.raises(ValidationError):
             load_basis(path)
 
