@@ -19,15 +19,17 @@ masking belong to the environment's interpretation of the action.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ValidationError
 from .neuralnet import (
     DenseNet,
-    deserialize_dense,
+    line_field,
+    line_floats,
     make_dense,
+    parse_dense,
     project_to_ball,
     serialize_dense,
 )
@@ -294,9 +296,7 @@ def compute_gae(rewards, values, bootstrap, gamma, lam):
 class Trajectory:
     """One rollout window of length K plus the bootstrap state."""
 
-    states: np.ndarray          # (K+1, d)
     features: np.ndarray        # (K+1, m), evaluated at collection time
-    coeff_actions: np.ndarray   # (K, c)
     rewards: np.ndarray         # (K,)
     values: np.ndarray          # (K,)
     bootstrap_value: float
@@ -305,9 +305,7 @@ class Trajectory:
     def __post_init__(self):
         k = len(self.rewards)
         if not (
-            len(self.states) == k + 1
-            and len(self.features) == k + 1
-            and len(self.coeff_actions) == k
+            len(self.features) == k + 1
             and len(self.values) == k
             and len(self.log_prob_grads) == k
         ):
@@ -398,6 +396,8 @@ class TrainConfig:
     critic_step_cap: float = 1.0
 
     def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ContractViolation("gamma must lie strictly between 0 and 1")
         if not 0.0 <= self.lam <= 1.0:
             raise ContractViolation("lambda must lie in [0, 1]")
         if self.window < 1:
@@ -455,25 +455,20 @@ def train(env, ac, cfg, start=None):
         done = 0
         while done < steps_per_episode:
             k = min(cfg.window, steps_per_episode - done)
-            states = [state]
-            feats, coeffs, rewards, values, grads = [], [], [], [], []
+            feats, rewards, values, grads = [], [], [], []
             feasible_count = 0
             for _ in range(k):
                 sample = policy_sample(ac, state, rng)
                 outcome = env.step(sample.coeffs)
                 feats.append(sample.features)
                 values.append(float(sample.features @ ac.critic_weights))
-                coeffs.append(sample.coeffs)
                 rewards.append(outcome.reward)
                 grads.append(sample.log_prob_grad)
                 feasible_count += outcome.feasible
                 state = outcome.next
-                states.append(state)
             end_feats = ac.feature_net.forward(_net_input(ac, state))
             traj = Trajectory(
-                states=np.array(states),
                 features=np.array(feats + [end_feats]),
-                coeff_actions=np.array(coeffs),
                 rewards=np.array(rewards),
                 values=np.array(values),
                 bootstrap_value=float(end_feats @ ac.critic_weights),
@@ -539,13 +534,15 @@ def serialize_policy(ac, basis_sha256=None):
     return "\n".join(lines) + "\n" + body + "\n".join(critic) + "\n"
 
 
-def _consume_dense(lines, pos):
-    if lines[pos] != "fiberwalk-densenet v1":
-        raise ValidationError("expected a dense-network block")
-    n_layers = int(lines[pos + 1].split("=")[1])
-    n_params = int(lines[pos + 2 + n_layers].split("=")[1])
-    end = pos + 3 + n_layers + n_params
-    return deserialize_dense("\n".join(lines[pos:end])), end
+_POLICY_HEADER = (
+    ("coeff_min", int),
+    ("coeff_max", int),
+    ("mask_k", lambda value: None if value == "none" else int(value)),
+    ("ball_radius", float),
+    ("input_scale", float),
+    ("sigma_min", float),
+    ("basis_sha256", lambda value: None if value == "none" else value),
+)
 
 
 def deserialize_policy(text):
@@ -553,22 +550,12 @@ def deserialize_policy(text):
     lines = text.splitlines()
     if not lines or lines[0] != "fiberwalk-policy v1":
         raise ValidationError("not a v1 policy file")
-    header = dict(line.split("=", 1) for line in lines[1:8])
-    mask = header["mask_k"]
-    sha = header["basis_sha256"]
-    feature_net, pos = _consume_dense(lines, 8)
-    actor_head, pos = _consume_dense(lines, pos)
-    n_critic = int(lines[pos].split("=")[1])
-    critic = np.array([float(v) for v in lines[pos + 1:pos + 1 + n_critic]])
-    ac = ActorCritic(
-        feature_net=feature_net,
-        actor_head=actor_head,
-        critic_weights=critic,
-        coeff_min=int(header["coeff_min"]),
-        coeff_max=int(header["coeff_max"]),
-        mask_k=None if mask == "none" else int(mask),
-        ball_radius=float(header["ball_radius"]),
-        input_scale=float(header["input_scale"]),
-        sigma_min=float(header["sigma_min"]),
-    )
-    return ac, (None if sha == "none" else sha)
+    header = {
+        key: line_field(lines, i, key, cast)
+        for i, (key, cast) in enumerate(_POLICY_HEADER, start=1)
+    }
+    sha = header.pop("basis_sha256")
+    feature_net, pos = parse_dense(lines, len(_POLICY_HEADER) + 1)
+    actor_head, pos = parse_dense(lines, pos)
+    critic = np.array(line_floats(lines, pos + 1, line_field(lines, pos, "critic")))
+    return ActorCritic(feature_net, actor_head, critic, **header), sha

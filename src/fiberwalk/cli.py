@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .models import (
     all_two_way,
     beta_model,
     build_design_matrix,
+    fit_expected_counts,
     independence,
     observe_graph,
     observe_table,
@@ -61,10 +63,11 @@ from .sampling import (
     mh_uniform,
     write_histogram_csv,
     write_pvalues_csv,
+    write_results_csv,
     write_sample_csv,
 )
 
-COMMANDS = ("train", "sample", "test", "enumerate", "lift")
+_WALKERS = {"uniform": mh_uniform, "explore": explore}
 
 
 class RunConfig:
@@ -121,6 +124,7 @@ def _sha256_file(path):
 
 class Manifest:
     def __init__(self, command, cfg):
+        self.out_dir = cfg.out_dir
         self.data = {
             "command": command,
             "seed": cfg.seed,
@@ -133,27 +137,35 @@ class Manifest:
             "timings": {},
             "outputs": {},
         }
-        self._stage_start = None
-        self._stage_name = None
 
-    def start(self, stage):
-        self._stage_name = stage
-        self._stage_start = time.perf_counter()
+    @contextmanager
+    def stage(self, name):
+        """Time the enclosed block as stage ``name``."""
+        start = time.perf_counter()
+        yield
+        self.data["timings"][name] = time.perf_counter() - start
 
-    def finish(self):
-        self.data["timings"][self._stage_name] = time.perf_counter() - self._stage_start
+    def output(self, name, write, *args):
+        """``write(path, *args)`` to ``name`` in the out dir and record its checksum."""
+        path = os.path.join(self.out_dir, name)
+        write(path, *args)
+        self.data["outputs"][name] = _sha256_file(path)
 
-    def record_output(self, path):
-        self.data["outputs"][os.path.basename(path)] = _sha256_file(path)
-
-    def write(self, out_dir):
-        path = os.path.join(out_dir, "manifest.json")
+    def write(self):
+        """Write ``manifest.json`` atomically, report it, and return exit code 0."""
+        path = os.path.join(self.out_dir, "manifest.json")
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
-        return path
+        print(f"wrote {path}")
+        return 0
+
+
+def _write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _model_spec(cfg):
@@ -200,7 +212,6 @@ def _observed_data(cfg, spec, design):
 
 def _mdp_config(cfg):
     return MdpConfig(
-        gamma=cfg.get("mdp.gamma", 0.99, float),
         coeff_min=cfg.get("mdp.c1", -2, int),
         coeff_max=cfg.get("mdp.c2", 2, int),
         steps_per_episode=cfg.get("mdp.steps_per_episode", 100, int),
@@ -233,7 +244,7 @@ def _compute_moves(cfg, design, spec, edges):
     return lift_basis(sub_bases, subs, design.column_labels)
 
 
-def _load_policy(cfg):
+def _load_policy(cfg, design):
     policy_path = cfg.require("policy.file")
     basis_path = cfg.require("policy.basis")
     for path in (policy_path, basis_path):
@@ -245,7 +256,10 @@ def _load_policy(cfg):
         raise IncompatiblePolicyError(
             "policy was trained against a different basis (checksum mismatch)"
         )
-    return ac, load_basis(basis_path)
+    basis = load_basis(basis_path)
+    if basis.dim != design.n_cols:
+        raise IncompatiblePolicyError("basis dimension does not match the model")
+    return ac, basis
 
 
 def _train_config(cfg):
@@ -265,226 +279,152 @@ def _train_config(cfg):
     )
 
 
-def run_train(cfg):
-    manifest = Manifest("train", cfg)
+def _ingest(command, cfg, policy=False):
+    """Open a run (manifest, out dir) and time its ingest stage.
+
+    Returns ``(manifest, spec, design, data, edges, ac, basis)``; the
+    stored policy ``ac`` and its ``basis`` are ``None`` unless ``policy``.
+    """
+    manifest = Manifest(command, cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    with manifest.stage("ingest"):
+        spec = _model_spec(cfg)
+        design = build_design_matrix(spec)
+        data, edges = _observed_data(cfg, spec, design)
+        ac, basis = _load_policy(cfg, design) if policy else (None, None)
+    return manifest, spec, design, data, edges, ac, basis
 
-    manifest.start("ingest")
-    spec = _model_spec(cfg)
-    design = build_design_matrix(spec)
-    data, edges = _observed_data(cfg, spec, design)
-    manifest.finish()
 
-    manifest.start("basis")
-    basis = _compute_moves(cfg, design, spec, edges)
-    basis_path = os.path.join(cfg.out_dir, "basis.txt")
-    save_basis(basis_path, basis)
-    manifest.record_output(basis_path)
-    manifest.finish()
+def run_train(cfg):
+    manifest, spec, design, data, edges, _, _ = _ingest("train", cfg)
 
-    manifest.start("train")
-    env = FiberEnv(design, basis, data.counts, _mdp_config(cfg))
-    mask = cfg.get("train.mask_k", "auto")
-    if mask == "auto":
-        mask_k = default_mask_k(design.n_cols)
-    elif mask in ("none", "None"):
-        mask_k = None
-    else:
-        mask_k = int(mask)
-    hidden = tuple(
-        int(v) for v in str(cfg.get("train.hidden", "64,64")).split(",") if v.strip()
-    )
-    ac = make_actor_critic(
-        state_dim=design.n_cols,
-        n_coeffs=basis.count,
-        hidden=hidden,
-        seed=cfg.seed,
-        coeff_min=env.config.coeff_min,
-        coeff_max=env.config.coeff_max,
-        mask_k=mask_k,
-        ball_radius=cfg.get("train.ball_radius", 1e3, float),
-        input_scale=cfg.get("train.input_scale", max(1.0, float(data.counts.max())), float),
-        sigma_min=cfg.get("train.sigma_min", default_sigma_min(design.n_cols), float),
-    )
-    log = train(env, ac, _train_config(cfg), start=data.counts)
-    manifest.finish()
+    with manifest.stage("basis"):
+        basis = _compute_moves(cfg, design, spec, edges)
+        manifest.output("basis.txt", save_basis, basis)
 
-    manifest.start("write")
-    log_path = os.path.join(cfg.out_dir, "trainlog.csv")
-    write_train_log(log_path, log)
-    manifest.record_output(log_path)
-    policy_path = os.path.join(cfg.out_dir, "policy.txt")
-    with open(policy_path, "w") as fh:
-        fh.write(serialize_policy(ac, basis_sha256=_sha256_file(basis_path)))
-    manifest.record_output(policy_path)
-    manifest.finish()
+    with manifest.stage("train"):
+        env = FiberEnv(design, basis, data.counts, _mdp_config(cfg))
+        mask = cfg.get("train.mask_k", "auto")
+        if mask == "auto":
+            mask_k = default_mask_k(design.n_cols)
+        elif mask in ("none", "None"):
+            mask_k = None
+        else:
+            mask_k = int(mask)
+        hidden = tuple(
+            int(v) for v in str(cfg.get("train.hidden", "64,64")).split(",") if v.strip()
+        )
+        ac = make_actor_critic(
+            state_dim=design.n_cols,
+            n_coeffs=basis.count,
+            hidden=hidden,
+            seed=cfg.seed,
+            coeff_min=env.config.coeff_min,
+            coeff_max=env.config.coeff_max,
+            mask_k=mask_k,
+            ball_radius=cfg.get("train.ball_radius", 1e3, float),
+            input_scale=cfg.get("train.input_scale", max(1.0, float(data.counts.max())), float),
+            sigma_min=cfg.get("train.sigma_min", default_sigma_min(design.n_cols), float),
+        )
+        log = train(env, ac, _train_config(cfg), start=data.counts)
 
-    path = manifest.write(cfg.out_dir)
+    with manifest.stage("write"):
+        manifest.output("trainlog.csv", write_train_log, log)
+        basis_sha = manifest.data["outputs"]["basis.txt"]
+        manifest.output("policy.txt", _write_text, serialize_policy(ac, basis_sha256=basis_sha))
+
     if log:
         print(
             f"trained {len(log)} windows; final feasible fraction "
             f"{log[-1].feasible_fraction:.3f}, discovered {log[-1].discovered_count}"
         )
-    print(f"wrote {path}")
-    return 0
+    return manifest.write()
 
 
 def run_sample(cfg):
-    manifest = Manifest("sample", cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    manifest, spec, design, data, _, ac, basis = _ingest("sample", cfg, policy=True)
 
-    manifest.start("ingest")
-    spec = _model_spec(cfg)
-    design = build_design_matrix(spec)
-    data, _ = _observed_data(cfg, spec, design)
-    ac, basis = _load_policy(cfg)
-    if basis.dim != design.n_cols:
-        raise IncompatiblePolicyError("basis dimension does not match the model")
-    manifest.finish()
+    with manifest.stage("sample"):
+        steps = cfg.get("sample.steps", 10_000, int)
+        mode = cfg.get("sample.mode", "uniform")
+        if mode not in _WALKERS:
+            raise ConfigError(f"sample.mode must be uniform or explore, got {mode!r}")
+        expected = fit_expected_counts(spec, data)
+        rng = np.random.default_rng(cfg.seed)
+        sample, discovered = _WALKERS[mode](
+            ac, basis, data.counts, steps, rng, expected=expected, seed=cfg.seed
+        )
 
-    manifest.start("sample")
-    steps = cfg.get("sample.steps", 10_000, int)
-    mode = cfg.get("sample.mode", "uniform")
-    rng = np.random.default_rng(cfg.seed)
-    from .models import fit_expected_counts
-
-    expected = fit_expected_counts(spec, data)
-    walker = mh_uniform if mode == "uniform" else explore
-    if mode not in ("uniform", "explore"):
-        raise ConfigError(f"sample.mode must be uniform or explore, got {mode!r}")
-    sample, discovered = walker(
-        ac, basis, data.counts, steps, rng, expected=expected, seed=cfg.seed
-    )
-    manifest.finish()
-
-    manifest.start("write")
-    sample_path = os.path.join(cfg.out_dir, "sample.csv")
-    write_sample_csv(sample_path, sample, design.column_labels)
-    manifest.record_output(sample_path)
-    manifest.finish()
+    with manifest.stage("write"):
+        manifest.output("sample.csv", write_sample_csv, sample, design.column_labels)
     manifest.data["discovered_count"] = discovered.count
     manifest.data["stuck"] = sample.stuck
 
-    path = manifest.write(cfg.out_dir)
     print(f"{steps} steps, {discovered.count} distinct points")
-    print(f"wrote {path}")
-    return 0
+    return manifest.write()
 
 
 def run_test(cfg):
-    manifest = Manifest("test", cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    manifest, spec, _, data, _, ac, basis = _ingest("test", cfg, policy=True)
 
-    manifest.start("ingest")
-    spec = _model_spec(cfg)
-    design = build_design_matrix(spec)
-    data, _ = _observed_data(cfg, spec, design)
-    ac, basis = _load_policy(cfg)
-    if basis.dim != design.n_cols:
-        raise IncompatiblePolicyError("basis dimension does not match the model")
-    manifest.finish()
-
-    manifest.start("test")
-    results = besag_clifford_pvalues(
-        ac,
-        basis,
-        spec,
-        data,
-        chains=cfg.get("test.chains", 100, int),
-        chain_length=cfg.get("test.chain_length", 100, int),
-        seed=cfg.seed,
-        chain_steps=cfg.get("test.chain_steps", cast=int),
-    )
-    manifest.finish()
-
-    manifest.start("write")
-    results_path = os.path.join(cfg.out_dir, "results.csv")
-    with open(results_path, "w", newline="") as fh:
-        fh.write("chain_id,seed,p_value,observed_statistic,sample_size,stuck\n")
-        for r in results:
-            fh.write(
-                f"{r.chain_id},{r.seed},{repr(r.p_value)},"
-                f"{repr(r.observed_statistic)},{r.sample_size},{int(r.stuck)}\n"
-            )
-    manifest.record_output(results_path)
-    pvals_path = os.path.join(cfg.out_dir, "pvalues.csv")
-    write_pvalues_csv(pvals_path, results)
-    manifest.record_output(pvals_path)
-    hist_path = os.path.join(cfg.out_dir, "histogram.csv")
-    write_histogram_csv(hist_path, [r.p_value for r in results])
-    manifest.record_output(hist_path)
-    manifest.finish()
-
-    path = manifest.write(cfg.out_dir)
+    with manifest.stage("test"):
+        results = besag_clifford_pvalues(
+            ac,
+            basis,
+            spec,
+            data,
+            chains=cfg.get("test.chains", 100, int),
+            chain_length=cfg.get("test.chain_length", 100, int),
+            seed=cfg.seed,
+            chain_steps=cfg.get("test.chain_steps", cast=int),
+        )
     pvals = [r.p_value for r in results]
+
+    with manifest.stage("write"):
+        manifest.output("results.csv", write_results_csv, results)
+        manifest.output("pvalues.csv", write_pvalues_csv, results)
+        manifest.output("histogram.csv", write_histogram_csv, pvals)
+
     print(f"{len(results)} chains; median p-value {float(np.median(pvals)):.4f}")
-    print(f"wrote {path}")
-    return 0
+    return manifest.write()
 
 
 def run_enumerate(cfg):
-    manifest = Manifest("enumerate", cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    manifest, _, design, data, _, _, _ = _ingest("enumerate", cfg)
 
-    manifest.start("ingest")
-    spec = _model_spec(cfg)
-    design = build_design_matrix(spec)
-    data, _ = _observed_data(cfg, spec, design)
-    manifest.finish()
+    with manifest.stage("enumerate"):
+        cap = cfg.get("enumerate.cap", 100_000, int)
+        points = enumerate_fiber(design, data.marginals, cap=cap)
 
-    manifest.start("enumerate")
-    points = enumerate_fiber(design, data.marginals, cap=cfg.get("enumerate.cap", 100_000, int))
-    manifest.finish()
-
-    manifest.start("write")
-    fiber_path = os.path.join(cfg.out_dir, "fiber.csv")
-    with open(fiber_path, "w", newline="") as fh:
-        fh.write(",".join("_".join(str(v) for v in lab) for lab in design.column_labels))
-        fh.write("\n")
-        for point in sorted(points):
-            fh.write(",".join(str(v) for v in point) + "\n")
-    manifest.record_output(fiber_path)
-    manifest.finish()
+    with manifest.stage("write"):
+        header = ",".join("_".join(str(v) for v in lab) for lab in design.column_labels)
+        rows = "".join(",".join(str(v) for v in point) + "\n" for point in sorted(points))
+        manifest.output("fiber.csv", _write_text, header + "\n" + rows)
     manifest.data["fiber_size"] = len(points)
 
-    path = manifest.write(cfg.out_dir)
     print(f"fiber has {len(points)} points")
-    print(f"wrote {path}")
-    return 0
+    return manifest.write()
 
 
 def run_lift(cfg):
-    manifest = Manifest("lift", cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    manifest.start("ingest")
-    spec = _model_spec(cfg)
-    design = build_design_matrix(spec)
-    data, edges = _observed_data(cfg, spec, design)
+    manifest, spec, design, _, edges, _, _ = _ingest("lift", cfg)
     if edges is None:
         raise ConfigError("lift requires graph data (beta model)")
     if cfg.get("decompose.strategy") is None:
         raise ConfigError("lift requires decompose.strategy")
-    manifest.finish()
 
-    manifest.start("lift")
-    basis = _compute_moves(cfg, design, spec, edges)
-    manifest.finish()
+    with manifest.stage("lift"):
+        basis = _compute_moves(cfg, design, spec, edges)
 
-    manifest.start("write")
-    out_path = os.path.join(cfg.out_dir, "lifted_basis.txt")
-    save_basis(out_path, basis)
-    manifest.record_output(out_path)
-    manifest.finish()
+    with manifest.stage("write"):
+        manifest.output("lifted_basis.txt", save_basis, basis)
     manifest.data["lifted_moves"] = basis.count
 
-    path = manifest.write(cfg.out_dir)
     print(f"lifted {basis.count} moves into dimension {basis.dim}")
-    print(f"wrote {path}")
-    return 0
+    return manifest.write()
 
 
-_RUNNERS = {
+COMMANDS = {
     "train": run_train,
     "sample": run_sample,
     "test": run_test,
@@ -513,7 +453,7 @@ def main(argv=None):
         cfg = RunConfig.from_file(args.config, out_dir=args.out)
         if args.seed is not None:
             cfg.seed = args.seed
-        return _RUNNERS[args.command](cfg)
+        return COMMANDS[args.command](cfg)
     except FiberwalkError as exc:
         print(f"fiberwalk {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code

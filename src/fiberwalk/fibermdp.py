@@ -21,15 +21,12 @@ from .models import verify_marginals
 
 @dataclass(frozen=True)
 class MdpConfig:
-    gamma: float = 0.99
     coeff_min: int = -2
     coeff_max: int = 2
     steps_per_episode: int = 100
     discovered_point_cap: int = 100_000
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ContractViolation("gamma must lie strictly between 0 and 1")
         if self.coeff_min >= self.coeff_max:
             raise ContractViolation("coeff_min must be below coeff_max")
         if self.steps_per_episode < 1:
@@ -74,9 +71,6 @@ class DiscoveredSet:
     def __contains__(self, vec):
         return _digest(vec) in self._digests
 
-    def __len__(self):
-        return len(self._digests)
-
     @property
     def count(self):
         return len(self._digests)
@@ -85,21 +79,6 @@ class DiscoveredSet:
     def points(self):
         """Retained exact points (all of them while under the cap)."""
         return list(self._points)
-
-    def merge(self, other):
-        for key in other._digests:
-            if key not in self._digests:
-                self._digests.add(key)
-        room = self.point_cap - len(self._points)
-        if room > 0:
-            have = {_digest(p) for p in self._points}
-            for p in other._points[:]:
-                if room == 0:
-                    break
-                if _digest(p) not in have:
-                    self._points.append(p)
-                    room -= 1
-        return self
 
 
 class FiberEnv:

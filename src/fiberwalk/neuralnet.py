@@ -1,6 +1,6 @@
 """Minimal dense feed-forward kernel with reverse-mode gradients.
 
-Small enough to audit: affine layers with tanh/identity/softplus
+Small enough to audit: affine layers with tanh/identity
 activations, a cached forward pass, and a backward pass returning the
 exact gradient of ``<output_grad, forward(x)>`` with respect to every
 parameter and to the input.  Parameters round-trip losslessly through
@@ -10,11 +10,10 @@ a flat vector and through the text format (shortest-repr decimals).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractViolation, NumericError, ValidationError
 
-ACTIVATIONS = ("tanh", "identity", "softplus")
+ACTIVATIONS = ("tanh", "identity")
 
 
 def _apply_activation(name, pre):
@@ -22,8 +21,6 @@ def _apply_activation(name, pre):
         return np.tanh(pre)
     if name == "identity":
         return pre
-    if name == "softplus":
-        return np.logaddexp(0.0, pre)
     raise ContractViolation(f"unknown activation {name!r}")
 
 
@@ -32,8 +29,6 @@ def _activation_slope(name, pre, post):
         return 1.0 - post * post
     if name == "identity":
         return np.ones_like(pre)
-    if name == "softplus":
-        return expit(pre)
     raise ContractViolation(f"unknown activation {name!r}")
 
 
@@ -180,22 +175,51 @@ def serialize_dense(net):
     return "\n".join(lines) + "\n"
 
 
-def deserialize_dense(text):
-    lines = text.splitlines()
-    if not lines or lines[0] != "fiberwalk-densenet v1":
-        raise ValidationError("not a v1 dense-network block")
-    n_layers = int(lines[1].split("=")[1])
-    dims, acts = [], []
-    for i in range(n_layers):
-        parts = dict(p.split("=") for p in lines[2 + i].split()[1:])
-        if not dims:
-            dims.append(int(parts["in"]))
-        dims.append(int(parts["out"]))
-        acts.append(parts["act"])
-    count = int(lines[2 + n_layers].split("=")[1])
-    values = [float(v) for v in lines[3 + n_layers:3 + n_layers + count]]
-    if len(values) != count:
+def line_field(lines, i, key, cast=int):
+    """``cast(value)`` of ``lines[i]``, which must read ``key=value``."""
+    name, _, value = lines[i].partition("=") if i < len(lines) else ("", "", "")
+    try:
+        if name == key:
+            return cast(value)
+    except ValueError:
+        pass
+    raise ValidationError(f"line {i + 1}: expected {key}=...")
+
+
+def line_floats(lines, start, count):
+    """The numbers on the ``count`` lines from ``lines[start]`` on."""
+    if count < 0 or start + count > len(lines):
         raise ValidationError("parameter block shorter than its header promises")
+    values = []
+    for i in range(start, start + count):
+        try:
+            values.append(float(lines[i]))
+        except ValueError:
+            raise ValidationError(f"line {i + 1}: expected a number") from None
+    return values
+
+
+def parse_dense(lines, pos):
+    """The dense-network block starting at ``lines[pos]``; returns ``(net, end)``."""
+    if lines[pos:pos + 1] != ["fiberwalk-densenet v1"]:
+        raise ValidationError(f"line {pos + 1}: not a v1 dense-network block")
+    n_layers = line_field(lines, pos + 1, "layers")
+    dims, acts = [], []
+    for i in range(pos + 2, pos + 2 + n_layers):
+        try:
+            parts = dict(p.split("=") for p in lines[i].split()[1:])
+            if not dims:
+                dims.append(int(parts["in"]))
+            dims.append(int(parts["out"]))
+            acts.append(parts["act"])
+        except (IndexError, KeyError, ValueError):
+            raise ValidationError(f"line {i + 1}: expected layer in=... out=... act=...") from None
+    count = line_field(lines, pos + 2 + n_layers, "params")
+    values = line_floats(lines, pos + 3 + n_layers, count)
     net = make_dense(dims, acts, np.random.default_rng(0))
     net.set_param_vector(np.array(values))
-    return net
+    return net, pos + 3 + n_layers + count
+
+
+def deserialize_dense(text):
+    return parse_dense(text.splitlines(), 0)[0]

@@ -1,13 +1,14 @@
 """Deploying a trained policy on a fiber.
 
-Three levels: raw exploration (count what the policy can reach),
-Metropolis-corrected chains whose stationary law is a given target on
-the fiber, and the exchangeable-sample protocol that turns many
-independent chains into one exact conditional p-value each.  The
-target is the model's conditional null law: proportional to
-``1/prod(x_i!)`` for tables under multinomial or Poisson sampling, and
-uniform for the beta model; a chain started without a target is
-uniform.
+One walk loop with two accept rules: raw exploration takes every
+feasible proposal (count what the policy can reach), and the
+Metropolis-corrected chain keeps one only if it passes the Metropolis
+test, so its stationary law is a given target on the fiber.  On top of
+the chain, the exchangeable-sample protocol turns many independent
+chains into one exact conditional p-value each.  The target is the
+model's conditional null law: proportional to ``1/prod(x_i!)`` for
+tables under multinomial or Poisson sampling, and uniform for the beta
+model; a chain started without a target is uniform.
 
 The Metropolis correction needs the probability that the policy
 proposes a given integer coefficient vector.  The continuous Gaussian
@@ -70,23 +71,15 @@ class GofTestResult:
             raise ContractViolation("p-value is not of the form k/(n+1)")
 
 
-def _finish(points, expected, chain_id, seed, stuck):
-    pts = np.array(points, dtype=np.int64) if points is not None else None
-    stats = None
-    if pts is not None and expected is not None:
-        stats = chi_square_many(pts, expected)
-    return FiberSample(
-        points=pts, statistics=stats, chain_id=chain_id, seed=seed, stuck=stuck
-    )
+def _walk(ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, metropolis,
+          log_weight=None):
+    """The walk loop of :func:`explore` and :func:`mh_uniform`.
 
-
-def explore(ac, basis, start, steps, rng, expected=None, keep_points=True, chain_id=0, seed=-1):
-    """Run the raw policy, rejecting infeasible proposals in place.
-
-    Every proposal leaves one recorded point (unchanged when the move
-    was thrown away), so the trace has ``steps + 1`` rows counting the
-    start.  Returns ``(FiberSample, DiscoveredSet)``; the set counts
-    distinct visited points.
+    An infeasible proposal is rejected in place; a feasible one is
+    taken, under ``metropolis`` only if it passes the Metropolis test.
+    The policy is evaluated once per feasible proposal: the candidate's
+    ``(mu, sigma)`` gives the reverse mass and, after an accept, the
+    next proposal.
     """
     state = np.asarray(start, dtype=np.int64)
     if np.any(state < 0):
@@ -97,20 +90,41 @@ def explore(ac, basis, start, steps, rng, expected=None, keep_points=True, chain
     stuck = False
     consecutive = 0
     limit = STUCK_FACTOR * basis.dim
+    here = policy_distribution(ac, state)
+    weight = log_weight(state) if log_weight else 0.0
     for _ in range(steps):
-        sample = policy_sample(ac, state, rng, with_grad=False)
-        candidate = state + combine_moves(sample.coeffs, basis).delta
-        if np.any(candidate < 0):
+        coeffs = policy_sample(ac, state, rng, with_grad=False, dist=here).coeffs
+        candidate = state + combine_moves(coeffs, basis).delta
+        if candidate.min() < 0:
             consecutive += 1
-            if consecutive >= limit:
-                stuck = True
+            stuck = stuck or consecutive >= limit
         else:
             consecutive = 0
-            state = candidate
-            discovered.add(state)
+            there = policy_distribution(ac, candidate)
+            cand_weight = log_weight(candidate) if log_weight else 0.0
+            accept = True
+            if metropolis:
+                ratio = log_accept_ratio(ac, coeffs, here, there, cand_weight - weight)
+                accept = ratio > -np.inf and np.log(rng.uniform()) < ratio
+            if accept:
+                state, here, weight = candidate, there, cand_weight
+                discovered.add(state)
         if keep_points:
             trace.append(state.copy())
-    return _finish(trace, expected, chain_id, seed, stuck), discovered
+    points = np.array(trace, dtype=np.int64) if keep_points else None
+    stats = chi_square_many(points, expected) if keep_points and expected is not None else None
+    return FiberSample(points, stats, chain_id, seed, stuck), discovered
+
+
+def explore(ac, basis, start, steps, rng, expected=None, keep_points=True, chain_id=0, seed=-1):
+    """Run the raw policy, rejecting infeasible proposals in place.
+
+    Every proposal leaves one recorded point (unchanged when the move
+    was thrown away), so the trace has ``steps + 1`` rows counting the
+    start.  Returns ``(FiberSample, DiscoveredSet)``; the set counts
+    distinct visited points.
+    """
+    return _walk(ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, False)
 
 
 def _log_cell_masses(values, mu, sigma, cmin, cmax):
@@ -159,12 +173,6 @@ def proposal_log_mass(ac, coeffs, mu, sigma):
     after = np.arange(len(coeffs)) > last_tie
     mass = np.where(after, below + tie, below)[rest]
     return float(cells[support].sum() + np.log(np.maximum(mass, 1e-300)).sum())
-
-
-def proposal_log_prob(ac, state, coeffs):
-    """Log-mass of proposing ``coeffs`` from ``state`` under the policy."""
-    mu, sigma = policy_distribution(ac, state)
-    return proposal_log_mass(ac, coeffs, mu, sigma)
 
 
 def table_log_weight(counts):
@@ -218,39 +226,11 @@ def mh_uniform(
     law.  Proposals come from the policy; acceptance uses the ratio of
     the reverse to the forward proposal mass times the ratio of target
     weights.  Infeasible candidates are rejected outright, so the chain
-    never leaves the fiber.  The policy is evaluated once per feasible
-    proposal: the candidate's ``(mu, sigma)`` gives the reverse mass
-    and, after an accept, the next proposal.
+    never leaves the fiber.
     """
-    state = np.asarray(start, dtype=np.int64)
-    if np.any(state < 0):
-        raise ContractViolation("start point has negative entries")
-    discovered = DiscoveredSet()
-    discovered.add(state)
-    trace = [state.copy()] if keep_points else None
-    stuck = False
-    consecutive = 0
-    limit = STUCK_FACTOR * basis.dim
-    here = policy_distribution(ac, state)
-    weight = log_weight(state) if log_weight else 0.0
-    for _ in range(steps):
-        coeffs = policy_sample(ac, state, rng, with_grad=False, dist=here).coeffs
-        candidate = state + combine_moves(coeffs, basis).delta
-        if candidate.min() < 0:
-            consecutive += 1
-            if consecutive >= limit:
-                stuck = True
-        else:
-            consecutive = 0
-            there = policy_distribution(ac, candidate)
-            cand_weight = log_weight(candidate) if log_weight else 0.0
-            ratio = log_accept_ratio(ac, coeffs, here, there, cand_weight - weight)
-            if ratio > -np.inf and np.log(rng.uniform()) < ratio:
-                state, here, weight = candidate, there, cand_weight
-                discovered.add(state)
-        if keep_points:
-            trace.append(state.copy())
-    return _finish(trace, expected, chain_id, seed, stuck), discovered
+    return _walk(
+        ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, True, log_weight
+    )
 
 
 def rank_p_value(sampled_statistics, observed_statistic):
@@ -340,6 +320,17 @@ def write_sample_csv(path, sample, labels):
         for i, point in enumerate(sample.points):
             fh.write(",".join(str(int(v)) for v in point))
             fh.write(f",{repr(float(stats[i])) if stats is not None else ''}\n")
+
+
+def write_results_csv(path, results):
+    """One row per chain: its seed, p-value, observed statistic and sample size."""
+    with open(path, "w", newline="") as fh:
+        fh.write("chain_id,seed,p_value,observed_statistic,sample_size,stuck\n")
+        for r in results:
+            fh.write(
+                f"{r.chain_id},{r.seed},{repr(r.p_value)},"
+                f"{repr(r.observed_statistic)},{r.sample_size},{int(r.stuck)}\n"
+            )
 
 
 def write_pvalues_csv(path, results):

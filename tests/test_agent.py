@@ -24,7 +24,7 @@ from fiberwalk.agent import (
     train,
     write_train_log,
 )
-from fiberwalk.errors import ContractViolation
+from fiberwalk.errors import ContractViolation, ValidationError
 from fiberwalk.fibermdp import FiberEnv
 from fiberwalk.lattice import compute_lattice_basis
 from fiberwalk.models import build_design_matrix, independence
@@ -44,21 +44,18 @@ def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):
 def _manual_window(ac, states, rng, rewards=None):
     """Roll the policy over fixed states, collecting a Trajectory."""
     k = len(states) - 1
-    feats, values, grads, coeffs, continuous = [], [], [], [], []
+    feats, values, grads, continuous = [], [], [], []
     for s in states[:-1]:
         sample = policy_sample(ac, s, rng)
         feats.append(sample.features)
         values.append(critic_value(ac, s, features=sample.features))
         grads.append(sample.log_prob_grad)
-        coeffs.append(sample.coeffs)
         continuous.append(sample.continuous)
     end_feats = ac.feature_net.forward(np.asarray(states[-1], dtype=float))
     if rewards is None:
         rewards = -np.abs(np.random.default_rng(5).normal(size=k))
     traj = Trajectory(
-        states=np.array(states),
         features=np.array(feats + [end_feats]),
-        coeff_actions=np.array(coeffs),
         rewards=np.asarray(rewards, dtype=float),
         values=np.array(values),
         bootstrap_value=float(end_feats @ ac.critic_weights),
@@ -345,9 +342,7 @@ class TestTrajectory:
     def test_positive_rewards_rejected(self):
         with pytest.raises(ContractViolation):
             Trajectory(
-                states=np.zeros((2, 3)),
                 features=np.zeros((2, 4)),
-                coeff_actions=np.zeros((1, 2)),
                 rewards=np.array([1.0]),
                 values=np.zeros(1),
                 bootstrap_value=0.0,
@@ -357,9 +352,7 @@ class TestTrajectory:
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ContractViolation):
             Trajectory(
-                states=np.zeros((3, 3)),
-                features=np.zeros((2, 4)),
-                coeff_actions=np.zeros((1, 2)),
+                features=np.zeros((3, 4)),
                 rewards=np.array([-1.0]),
                 values=np.zeros(1),
                 bootstrap_value=0.0,
@@ -439,6 +432,10 @@ class TestSchedulesAndConfig:
         assert actor(8) == pytest.approx(0.05 / 8.0)
         assert critic(8) == pytest.approx(0.05 / 4.0)
 
+    def test_invalid_gamma(self):
+        with pytest.raises(ContractViolation):
+            TrainConfig(gamma=1.0)
+
     def test_bad_lambda_rejected(self):
         with pytest.raises(ContractViolation):
             TrainConfig(lam=1.5)
@@ -477,3 +474,37 @@ class TestPolicySerialization:
         back, sha = deserialize_policy(serialize_policy(ac))
         assert sha is None
         assert np.array_equal(back.actor_params(), ac.actor_params())
+
+    def _policy_lines(self):
+        return serialize_policy(_small_ac(seed=9), basis_sha256="ab" * 32).splitlines()
+
+    def test_truncated_file_names_the_missing_line(self):
+        text = "\n".join(self._policy_lines()[:3]) + "\n"
+        with pytest.raises(ValidationError, match="line 4: expected mask_k="):
+            deserialize_policy(text)
+
+    def test_bad_header_value_names_its_line(self):
+        lines = self._policy_lines()
+        assert lines[1].startswith("coeff_min=")
+        lines[1] = "coeff_min=x"
+        with pytest.raises(ValidationError, match="line 2: expected coeff_min="):
+            deserialize_policy("\n".join(lines))
+
+    def test_header_line_without_equals_names_its_line(self):
+        lines = self._policy_lines()
+        assert lines[4].startswith("ball_radius=")
+        lines[4] = "ball_radius 1000.0"
+        with pytest.raises(ValidationError, match="line 5: expected ball_radius="):
+            deserialize_policy("\n".join(lines))
+
+    def test_bad_number_in_a_parameter_block_names_its_line(self):
+        lines = self._policy_lines()
+        first_param = lines.index(next(line for line in lines if line.startswith("params="))) + 1
+        lines[first_param] = "zero"
+        with pytest.raises(ValidationError, match=f"line {first_param + 1}: expected a number"):
+            deserialize_policy("\n".join(lines))
+
+    def test_short_critic_block_rejected(self):
+        lines = self._policy_lines()[:-1]
+        with pytest.raises(ValidationError, match="shorter than its header promises"):
+            deserialize_policy("\n".join(lines))

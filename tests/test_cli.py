@@ -107,6 +107,10 @@ class TestTrain:
             sums.append(json.loads((out / "manifest.json").read_text())["outputs"])
         assert sums[0] == sums[1]
 
+    def test_gamma_one_exit_2(self, tmp_path, train_cfg):
+        cfg = _write(tmp_path / "g.cfg", open(train_cfg).read() + "mdp.gamma=1.0\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_seed_flag_overrides_config(self, tmp_path, train_cfg):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["train", "--config", train_cfg, "--out", str(out_a)])
@@ -116,11 +120,65 @@ class TestTrain:
         assert sum_a["policy.txt"] != sum_b["policy.txt"]
 
 
+def _manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
 class TestSampleAndTest:
     def _trained(self, tmp_path, train_cfg):
         out = tmp_path / "trained"
         assert main(["train", "--config", train_cfg, "--out", str(out)]) == 0
         return out
+
+    def _policy_cfg(self, tmp_path, table22, trained, *extra):
+        lines = [
+            "model.family=independence",
+            "model.shape=2x2",
+            f"data.table={table22}",
+            f"policy.file={trained / 'policy.txt'}",
+            f"policy.basis={trained / 'basis.txt'}",
+            *extra,
+        ]
+        return _write(tmp_path / "run.cfg", "\n".join(lines) + "\n")
+
+    def test_explore_mode_writes_sample_and_discovered_count(
+        self, tmp_path, train_cfg, table22
+    ):
+        trained = self._trained(tmp_path, train_cfg)
+        cfg = self._policy_cfg(
+            tmp_path, table22, trained, "sample.mode=explore", "sample.steps=30"
+        )
+        out = tmp_path / "s"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "sample.csv").read_text().splitlines()) == 32
+        manifest = _manifest(out)
+        assert set(manifest["outputs"]) == {"sample.csv"}
+        assert 1 <= manifest["discovered_count"] <= 5  # margins (4, 4): 5 fiber points
+
+    def test_unknown_sample_mode_exit_2(self, tmp_path, train_cfg, table22, capsys):
+        trained = self._trained(tmp_path, train_cfg)
+        cfg = self._policy_cfg(tmp_path, table22, trained, "sample.mode=gibbs")
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert "sample.mode" in capsys.readouterr().err
+
+    def test_truncated_policy_exit_2(self, tmp_path, train_cfg, table22, capsys):
+        trained = self._trained(tmp_path, train_cfg)
+        policy = trained / "policy.txt"
+        policy.write_text("\n".join(policy.read_text().splitlines()[:3]) + "\n")
+        cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
+        assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_stage_timings_of_every_command(self, tmp_path, train_cfg, table22):
+        trained = self._trained(tmp_path, train_cfg)
+        assert set(_manifest(trained)["timings"]) == {"basis", "ingest", "train", "write"}
+        cfg = self._policy_cfg(
+            tmp_path, table22, trained, "sample.steps=5", "test.chains=1", "test.chain_length=1"
+        )
+        for command, stage in (("sample", "sample"), ("test", "test"), ("enumerate", "enumerate")):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert set(_manifest(out)["timings"]) == {"ingest", stage, "write"}
 
     def test_sample_writes_points_with_statistics(self, tmp_path, train_cfg, table22):
         trained = self._trained(tmp_path, train_cfg)
@@ -211,6 +269,7 @@ class TestLift:
         )
         out = tmp_path / "lifted"
         assert main(["lift", "--config", cfg, "--out", str(out)]) == 0
+        assert set(_manifest(out)["timings"]) == {"ingest", "lift", "write"}
         basis = load_basis(out / "lifted_basis.txt")
         parent = build_design_matrix(beta_model(8))
         assert basis.count == 4  # two 4-cliques, kernel dimension 2 each

@@ -19,13 +19,8 @@ def env22():
 class TestMdpConfig:
     def test_defaults_match_contract(self):
         cfg = MdpConfig()
-        assert cfg.gamma == 0.99
         assert (cfg.coeff_min, cfg.coeff_max) == (-2, 2)
         assert cfg.steps_per_episode == 100
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ContractViolation):
-            MdpConfig(gamma=1.0)
 
     def test_invalid_bounds(self):
         with pytest.raises(ContractViolation):
@@ -135,12 +130,3 @@ class TestDiscoveredSet:
             ds.add(np.array([i]))
         assert ds.count == 5
         assert len(ds.points) == 2
-
-    def test_merge(self):
-        a, b = DiscoveredSet(), DiscoveredSet()
-        a.add(np.array([1]))
-        b.add(np.array([1]))
-        b.add(np.array([2]))
-        a.merge(b)
-        assert a.count == 2
-        assert len(a.points) == 2

@@ -21,7 +21,7 @@ def _random_net(rng, dims=None, activations=None):
         dims = [int(rng.integers(1, 6)) for _ in range(depth + 1)]
     if activations is None:
         activations = [
-            str(rng.choice(["tanh", "identity", "softplus"])) for _ in range(len(dims) - 1)
+            str(rng.choice(["tanh", "identity"])) for _ in range(len(dims) - 1)
         ]
     net = make_dense(dims, activations, rng)
     # Nonzero biases exercise every parameter slot.
@@ -167,3 +167,11 @@ class TestSerialization:
 
         with pytest.raises(ValidationError):
             deserialize_dense("something else\n")
+
+    def test_malformed_layer_line_names_its_line(self):
+        from fiberwalk.errors import ValidationError
+
+        lines = serialize_dense(_random_net(np.random.default_rng(1))).splitlines()
+        lines[2] = "layer in=3 act=tanh"
+        with pytest.raises(ValidationError, match="line 3: expected layer"):
+            deserialize_dense("\n".join(lines))

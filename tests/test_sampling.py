@@ -1,5 +1,6 @@
 """Tests for deployment: exploration, Metropolis chains, exact p-values."""
 
+import hashlib
 import itertools
 import math
 
@@ -26,11 +27,11 @@ from fiberwalk.sampling import (
     log_accept_ratio,
     mh_uniform,
     proposal_log_mass,
-    proposal_log_prob,
     rank_p_value,
     table_log_weight,
     write_histogram_csv,
     write_pvalues_csv,
+    write_results_csv,
     write_sample_csv,
 )
 
@@ -99,8 +100,9 @@ class TestMhUniform:
         ac.set_actor_params(np.zeros(ac.actor_params().size))
         other = np.array([0, 1, 1, 0], dtype=np.int64)
         for coeffs in ([1], [-1], [2]):
-            fwd = proposal_log_prob(ac, start, np.array(coeffs))
-            rev = proposal_log_prob(ac, other, -np.array(coeffs))
+            c = np.array(coeffs)
+            fwd = proposal_log_mass(ac, c, *policy_distribution(ac, start))
+            rev = proposal_log_mass(ac, -c, *policy_distribution(ac, other))
             assert fwd == pytest.approx(rev)
 
     def test_never_leaves_fiber(self):
@@ -222,6 +224,42 @@ class TestExactStationaryLaw:
         assert np.max(np.abs(stationary - target)) < 1e-9
 
 
+class TestGoldenTraces:
+    """Explore and Metropolis traces pinned bit for bit on the oracle setup.
+
+    Any change to the walk loop's draws, feasibility test or accept rule
+    changes these digests.
+    """
+
+    @pytest.mark.parametrize(
+        "mask_k, walker, log_weight, digest",
+        [
+            (None, explore, None,
+             "fc60e7f402463ce34ccc0648bb18f521479d7c29280ec1e848ae0c0796788277"),
+            (None, mh_uniform, None,
+             "94c1a17c90ab445f2e29882cbec5d13d3778733defa4849d97847a386ba81a85"),
+            (None, mh_uniform, table_log_weight,
+             "9676b602a9f0731d6da4bbaa41df87f098dd2cbf8fbfe5c450f9be180fa681c9"),
+            (1, explore, None,
+             "f46bac8a4f8ce12b4ea86dd5a17f857c2d01d35c85161144ef689bd1b0a22651"),
+            (1, mh_uniform, None,
+             "ed6a7ce6aa838ef3ef0b03a737bc9eadd8a154364407041cf17ab0261a98313a"),
+            (2, explore, None,
+             "6d4d787a2683d6a863530f97ed027f211efebf4218d900d126d9efbff739aed1"),
+            (2, mh_uniform, None,
+             "6fae842977b1ce5c9ef57bf9d0270420050583355aa368c3e81fd7ac0509739f"),
+        ],
+    )
+    def test_trace_digest(self, mask_k, walker, log_weight, digest):
+        basis, _, ac = _oracle_setup(mask_k)
+        kwargs = {"log_weight": log_weight} if log_weight else {}
+        sample, _ = walker(
+            ac, basis, np.array(_T33), 2000, np.random.default_rng(11), **kwargs
+        )
+        got = hashlib.sha256(sample.points.astype(np.int64).tobytes()).hexdigest()
+        assert got == digest
+
+
 class TestRankPValue:
     def test_observed_above_everything(self):
         stats = np.zeros(99)
@@ -295,6 +333,19 @@ class TestCsvOutputs:
         lines = path.read_text().splitlines()
         assert lines[0] == "0_0,0_1,1_0,1_1,statistic"
         assert len(lines) == 12
+
+    def test_results_csv_bytes(self, tmp_path):
+        results = [
+            GofTestResult(12.5, 0.25, 3, chain_id=0, seed=7),
+            GofTestResult(12.5, 1.0, 3, chain_id=1, seed=8, stuck=True),
+        ]
+        path = tmp_path / "r.csv"
+        write_results_csv(path, results)
+        assert path.read_text() == (
+            "chain_id,seed,p_value,observed_statistic,sample_size,stuck\n"
+            "0,7,0.25,12.5,3,0\n"
+            "1,8,1.0,12.5,3,1\n"
+        )
 
     def test_pvalues_and_histogram_csv(self, tmp_path):
         results = [
