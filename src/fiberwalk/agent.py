@@ -91,10 +91,6 @@ class ActorCritic:
     def state_dim(self):
         return self.feature_net.input_dim
 
-    @property
-    def feature_dim(self):
-        return self.feature_net.output_dim
-
     def actor_params(self):
         return np.concatenate(
             [self.feature_net.param_vector(), self.actor_head.param_vector()]
@@ -104,19 +100,6 @@ class ActorCritic:
         split = self.feature_net.n_params
         self.feature_net.set_param_vector(vec[:split])
         self.actor_head.set_param_vector(vec[split:])
-
-    def clone(self):
-        return ActorCritic(
-            feature_net=self.feature_net.clone(),
-            actor_head=self.actor_head.clone(),
-            critic_weights=self.critic_weights.copy(),
-            coeff_min=self.coeff_min,
-            coeff_max=self.coeff_max,
-            mask_k=self.mask_k,
-            ball_radius=self.ball_radius,
-            input_scale=self.input_scale,
-            sigma_min=self.sigma_min,
-        )
 
 
 def make_actor_critic(
@@ -205,22 +188,20 @@ def policy_distribution(ac, state):
     return mu, sigma
 
 
-def policy_sample(ac, state, rng, with_grad=True, dist=None):
-    """Draw a coefficient action and (optionally) its score gradient.
+def policy_sample(ac, state, rng, dist=None):
+    """Draw a coefficient action, with its score gradient unless ``dist`` is given.
 
     The gradient is d/d(theta) of ln N(z; mu, sigma) at the continuous
     draw ``z``, flowing through the actor head and the shared feature
     extractor; stddev entries pinned by the clamp contribute zero.
     ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``;
-    passing it skips the network pass, so ``features`` is ``None`` and
-    no gradient can be taken.
+    passing it skips the network pass, so ``features`` and
+    ``log_prob_grad`` are ``None``.
     """
     if dist is None:
         feats, feat_cache = ac.feature_net.forward_cached(_net_input(ac, state))
         head_out, head_cache = ac.actor_head.forward_cached(feats)
         mu, sigma, sigma_raw = _head_distribution(ac, head_out)
-    elif with_grad:
-        raise ContractViolation("the score gradient needs the network pass")
     else:
         feats = None
         mu, sigma = dist
@@ -229,7 +210,7 @@ def policy_sample(ac, state, rng, with_grad=True, dist=None):
     coeffs = mask_coefficients(rounded, ac.mask_k)
 
     grad = None
-    if with_grad:
+    if dist is None:
         dmu = (z - mu) / sigma**2
         dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
         unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
@@ -461,7 +442,7 @@ def train(env, ac, cfg, start=None):
                 sample = policy_sample(ac, state, rng)
                 outcome = env.step(sample.coeffs)
                 feats.append(sample.features)
-                values.append(float(sample.features @ ac.critic_weights))
+                values.append(critic_value(ac, state, features=sample.features))
                 rewards.append(outcome.reward)
                 grads.append(sample.log_prob_grad)
                 feasible_count += outcome.feasible
@@ -471,7 +452,7 @@ def train(env, ac, cfg, start=None):
                 features=np.array(feats + [end_feats]),
                 rewards=np.array(rewards),
                 values=np.array(values),
-                bootstrap_value=float(end_feats @ ac.critic_weights),
+                bootstrap_value=critic_value(ac, state, features=end_feats),
                 log_prob_grads=np.array(grads),
             )
             n_updates += 1

@@ -215,7 +215,6 @@ def _mdp_config(cfg):
         coeff_min=cfg.get("mdp.c1", -2, int),
         coeff_max=cfg.get("mdp.c2", 2, int),
         steps_per_episode=cfg.get("mdp.steps_per_episode", 100, int),
-        discovered_point_cap=cfg.get("mdp.point_cap", 100_000, int),
     )
 
 
@@ -262,6 +261,26 @@ def _load_policy(cfg, design):
     return ac, basis
 
 
+def _hidden_widths(cfg):
+    text = cfg.get("train.hidden", "64,64")
+    try:
+        widths = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        widths = ()
+    if not widths or min(widths) < 1:
+        raise ConfigError(f"train.hidden={text!r} must list positive layer widths, like 64,64")
+    return widths
+
+
+def _mask_k(cfg, state_dim):
+    mask = cfg.get("train.mask_k", "auto")
+    if mask == "auto":
+        return default_mask_k(state_dim)
+    if mask in ("none", "None"):
+        return None
+    return cfg.get("train.mask_k", cast=int)
+
+
 def _train_config(cfg):
     actor_sched, critic_sched = default_schedules(
         actor_scale=cfg.get("train.a0", 0.05, float),
@@ -300,35 +319,28 @@ def run_train(cfg):
 
     with manifest.stage("basis"):
         basis = _compute_moves(cfg, design, spec, edges)
-        manifest.output("basis.txt", save_basis, basis)
 
+    # Every setting is checked before training, and every file is
+    # written after it, so a bad config leaves no output behind.
     with manifest.stage("train"):
-        env = FiberEnv(design, basis, data.counts, _mdp_config(cfg))
-        mask = cfg.get("train.mask_k", "auto")
-        if mask == "auto":
-            mask_k = default_mask_k(design.n_cols)
-        elif mask in ("none", "None"):
-            mask_k = None
-        else:
-            mask_k = int(mask)
-        hidden = tuple(
-            int(v) for v in str(cfg.get("train.hidden", "64,64")).split(",") if v.strip()
-        )
+        mdp = _mdp_config(cfg)
+        train_cfg = _train_config(cfg)
         ac = make_actor_critic(
             state_dim=design.n_cols,
             n_coeffs=basis.count,
-            hidden=hidden,
+            hidden=_hidden_widths(cfg),
             seed=cfg.seed,
-            coeff_min=env.config.coeff_min,
-            coeff_max=env.config.coeff_max,
-            mask_k=mask_k,
+            coeff_min=mdp.coeff_min,
+            coeff_max=mdp.coeff_max,
+            mask_k=_mask_k(cfg, design.n_cols),
             ball_radius=cfg.get("train.ball_radius", 1e3, float),
             input_scale=cfg.get("train.input_scale", max(1.0, float(data.counts.max())), float),
             sigma_min=cfg.get("train.sigma_min", default_sigma_min(design.n_cols), float),
         )
-        log = train(env, ac, _train_config(cfg), start=data.counts)
+        log = train(FiberEnv(design, basis, data.counts, mdp), ac, train_cfg, start=data.counts)
 
     with manifest.stage("write"):
+        manifest.output("basis.txt", save_basis, basis)
         manifest.output("trainlog.csv", write_train_log, log)
         basis_sha = manifest.data["outputs"]["basis.txt"]
         manifest.output("policy.txt", _write_text, serialize_policy(ac, basis_sha256=basis_sha))

@@ -7,6 +7,8 @@ leaves the nonnegative orthant is charged the sum of its negative
 coordinates, and the zero move is charged ``-d`` so the agent cannot
 stall.  An infeasible candidate leaves the state unchanged, keeping
 the walk on the fiber during training exactly as at deployment.
+Visited points are counted, not stored: :class:`DiscoveredSet` keeps
+one digest per distinct point.
 """
 
 import hashlib
@@ -24,7 +26,6 @@ class MdpConfig:
     coeff_min: int = -2
     coeff_max: int = 2
     steps_per_episode: int = 100
-    discovered_point_cap: int = 100_000
 
     def __post_init__(self):
         if self.coeff_min >= self.coeff_max:
@@ -38,7 +39,6 @@ class StepOutcome:
     next: np.ndarray
     reward: float
     feasible: bool
-    newly_discovered: bool
 
 
 def _digest(vec):
@@ -47,38 +47,22 @@ def _digest(vec):
 
 
 class DiscoveredSet:
-    """Set of visited fiber points, counted by collision-resistant hash.
+    """Count of distinct visited fiber points.
 
-    Exact vectors are retained only up to ``point_cap``; past that the
-    count keeps growing but only digests are stored, so counting very
-    large fibers does not require storing them.
+    Only a collision-resistant digest of each point is stored, so
+    counting very large fibers does not require storing the points; a
+    walk's trace holds the points themselves.
     """
 
-    def __init__(self, point_cap=100_000):
-        self.point_cap = point_cap
+    def __init__(self):
         self._digests = set()
-        self._points = []
 
     def add(self, vec):
-        key = _digest(vec)
-        if key in self._digests:
-            return False
-        self._digests.add(key)
-        if len(self._points) < self.point_cap:
-            self._points.append(np.array(vec, dtype=np.int64))
-        return True
-
-    def __contains__(self, vec):
-        return _digest(vec) in self._digests
+        self._digests.add(_digest(vec))
 
     @property
     def count(self):
         return len(self._digests)
-
-    @property
-    def points(self):
-        """Retained exact points (all of them while under the cap)."""
-        return list(self._points)
 
 
 class FiberEnv:
@@ -93,9 +77,8 @@ class FiberEnv:
         self.basis = basis
         self.config = config or MdpConfig()
         self._marginals = design.marginals(np.asarray(start, dtype=np.int64))
-        self.discovered = DiscoveredSet(self.config.discovered_point_cap)
+        self.discovered = DiscoveredSet()
         self._current = None
-        self._step_count = 0
         self.reset(start)
 
     @property
@@ -103,16 +86,8 @@ class FiberEnv:
         return self._current.copy()
 
     @property
-    def step_count(self):
-        return self._step_count
-
-    @property
     def dim(self):
         return self.basis.dim
-
-    @property
-    def marginals(self):
-        return self._marginals.copy()
 
     def reset(self, start):
         """Jump to a feasible start point; keeps the discovered set."""
@@ -122,7 +97,6 @@ class FiberEnv:
         if not verify_marginals(self.design, start, self._marginals):
             raise ContractViolation("start point lies on a different fiber")
         self._current = start.copy()
-        self._step_count = 0
         self.discovered.add(start)
         return self
 
@@ -141,14 +115,7 @@ class FiberEnv:
         if move.is_zero:
             reward -= float(self.dim)
         feasible = not negative.any()
-        newly = False
         if feasible:
             self._current = candidate
-            newly = self.discovered.add(candidate)
-        self._step_count += 1
-        return StepOutcome(
-            next=self._current.copy(),
-            reward=reward,
-            feasible=feasible,
-            newly_discovered=newly,
-        )
+            self.discovered.add(candidate)
+        return StepOutcome(next=self._current.copy(), reward=reward, feasible=feasible)

@@ -338,36 +338,33 @@ def fit_expected_counts(spec, data, tol=1e-8, max_iter=10_000):
 
 
 def chi_square_statistic(observed, expected):
-    """Pearson goodness-of-fit statistic.
-
-    Cells with expected count 0 contribute nothing when the observed
-    count is also 0, and force the +inf sentinel otherwise (the model
-    rules out a cell that was observed).
-    """
+    """Pearson goodness-of-fit statistic: one row of :func:`chi_square_many`."""
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if observed.shape != expected.shape:
         raise ContractViolation("observed and expected lengths differ")
     if np.any(expected < 0):
         raise ContractViolation("expected counts must be nonnegative")
-    zero = expected == 0
-    if np.any(observed[zero] > 0):
-        return math.inf
-    dev = observed[~zero] - expected[~zero]
-    return float(np.sum(dev * dev / expected[~zero]))
+    return float(chi_square_many(observed.reshape(1, -1), expected)[0])
 
 
 def chi_square_many(points, expected):
-    """Vectorized Pearson statistic for a (m, d) block of fiber points."""
+    """Pearson statistic of each row of a (m, d) block of fiber points.
+
+    Each row is summed left to right, so its value does not depend on
+    the other rows of the block.  Cells with expected count 0
+    contribute nothing when the observed count is also 0, and force
+    the +inf sentinel otherwise (the model rules out a cell that was
+    observed).
+    """
     pts = np.asarray(points, dtype=float)
     expected = np.asarray(expected, dtype=float)
     zero = expected == 0
-    out = np.zeros(len(pts))
-    if zero.any():
-        bad = pts[:, zero].sum(axis=1) > 0
-        out[bad] = math.inf
     dev = pts[:, ~zero] - expected[~zero]
-    out += np.sum(dev * dev / expected[~zero], axis=1)
+    out = np.zeros(len(pts))
+    if dev.shape[1]:
+        out = np.cumsum(dev * dev / expected[~zero], axis=1)[:, -1]
+    out[(pts[:, zero] > 0).any(axis=1)] = math.inf
     return out
 
 
@@ -405,16 +402,6 @@ def read_table_csv(path):
     if any(v < 0 for v in cells):
         raise ValidationError("table cells must be nonnegative")
     return dims, np.array(cells, dtype=np.int64)
-
-
-def write_table_csv(path, dims, cells):
-    with open(path, "w", newline="") as fh:
-        fh.write("dims=" + "x".join(str(s) for s in dims) + "\n")
-        writer = csv.writer(fh)
-        flat = list(np.asarray(cells).reshape(-1))
-        width = dims[-1]
-        for start in range(0, len(flat), width):
-            writer.writerow(int(v) for v in flat[start:start + width])
 
 
 def read_edge_list(path):

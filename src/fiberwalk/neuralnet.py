@@ -132,13 +132,6 @@ class DenseNet:
             self.biases[i] = vec[pos:pos + size].copy()
             pos += size
 
-    def clone(self):
-        return DenseNet(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-        )
-
 
 def make_dense(dims, activations, rng):
     """Fresh network: weights uniform in +/-1/sqrt(fan_in), biases zero."""
@@ -219,7 +212,3 @@ def parse_dense(lines, pos):
     net = make_dense(dims, acts, np.random.default_rng(0))
     net.set_param_vector(np.array(values))
     return net, pos + 3 + n_layers + count
-
-
-def deserialize_dense(text):
-    return parse_dense(text.splitlines(), 0)[0]

@@ -10,6 +10,13 @@ model's conditional null law: proportional to ``1/prod(x_i!)`` for
 tables under multinomial or Poisson sampling, and uniform for the beta
 model; a chain started without a target is uniform.
 
+Every walk records its trace, one point per proposal; the trace's
+distinct rows are the points the walk's :class:`DiscoveredSet` counts.
+The observation and each trace row are scored by one Pearson kernel
+whose value for a row does not depend on the rest of the batch, so a
+sampled copy of the observation ties with it exactly, as the rank
+p-value requires.
+
 The Metropolis correction needs the probability that the policy
 proposes a given integer coefficient vector.  The continuous Gaussian
 density is integrated over the unit cell that rounds to each
@@ -48,9 +55,8 @@ class FiberSample:
     stuck: bool = False
 
     def __post_init__(self):
-        if self.points is not None and self.statistics is not None:
-            if len(self.points) != len(self.statistics):
-                raise ContractViolation("one statistic per recorded point")
+        if self.statistics is not None and len(self.points) != len(self.statistics):
+            raise ContractViolation("one statistic per recorded point")
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,7 @@ class GofTestResult:
             raise ContractViolation("p-value is not of the form k/(n+1)")
 
 
-def _walk(ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, metropolis,
-          log_weight=None):
+def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, log_weight=None):
     """The walk loop of :func:`explore` and :func:`mh_uniform`.
 
     An infeasible proposal is rejected in place; a feasible one is
@@ -86,14 +91,14 @@ def _walk(ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, m
         raise ContractViolation("start point has negative entries")
     discovered = DiscoveredSet()
     discovered.add(state)
-    trace = [state.copy()] if keep_points else None
+    trace = [state.copy()]
     stuck = False
     consecutive = 0
     limit = STUCK_FACTOR * basis.dim
     here = policy_distribution(ac, state)
     weight = log_weight(state) if log_weight else 0.0
     for _ in range(steps):
-        coeffs = policy_sample(ac, state, rng, with_grad=False, dist=here).coeffs
+        coeffs = policy_sample(ac, state, rng, dist=here).coeffs
         candidate = state + combine_moves(coeffs, basis).delta
         if candidate.min() < 0:
             consecutive += 1
@@ -109,41 +114,36 @@ def _walk(ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, m
             if accept:
                 state, here, weight = candidate, there, cand_weight
                 discovered.add(state)
-        if keep_points:
-            trace.append(state.copy())
-    points = np.array(trace, dtype=np.int64) if keep_points else None
-    stats = chi_square_many(points, expected) if keep_points and expected is not None else None
+        trace.append(state.copy())
+    points = np.array(trace, dtype=np.int64)
+    stats = chi_square_many(points, expected) if expected is not None else None
     return FiberSample(points, stats, chain_id, seed, stuck), discovered
 
 
-def explore(ac, basis, start, steps, rng, expected=None, keep_points=True, chain_id=0, seed=-1):
+def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1):
     """Run the raw policy, rejecting infeasible proposals in place.
 
     Every proposal leaves one recorded point (unchanged when the move
     was thrown away), so the trace has ``steps + 1`` rows counting the
     start.  Returns ``(FiberSample, DiscoveredSet)``; the set counts
-    distinct visited points.
+    distinct visited points, which are the distinct rows of the trace.
     """
-    return _walk(ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, False)
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False)
 
 
-def _log_cell_masses(values, mu, sigma, cmin, cmax):
-    """Log-probability that N(mu, sigma) rounds+clamps to each value."""
-    values = np.asarray(values, dtype=float)
-    hi = np.where(values >= cmax, np.inf, values + 0.5)
-    lo = np.where(values <= cmin, -np.inf, values - 0.5)
-    mass = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
-    return np.log(np.maximum(mass, 1e-300))
+def _range_masses(lo, hi, mu, sigma, cmin, cmax):
+    """Probability that N(mu, sigma) rounds and clamps into the integers lo..hi.
 
-
-def _interval_masses(lo, hi, mu, sigma, cmin, cmax):
-    """Probability that N(mu, sigma) rounds+clamps into the integers lo..hi."""
-    lo, hi = max(lo, cmin), min(hi, cmax)
-    if lo > hi:
-        return np.zeros_like(mu)
-    upper = np.inf if hi >= cmax else hi + 0.5
-    lower = -np.inf if lo <= cmin else lo - 0.5
-    return ndtr((upper - mu) / sigma) - ndtr((lower - mu) / sigma)
+    Rounding maps the range to ``(lo - 0.5, hi + 0.5)``; clamping moves
+    an edge below ``cmin`` to -inf and one above ``cmax`` to +inf, so a
+    range outside the bounds has zero mass.  ``lo`` and ``hi`` are
+    arrays that broadcast against ``mu``.
+    """
+    edges = np.array([hi + 0.5, lo - 0.5])
+    edges[edges < cmin] = -np.inf
+    edges[edges > cmax] = np.inf
+    upper, lower = ndtr((edges - mu) / sigma)
+    return upper - lower
 
 
 def proposal_log_mass(ac, coeffs, mu, sigma):
@@ -154,7 +154,7 @@ def proposal_log_mass(ac, coeffs, mu, sigma):
     """
     coeffs = np.asarray(coeffs)
     cmin, cmax = ac.coeff_min, ac.coeff_max
-    cells = _log_cell_masses(coeffs, mu, sigma, cmin, cmax)
+    cells = np.log(np.maximum(_range_masses(coeffs, coeffs, mu, sigma, cmin, cmax), 1e-300))
     k = ac.mask_k
     if k is None or np.count_nonzero(coeffs) < k:
         return float(cells.sum())
@@ -164,10 +164,11 @@ def proposal_log_mass(ac, coeffs, mu, sigma):
     mags = np.abs(coeffs[support])
     least = int(mags.min())
     last_tie = int(support[mags == least].max())
-    below = _interval_masses(1 - least, least - 1, mu, sigma, cmin, cmax)
-    tie = _interval_masses(least, least, mu, sigma, cmin, cmax) + _interval_masses(
-        -least, -least, mu, sigma, cmin, cmax
-    )
+    # Rows: |c| < least, then the ties c = least and c = -least.
+    lo = np.array([[1 - least], [least], [-least]])
+    hi = np.array([[least - 1], [least], [-least]])
+    below, tie_pos, tie_neg = _range_masses(lo, hi, mu, sigma, cmin, cmax)
+    tie = tie_pos + tie_neg
     rest = np.ones(len(coeffs), dtype=bool)
     rest[support] = False
     after = np.arange(len(coeffs)) > last_tie
@@ -214,7 +215,6 @@ def mh_uniform(
     steps,
     rng,
     expected=None,
-    keep_points=True,
     chain_id=0,
     seed=-1,
     log_weight=None,
@@ -228,9 +228,7 @@ def mh_uniform(
     weights.  Infeasible candidates are rejected outright, so the chain
     never leaves the fiber.
     """
-    return _walk(
-        ac, basis, start, steps, rng, expected, keep_points, chain_id, seed, True, log_weight
-    )
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, True, log_weight)
 
 
 def rank_p_value(sampled_statistics, observed_statistic):

@@ -5,6 +5,7 @@ deterministic (every seed pinned) but heavy; the fast unit suite lives
 in the other test modules.
 """
 
+import copy
 import math
 import time
 
@@ -118,7 +119,7 @@ class TestGradientFidelity:
             theta0 = net.param_vector()
 
             def scalar(theta, net=net, x=x, g=g):
-                probe = net.clone()
+                probe = copy.deepcopy(net)
                 probe.set_param_vector(theta)
                 return float(g @ probe.forward(x))
 
@@ -134,7 +135,7 @@ class TestGradientFidelity:
             theta0 = ac.actor_params()
 
             def logpi(theta, ac=ac, state=state, z=sample.continuous):
-                probe = ac.clone()
+                probe = copy.deepcopy(ac)
                 probe.set_actor_params(theta)
                 return policy_log_density(probe, state, z)
 
@@ -205,15 +206,10 @@ class TestFiberConnectivity:
         results = []
         for seed in range(5):
             ac, _ = _make_policy(design, basis, data, episodes=1000, seed=seed)
-            _, discovered = explore(
-                ac,
-                basis,
-                data.counts,
-                50_000,
-                np.random.default_rng(10_000 + seed),
-                keep_points=False,
+            sample, _ = explore(
+                ac, basis, data.counts, 50_000, np.random.default_rng(10_000 + seed)
             )
-            found = {tuple(int(v) for v in p) for p in discovered.points}
+            found = {tuple(int(v) for v in p) for p in np.unique(sample.points, axis=0)}
             results.append(found == fiber)
         elapsed = time.time() - t0
         _report(
@@ -424,15 +420,10 @@ class TestDiscoveryScaling:
             ac, _ = _make_policy(design, basis, data, episodes=30, seed=0)
             counts = []
             for budget in (1000, 4000, 16000):
-                _, discovered = explore(
-                    ac,
-                    basis,
-                    data.counts,
-                    budget,
-                    np.random.default_rng(3000),
-                    keep_points=False,
+                sample, discovered = explore(
+                    ac, basis, data.counts, budget, np.random.default_rng(3000)
                 )
-                for point in discovered.points:
+                for point in np.unique(sample.points, axis=0):
                     assert np.all(point >= 0)
                     assert verify_marginals(design, point, data.marginals)
                 counts.append(discovered.count)

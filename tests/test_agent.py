@@ -1,5 +1,7 @@
 """Tests for the actor-critic learner: policy, GAE, updates, training."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):
     ac = make_actor_critic(state_dim, n_coeffs, hidden=hidden, seed=seed, **kw)
     rng = np.random.default_rng(seed + 100)
     ac.set_actor_params(rng.normal(scale=0.4, size=ac.actor_params().size))
-    ac.critic_weights = rng.normal(scale=0.4, size=ac.feature_dim)
+    ac.critic_weights = rng.normal(scale=0.4, size=ac.feature_net.output_dim)
     return ac
 
 
@@ -93,13 +95,12 @@ class TestPolicySample:
         ac = _small_ac(n_coeffs=5, mask_k=2)
         state = np.array([1, 0, 2, 3])
         dist = policy_distribution(ac, state)
-        full = policy_sample(ac, state, np.random.default_rng(3), with_grad=False)
-        reused = policy_sample(ac, state, np.random.default_rng(3), with_grad=False, dist=dist)
+        full = policy_sample(ac, state, np.random.default_rng(3))
+        reused = policy_sample(ac, state, np.random.default_rng(3), dist=dist)
         assert np.array_equal(full.continuous, reused.continuous)
         assert np.array_equal(full.coeffs, reused.coeffs)
         assert reused.features is None
-        with pytest.raises(ContractViolation):
-            policy_sample(ac, state, np.random.default_rng(3), dist=dist)
+        assert full.log_prob_grad is not None and reused.log_prob_grad is None
 
     def test_log_prob_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -110,7 +111,7 @@ class TestPolicySample:
             theta0 = ac.actor_params()
 
             def logpi(theta):
-                probe = ac.clone()
+                probe = copy.deepcopy(ac)
                 probe.set_actor_params(theta)
                 return policy_log_density(probe, state, sample.continuous)
 
@@ -149,7 +150,7 @@ class TestMasking:
 class TestCriticValue:
     def test_zero_weights(self):
         ac = _small_ac()
-        ac.critic_weights = np.zeros(ac.feature_dim)
+        ac.critic_weights = np.zeros(ac.feature_net.output_dim)
         assert critic_value(ac, np.array([1, 2, 3, 4])) == 0.0
 
     def test_scalar_inner_product(self):
@@ -170,9 +171,9 @@ class TestCriticValue:
         state = np.array([2, 1, 0, 3])
         phi = ac.feature_net.forward(state.astype(float))
         for _ in range(20):
-            bump = rng.normal(scale=0.1, size=ac.feature_dim)
+            bump = rng.normal(scale=0.1, size=ac.feature_net.output_dim)
             before = critic_value(ac, state)
-            ac2 = ac.clone()
+            ac2 = copy.deepcopy(ac)
             ac2.critic_weights = ac.critic_weights + bump
             after = critic_value(ac2, state)
             assert abs(after - before) <= np.linalg.norm(bump) * np.linalg.norm(phi) + 1e-12
@@ -229,7 +230,7 @@ class TestActorUpdate:
     def test_zero_advantages_leave_parameters_unchanged(self):
         ac = _small_ac()
         # Zero critic and zero rewards make every temporal difference 0.
-        ac.critic_weights = np.zeros(ac.feature_dim)
+        ac.critic_weights = np.zeros(ac.feature_net.output_dim)
         rng = np.random.default_rng(0)
         states = [np.array([1, 0, 0, 1])] * 4
         traj, _ = _manual_window(ac, states, rng, rewards=np.zeros(3))
@@ -260,7 +261,7 @@ class TestActorUpdate:
         theta0 = ac.actor_params()
 
         def surrogate(theta):
-            probe = ac.clone()
+            probe = copy.deepcopy(ac)
             probe.set_actor_params(theta)
             total = 0.0
             for k, s in enumerate(states[:-1]):
@@ -268,7 +269,7 @@ class TestActorUpdate:
             return total / len(adv)
 
         fd = central_difference(surrogate, theta0)
-        probe = ac.clone()
+        probe = copy.deepcopy(ac)
         actor_update(probe, traj, 1.0, gamma, lam)
         direction = probe.actor_params() - theta0  # step size 1, inside the ball
         assert relative_error(direction, fd) < 1e-4
@@ -285,7 +286,7 @@ class TestActorUpdate:
 class TestCriticUpdate:
     def test_exact_values_leave_weights_unchanged(self):
         ac = _small_ac()
-        ac.critic_weights = np.zeros(ac.feature_dim)
+        ac.critic_weights = np.zeros(ac.feature_net.output_dim)
         rng = np.random.default_rng(1)
         states = [np.array([1, 0, 0, 1])] * 4
         traj, _ = _manual_window(ac, states, rng, rewards=np.zeros(3))

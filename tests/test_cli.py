@@ -111,6 +111,17 @@ class TestTrain:
         cfg = _write(tmp_path / "g.cfg", open(train_cfg).read() + "mdp.gamma=1.0\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "line", ["mdp.gamma=1.0", "mdp.c1=3", "train.mask_k=2", "train.hidden=a"]
+    )
+    def test_bad_setting_exits_2_and_writes_nothing(self, tmp_path, train_cfg, line):
+        # The 2x2 basis has one vector, so mask_k=2 exceeds it.
+        cfg = _write(tmp_path / "bad.cfg", open(train_cfg).read() + line + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "basis.txt").exists()
+        assert list(out.iterdir()) == []
+
     def test_seed_flag_overrides_config(self, tmp_path, train_cfg):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["train", "--config", train_cfg, "--out", str(out_a)])

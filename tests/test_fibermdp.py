@@ -34,7 +34,7 @@ class TestStep:
         assert np.array_equal(outcome.next, [0, 1, 1, 0])
         assert outcome.reward == 0.0
         assert outcome.feasible
-        assert outcome.newly_discovered
+        assert env22.discovered.count == 2
 
     def test_zero_move_penalty_is_minus_d(self, env22):
         outcome = env22.step(np.array([0]))
@@ -62,7 +62,7 @@ class TestStep:
 
     def test_state_remains_on_fiber(self, env22):
         rng = np.random.default_rng(1)
-        b = env22.marginals
+        b = env22.design.marginals(env22.current)
         for _ in range(200):
             env22.step(rng.integers(-2, 3, size=1))
             state = env22.current
@@ -85,7 +85,6 @@ class TestReset:
         env22.step(np.array([-1]))
         env22.reset(np.array([1, 0, 0, 1]))
         assert np.array_equal(env22.current, [1, 0, 0, 1])
-        assert env22.step_count == 0
 
     def test_reset_is_idempotent(self, env22):
         env22.reset(np.array([1, 0, 0, 1]))
@@ -118,15 +117,8 @@ class TestDiscoveredSet:
     def test_add_and_membership(self):
         ds = DiscoveredSet()
         vec = np.array([1, 2, 3])
-        assert ds.add(vec)
-        assert not ds.add(vec)
-        assert vec in ds
-        assert np.array([1, 2, 4]) not in ds
+        ds.add(vec)
+        ds.add(vec.copy())
         assert ds.count == 1
-
-    def test_point_cap_keeps_counting(self):
-        ds = DiscoveredSet(point_cap=2)
-        for i in range(5):
-            ds.add(np.array([i]))
-        assert ds.count == 5
-        assert len(ds.points) == 2
+        ds.add(np.array([1, 2, 4]))
+        assert ds.count == 2

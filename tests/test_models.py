@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fiberwalk.errors import (
     ContractViolation,
@@ -23,7 +26,6 @@ from fiberwalk.models import (
     observe_table,
     read_edge_list,
     read_table_csv,
-    write_table_csv,
 )
 
 from .oracles import rational_rank
@@ -242,12 +244,31 @@ class TestChiSquare:
         for i in range(10):
             assert many[i] == pytest.approx(chi_square_statistic(points[i], expected))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_value_does_not_depend_on_the_batch(self, data):
+        # The rank p-value needs a sampled copy of the observation to tie
+        # with it, so each row must score the same alone, in any batch
+        # size and at any position.
+        d = data.draw(st.integers(1, 300))
+        cells = st.one_of(st.just(0.0), st.floats(0.1, 100.0))
+        expected = data.draw(hnp.arrays(float, d, elements=cells))
+        table = st.integers(0, 30)
+        rows = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 12)), d), elements=table))
+        others = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 12)), d), elements=table))
+        batch = chi_square_many(rows, expected)
+        alone = [chi_square_statistic(row, expected) for row in rows]
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(chi_square_many(rows[::-1], expected)[::-1], batch)
+        assert np.array_equal(chi_square_many(np.vstack([others, rows]), expected)[len(others):], batch)
+        assert np.array_equal(chi_square_many(rows[:1], expected), batch[:1])
+
 
 class TestFileFormats:
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
         cells = np.arange(12)
-        write_table_csv(path, (3, 4), cells)
+        path.write_text("dims=3x4\n0,1,2,3\n4,5,6,7\n8,9,10,11\n")
         dims, back = read_table_csv(path)
         assert dims == (3, 4)
         assert np.array_equal(back, cells)

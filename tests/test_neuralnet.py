@@ -1,13 +1,15 @@
 """Tests for the dense network kernel: forward, gradients, serialization."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from fiberwalk.errors import ContractViolation, NumericError
 from fiberwalk.neuralnet import (
     DenseNet,
-    deserialize_dense,
     make_dense,
+    parse_dense,
     project_to_ball,
     serialize_dense,
 )
@@ -109,7 +111,7 @@ class TestBackward:
             theta0 = net.param_vector()
 
             def param_scalar(theta):
-                probe = net.clone()
+                probe = copy.deepcopy(net)
                 probe.set_param_vector(theta)
                 return float(g @ probe.forward(x))
 
@@ -125,7 +127,7 @@ class TestParamVector:
         rng = np.random.default_rng(3)
         net = _random_net(rng)
         vec = net.param_vector()
-        clone = net.clone()
+        clone = copy.deepcopy(net)
         clone.set_param_vector(vec)
         assert np.array_equal(clone.param_vector(), vec)
 
@@ -158,7 +160,7 @@ class TestSerialization:
         rng = np.random.default_rng(5)
         for _ in range(5):
             net = _random_net(rng)
-            back = deserialize_dense(serialize_dense(net))
+            back = parse_dense(serialize_dense(net).splitlines(), 0)[0]
             assert back.layout() == net.layout()
             assert np.array_equal(back.param_vector(), net.param_vector())
 
@@ -166,7 +168,7 @@ class TestSerialization:
         from fiberwalk.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            deserialize_dense("something else\n")
+            parse_dense(["something else"], 0)
 
     def test_malformed_layer_line_names_its_line(self):
         from fiberwalk.errors import ValidationError
@@ -174,4 +176,4 @@ class TestSerialization:
         lines = serialize_dense(_random_net(np.random.default_rng(1))).splitlines()
         lines[2] = "layer in=3 act=tanh"
         with pytest.raises(ValidationError, match="line 3: expected layer"):
-            deserialize_dense("\n".join(lines))
+            parse_dense(lines, 0)

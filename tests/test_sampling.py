@@ -56,7 +56,7 @@ class TestExplore:
         sample, discovered = explore(ac, basis, start, 1000, np.random.default_rng(1))
         fiber = enumerate_fiber(dm, dm.marginals(start))
         assert discovered.count == len(fiber) == 2
-        visited = {tuple(int(v) for v in p) for p in discovered.points}
+        visited = {tuple(int(v) for v in p) for p in np.unique(sample.points, axis=0)}
         assert visited == fiber
 
     def test_discovered_never_exceeds_fiber_size(self):
@@ -65,9 +65,9 @@ class TestExplore:
         start = np.array([2, 0, 1, 0, 1, 0, 0, 1, 1], dtype=np.int64)
         fiber = enumerate_fiber(dm, dm.marginals(start))
         ac = make_actor_critic(9, basis.count, hidden=(8,), seed=2)
-        _, discovered = explore(ac, basis, start, 3000, np.random.default_rng(3))
+        sample, discovered = explore(ac, basis, start, 3000, np.random.default_rng(3))
         assert discovered.count <= len(fiber)
-        for point in discovered.points:
+        for point in np.unique(sample.points, axis=0):
             assert np.all(point >= 0)
             assert verify_marginals(dm, point, dm.marginals(start))
 
@@ -75,6 +75,15 @@ class TestExplore:
         dm, basis, ac, start = _setup22()
         sample, _ = explore(ac, basis, start, 250, np.random.default_rng(4))
         assert len(sample.points) == 251
+
+    @pytest.mark.parametrize("walker", [explore, mh_uniform])
+    def test_discovered_count_is_the_distinct_trace_rows(self, walker):
+        basis, _, ac = _oracle_setup(None)
+        for seed in range(4):
+            sample, discovered = walker(
+                ac, basis, np.array(_T33), 300, np.random.default_rng(seed)
+            )
+            assert discovered.count == len(np.unique(sample.points, axis=0))
 
     def test_negative_start_rejected(self):
         dm, basis, ac, _ = _setup22()
@@ -205,6 +214,17 @@ class TestExactStationaryLaw:
                 got = math.exp(proposal_log_mass(ac, coeffs, mu, sigma))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize("mask_k", [1, 2])
+    def test_masked_mass_matches_enumeration_for_uneven_bounds(self, mask_k):
+        # With bounds -1..2 a tie at -2 lies outside them and has no mass.
+        _, fiber, ac = _oracle_setup(mask_k)
+        ac.coeff_min = -1
+        for p in fiber[:5]:
+            mu, sigma = policy_distribution(ac, np.array(p))
+            for coeffs, prob in zip(*_draw_law(ac, mu, sigma)):
+                got = math.exp(proposal_log_mass(ac, coeffs, mu, sigma))
+                assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
+
     @pytest.mark.parametrize(
         "mask_k, log_weight",
         [(None, table_log_weight), (None, None), (1, None), (2, None)],
@@ -311,6 +331,23 @@ class TestBesagClifford:
                 assert r.seed == 11 + i
                 assert 0 < r.p_value <= 1
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("side, total", [(3, 40), (4, 100), (5, 200)])
+    def test_chain_that_never_moves_gives_p_one(self, side, total):
+        # Every proposal is the zero move, so every sampled point is the
+        # observation and must tie with it: p = (n + 1)/(n + 1).
+        spec = independence(side, side)
+        dm = build_design_matrix(spec)
+        basis = compute_lattice_basis(dm)
+        table = np.random.default_rng(1).multinomial(total, np.full(side * side, 1 / side**2))
+        data = observe_table(spec, dm, table)
+        ac = make_actor_critic(dm.n_cols, basis.count, hidden=(4,), seed=0, sigma_min=1e-3)
+        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.actor_head.biases[0][basis.count:] = -20.0  # log sigma, clamps to 1e-3
+        results = besag_clifford_pvalues(
+            ac, basis, spec, data, chains=10, chain_length=10, seed=0, chain_steps=10
+        )
+        assert [r.p_value for r in results] == [1.0] * 10
 
     def test_infinite_observed_statistic_gives_smallest_p(self):
         # Observed statistic above every sampled one: p = 1/(n+1) only
