@@ -2,8 +2,8 @@
 
 States are fiber points, actions are bounded coefficient vectors over
 the lattice basis, and the reward is never positive: leaving the
-nonnegative orthant costs the sum of the negative coordinates, and
-proposing the zero move costs -d.  Feasible nonzero moves cost
+family's box costs the total distance outside it (for this table, the
+sum of the negative coordinates), and proposing the zero move costs -d.  Feasible nonzero moves cost
 nothing, so an optimal policy walks the fiber for free.
 """
 

@@ -22,8 +22,6 @@ import numpy as np
 from . import __version__
 from .agent import (
     TrainConfig,
-    default_mask_k,
-    default_sigma_min,
     default_schedules,
     deserialize_policy,
     make_actor_critic,
@@ -272,13 +270,11 @@ def _hidden_widths(cfg):
     return widths
 
 
-def _mask_k(cfg, state_dim):
+def _mask_k(cfg):
     mask = cfg.get("train.mask_k", "auto")
-    if mask == "auto":
-        return default_mask_k(state_dim)
     if mask in ("none", "None"):
         return None
-    return cfg.get("train.mask_k", cast=int)
+    return mask if mask == "auto" else cfg.get("train.mask_k", cast=int)
 
 
 def _train_config(cfg):
@@ -332,10 +328,10 @@ def run_train(cfg):
             seed=cfg.seed,
             coeff_min=mdp.coeff_min,
             coeff_max=mdp.coeff_max,
-            mask_k=_mask_k(cfg, design.n_cols),
+            mask_k=_mask_k(cfg),
             ball_radius=cfg.get("train.ball_radius", 1e3, float),
             input_scale=cfg.get("train.input_scale", max(1.0, float(data.counts.max())), float),
-            sigma_min=cfg.get("train.sigma_min", default_sigma_min(design.n_cols), float),
+            sigma_min=cfg.get("train.sigma_min", "auto", float),
         )
         log = train(FiberEnv(design, basis, data.counts, mdp), ac, train_cfg, start=data.counts)
 
@@ -364,7 +360,8 @@ def run_sample(cfg):
         expected = fit_expected_counts(spec, data)
         rng = np.random.default_rng(cfg.seed)
         sample, discovered = _WALKERS[mode](
-            ac, basis, data.counts, steps, rng, expected=expected, seed=cfg.seed
+            ac, basis, data.counts, steps, rng,
+            expected=expected, seed=cfg.seed, upper=spec.cell_bound,
         )
 
     with manifest.stage("write"):

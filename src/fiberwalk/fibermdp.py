@@ -1,14 +1,14 @@
 """The fiber-sampling decision process.
 
-States are fiber points; an action is a bounded integer coefficient
-vector over the lattice basis, applied as a move.  Transitions are
-deterministic.  The reward never exceeds zero: a candidate that
-leaves the nonnegative orthant is charged the sum of its negative
-coordinates, and the zero move is charged ``-d`` so the agent cannot
-stall.  An infeasible candidate leaves the state unchanged, keeping
-the walk on the fiber during training exactly as at deployment.
-Visited points are counted, not stored: :class:`DiscoveredSet` keeps
-one digest per distinct point.
+States are fiber points, inside the box ``0 <= x <= design.cell_bound``;
+an action is a bounded integer coefficient vector over the lattice
+basis, applied as a move.  Transitions are deterministic.  The reward
+never exceeds zero: a candidate outside the box is charged its
+:func:`overshoot`, the one box test that the walks share, and the zero
+move is charged ``-d`` so the agent cannot stall.  An infeasible
+candidate leaves the state unchanged, keeping the walk on the fiber
+during training exactly as at deployment.  Visited points are counted,
+not stored: :class:`DiscoveredSet` keeps one digest per distinct point.
 """
 
 import hashlib
@@ -39,6 +39,16 @@ class StepOutcome:
     next: np.ndarray
     reward: float
     feasible: bool
+
+
+def overshoot(x, upper=None):
+    """Minus the total distance of ``x`` outside ``0..upper`` (``None``: no bound); 0 inside."""
+    if x.min() >= 0 and (upper is None or x.max() <= upper):
+        return 0
+    out = np.minimum(x, 0).sum()
+    if upper is not None:
+        out += np.minimum(upper - x, 0).sum()
+    return int(out)
 
 
 def _digest(vec):
@@ -92,8 +102,8 @@ class FiberEnv:
     def reset(self, start):
         """Jump to a feasible start point; keeps the discovered set."""
         start = np.asarray(start, dtype=np.int64)
-        if np.any(start < 0):
-            raise ContractViolation("start point has negative entries")
+        if overshoot(start, self.design.cell_bound):
+            raise ContractViolation("start point lies outside the box")
         if not verify_marginals(self.design, start, self._marginals):
             raise ContractViolation("start point lies on a different fiber")
         self._current = start.copy()
@@ -110,11 +120,11 @@ class FiberEnv:
             )
         move = combine_moves(coeffs, self.basis)
         candidate = self._current + move.delta
-        negative = candidate < 0
-        reward = float(candidate[negative].sum())
+        over = overshoot(candidate, self.design.cell_bound)
+        reward = float(over)
         if move.is_zero:
             reward -= float(self.dim)
-        feasible = not negative.any()
+        feasible = not over
         if feasible:
             self._current = candidate
             self.discovered.add(candidate)

@@ -123,7 +123,8 @@ def in_kernel(design, move):
 def decompose_initial_point(edges, n_nodes, strategy, k=None, node_sets=None):
     """Split a graph problem into beta-model sub-problems.
 
-    ``edges`` are 0-based node pairs (multiplicities allowed).
+    ``edges`` are the 0-based node pairs of a simple graph, as
+    :func:`~fiberwalk.models.observe_graph` accepts them.
     Strategies: connected components; the k-core (split into its
     components); bridge cuts (components after removing all bridges);
     or caller-chosen induced subgraphs, which must be pairwise
@@ -225,7 +226,7 @@ def lift_basis(sub_bases, subs, parent_labels):
 
 
 def enumerate_fiber(design, marginals, cap=100_000):
-    """Exhaustive set of nonnegative integer solutions of ``Mx = b``.
+    """Exhaustive set of solutions of ``Mx = b`` with ``0 <= x <= design.cell_bound``.
 
     Depth-first search over coordinates with margin pruning; each
     partial assignment keeps the residual ``b`` nonnegative, and rows
@@ -233,7 +234,7 @@ def enumerate_fiber(design, marginals, cap=100_000):
     ground-truth oracle at desk scale; raises once more than ``cap``
     points are found.
     """
-    mat = np.asarray(_entries(design), dtype=np.int64)
+    mat = design.entries
     b = np.asarray(marginals, dtype=np.int64)
     n, d = mat.shape
     if np.any(mat < 0):
@@ -263,6 +264,8 @@ def enumerate_fiber(design, marginals, cap=100_000):
         col = mat[:, i]
         rows = col > 0
         ub = int(np.min(residual[rows] // col[rows]))
+        if design.cell_bound is not None:
+            ub = min(ub, design.cell_bound)
         for v in range(ub + 1):
             x[i] = v
             recurse(i + 1, residual - v * col)

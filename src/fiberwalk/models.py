@@ -8,6 +8,8 @@ columns are cells (or node pairs) in lexicographic order; structural
 zeros are realized by deleting the corresponding columns, so every
 vector in the reduced coordinate space obeys the zero constraints by
 construction.
+The family also fixes each cell's upper bound, which the design matrix
+carries: none for tables, 1 for the beta model (simple graphs).
 """
 
 import csv
@@ -68,6 +70,11 @@ class ModelSpec:
                 raise ValidationError(f"structural zero index {idx} out of range 0..{d - 1}")
 
     @property
+    def cell_bound(self):
+        """Largest count a cell may hold: 1 for graphs, ``None`` (no bound) for tables."""
+        return 1 if self.family == BETA_MODEL else None
+
+    @property
     def full_dim(self):
         """Number of cells before structural-zero deletion."""
         if self.family == BETA_MODEL:
@@ -102,13 +109,14 @@ class DesignMatrix:
     ``entries`` is the n x d integer matrix taking a (reduced) count
     vector to its sufficient statistics.  ``column_labels`` names the
     surviving cells in lexicographic order; ``removed_labels`` records
-    the columns deleted for structural zeros.
+    the columns deleted for structural zeros; ``cell_bound`` is the spec's.
     """
 
     entries: np.ndarray
     rank: int
     column_labels: tuple
     removed_labels: tuple = ()
+    cell_bound: int = None
 
     @property
     def n_rows(self):
@@ -172,6 +180,7 @@ def build_design_matrix(spec, max_columns=MAX_COLUMNS):
         rank=integer_rank(mat),
         column_labels=tuple(labels[k] for k in keep),
         removed_labels=removed,
+        cell_bound=spec.cell_bound,
     )
 
 
@@ -205,7 +214,7 @@ def observe_table(spec, design, table):
 
 
 def observe_graph(spec, design, edges):
-    """Build ObservedData from 0-based node-pair multiplicities."""
+    """Build ObservedData from the 0-based node pairs of a simple graph (no pair twice)."""
     n = spec.shape[0]
     labels = spec.cell_labels()
     flat_index = {lab: k for k, lab in enumerate(labels)}
@@ -213,7 +222,12 @@ def observe_graph(spec, design, edges):
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"bad edge ({i}, {j}) for {n} nodes")
-        flat[flat_index[(min(i, j), max(i, j))]] += 1
+        k = flat_index[(min(i, j), max(i, j))]
+        if flat[k]:
+            raise ValidationError(
+                f"edge ({i}, {j}) (nodes from 0) repeats a node pair; graphs must be simple"
+            )
+        flat[k] = 1
     return observe_table(spec, design, flat)
 
 

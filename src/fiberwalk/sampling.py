@@ -5,10 +5,13 @@ feasible proposal (count what the policy can reach), and the
 Metropolis-corrected chain keeps one only if it passes the Metropolis
 test, so its stationary law is a given target on the fiber.  On top of
 the chain, the exchangeable-sample protocol turns many independent
-chains into one exact conditional p-value each.  The target is the
-model's conditional null law: proportional to ``1/prod(x_i!)`` for
-tables under multinomial or Poisson sampling, and uniform for the beta
-model; a chain started without a target is uniform.
+chains into one exact conditional p-value each.  A walk stays in the
+family's box ``0 <= x <= upper`` (:func:`~fiberwalk.fibermdp.overshoot`).
+One target serves every family, the conditional null law proportional
+to ``1/prod(x_i!)``: for tables given their margins (Diaconis and
+Sturmfels 1998), and on the beta model's 0/1 box the uniform law on
+simple graphs (Chatterjee, Diaconis and Sly 2011).  A chain started
+without a target is uniform.
 
 Every walk records its trace, one point per proposal; the trace's
 distinct rows are the points the walk's :class:`DiscoveredSet` counts.
@@ -37,9 +40,9 @@ from scipy.special import gammaln, ndtr
 
 from .agent import policy_distribution, policy_sample
 from .errors import ContractViolation
-from .fibermdp import DiscoveredSet
+from .fibermdp import DiscoveredSet, overshoot
 from .lattice import combine_moves
-from .models import BETA_MODEL, chi_square_many, chi_square_statistic, fit_expected_counts
+from .models import chi_square_many, chi_square_statistic, fit_expected_counts
 
 STUCK_FACTOR = 10  # consecutive infeasible proposals per dimension before warning
 
@@ -77,18 +80,18 @@ class GofTestResult:
             raise ContractViolation("p-value is not of the form k/(n+1)")
 
 
-def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, log_weight=None):
+def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, log_weight, upper):
     """The walk loop of :func:`explore` and :func:`mh_uniform`.
 
-    An infeasible proposal is rejected in place; a feasible one is
+    A proposal outside ``0..upper`` is rejected in place; a feasible one is
     taken, under ``metropolis`` only if it passes the Metropolis test.
     The policy is evaluated once per feasible proposal: the candidate's
     ``(mu, sigma)`` gives the reverse mass and, after an accept, the
     next proposal.
     """
     state = np.asarray(start, dtype=np.int64)
-    if np.any(state < 0):
-        raise ContractViolation("start point has negative entries")
+    if overshoot(state, upper):
+        raise ContractViolation("start point lies outside the box")
     discovered = DiscoveredSet()
     discovered.add(state)
     trace = [state.copy()]
@@ -100,7 +103,7 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
     for _ in range(steps):
         coeffs = policy_sample(ac, state, rng, dist=here).coeffs
         candidate = state + combine_moves(coeffs, basis).delta
-        if candidate.min() < 0:
+        if overshoot(candidate, upper):
             consecutive += 1
             stuck = stuck or consecutive >= limit
         else:
@@ -120,15 +123,15 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
     return FiberSample(points, stats, chain_id, seed, stuck), discovered
 
 
-def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1):
-    """Run the raw policy, rejecting infeasible proposals in place.
+def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, upper=None):
+    """Run the raw policy, rejecting proposals outside ``0..upper`` in place.
 
     Every proposal leaves one recorded point (unchanged when the move
     was thrown away), so the trace has ``steps + 1`` rows counting the
     start.  Returns ``(FiberSample, DiscoveredSet)``; the set counts
     distinct visited points, which are the distinct rows of the trace.
     """
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False)
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False, None, upper)
 
 
 def _range_masses(lo, hi, mu, sigma, cmin, cmax):
@@ -176,20 +179,9 @@ def proposal_log_mass(ac, coeffs, mu, sigma):
     return float(cells[support].sum() + np.log(np.maximum(mass, 1e-300)).sum())
 
 
-def table_log_weight(counts):
-    """ln of ``1/prod(x_i!)``: a table's conditional null weight, up to a constant."""
+def null_log_weight(counts):
+    """ln of ``1/prod(x_i!)`` up to a constant; exactly 0 on a 0/1 point (uniform)."""
     return -float(gammaln(np.asarray(counts) + 1.0).sum())
-
-
-def null_log_weight(spec):
-    """The family's conditional null log weight; ``None`` means uniform.
-
-    Tables under multinomial or Poisson sampling, given their margins,
-    follow the law proportional to ``1/prod(x_i!)`` (Diaconis and
-    Sturmfels 1998); the beta model's 0/1 graphs with a fixed degree
-    sequence are uniform.
-    """
-    return None if spec.family == BETA_MODEL else table_log_weight
 
 
 def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
@@ -218,17 +210,18 @@ def mh_uniform(
     chain_id=0,
     seed=-1,
     log_weight=None,
+    upper=None,
 ):
     """Metropolis chain targeting a law on the fiber, uniform by default.
 
     ``log_weight(x)`` gives the target's unnormalized log weight (for
-    example :func:`table_log_weight`); ``None`` targets the uniform
+    example :func:`null_log_weight`); ``None`` targets the uniform
     law.  Proposals come from the policy; acceptance uses the ratio of
     the reverse to the forward proposal mass times the ratio of target
-    weights.  Infeasible candidates are rejected outright, so the chain
-    never leaves the fiber.
+    weights.  Candidates outside the box ``0..upper`` are rejected
+    outright, so the chain never leaves the fiber.
     """
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, True, log_weight)
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, True, log_weight, upper)
 
 
 def rank_p_value(sampled_statistics, observed_statistic):
@@ -249,8 +242,8 @@ def besag_clifford_pvalues(
 ):
     """One exact test per independent chain through the observed data.
 
-    Each chain targets the family's conditional null law
-    (:func:`null_log_weight`) and builds its exchangeable sample of
+    Each chain targets the null law :func:`null_log_weight` on the
+    box ``0..spec.cell_bound`` and builds its exchangeable sample of
     size ``n = chain_length`` by the serial construction of Besag and
     Clifford (1989): it draws ``m`` uniformly from ``0..n`` and walks
     ``m`` strides and then ``n - m`` strides from the observation,
@@ -265,7 +258,6 @@ def besag_clifford_pvalues(
     """
     expected = fit_expected_counts(spec, data)
     observed = chi_square_statistic(data.counts, expected)
-    log_weight = null_log_weight(spec)
     steps = chain_steps if chain_steps is not None else 100 * chain_length
     stride = max(1, steps // chain_length)
     if stride * chain_length > steps:
@@ -288,7 +280,8 @@ def besag_clifford_pvalues(
                 expected=expected,
                 chain_id=cid,
                 seed=chain_seed,
-                log_weight=log_weight,
+                log_weight=null_log_weight,
+                upper=spec.cell_bound,
             )
             stats.append(sample.statistics[stride::stride])
             stuck = stuck or sample.stuck

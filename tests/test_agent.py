@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberwalk.agent import (
     ActorCritic,
@@ -509,3 +511,61 @@ class TestPolicySerialization:
         lines = self._policy_lines()[:-1]
         with pytest.raises(ValidationError, match="shorter than its header promises"):
             deserialize_policy("\n".join(lines))
+
+
+# Finite doubles with the awkward cases drawn often: signed zeros,
+# subnormals, the extremes of the range and values near 1e300.
+_PARAM = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+
+
+class TestPolicySerializationProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bit_exact(self, data):
+        state_dim = data.draw(st.integers(1, 6))
+        n_coeffs = data.draw(st.integers(1, 4))
+        hidden = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+        cmin = data.draw(st.integers(-4, 3))
+        ac = make_actor_critic(
+            state_dim,
+            n_coeffs,
+            hidden=hidden,
+            coeff_min=cmin,
+            coeff_max=data.draw(st.integers(cmin + 1, 4)),
+            mask_k=data.draw(st.one_of(st.none(), st.integers(1, n_coeffs))),
+            ball_radius=data.draw(_POSITIVE),
+            input_scale=data.draw(_POSITIVE),
+            sigma_min=data.draw(_POSITIVE),
+        )
+        size = ac.actor_params().size
+        ac.set_actor_params(np.array(data.draw(st.lists(_PARAM, min_size=size, max_size=size))))
+        width = ac.feature_net.output_dim
+        ac.critic_weights = np.array(data.draw(st.lists(_PARAM, min_size=width, max_size=width)))
+        sha = data.draw(st.one_of(st.none(), st.just("ab" * 32)))
+
+        text = serialize_policy(ac, basis_sha256=sha)
+        back, back_sha = deserialize_policy(text)
+        assert serialize_policy(back, basis_sha256=back_sha) == text
+        assert back_sha == sha
+        for got, want in [
+            (back.actor_params(), ac.actor_params()),
+            (back.critic_weights, ac.critic_weights),
+            (
+                np.array([back.ball_radius, back.input_scale, back.sigma_min]),
+                np.array([ac.ball_radius, ac.input_scale, ac.sigma_min]),
+            ),
+        ]:
+            assert got.tobytes() == want.astype(float).tobytes()
+        assert (back.coeff_min, back.coeff_max, back.mask_k) == (
+            ac.coeff_min, ac.coeff_max, ac.mask_k
+        )
+        assert back.feature_net.layout() == ac.feature_net.layout()
+        assert back.actor_head.layout() == ac.actor_head.layout()

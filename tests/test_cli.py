@@ -327,3 +327,45 @@ class TestStructuralZeros:
         assert lines[0].split(",")[0] == "0_1"
         assert "0_0" not in lines[0]
         assert len(lines) == 42
+
+
+class TestGraphBox:
+    @pytest.mark.parametrize("mode", ["uniform", "explore"])
+    def test_sample_writes_only_simple_graphs(self, tmp_path, mode):
+        # A 6-cycle plus the chord 1-4 (1-based); 190 of its fiber points
+        # are multigraphs, which the beta model gives probability 0.
+        edges = [f"{i + 1} {(i + 1) % 6 + 1}" for i in range(6)] + ["1 4"]
+        graph = _write(tmp_path / "g.txt", "\n".join(edges) + "\n")
+        common = ["model.family=beta_model", "model.nodes=6", f"data.graph={graph}", "seed=3"]
+        cfg = _write(
+            tmp_path / "train.cfg",
+            "\n".join(common + ["mdp.steps_per_episode=20", "train.episodes=2", "train.hidden=8"]),
+        )
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        sample_cfg = _write(
+            tmp_path / "sample.cfg",
+            "\n".join(
+                common
+                + [
+                    f"policy.file={trained / 'policy.txt'}",
+                    f"policy.basis={trained / 'basis.txt'}",
+                    f"sample.mode={mode}",
+                    "sample.steps=2000",
+                ]
+            ),
+        )
+        out = tmp_path / "s"
+        assert main(["sample", "--config", sample_cfg, "--out", str(out)]) == 0
+        rows = [line.split(",")[:-1] for line in (out / "sample.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2001
+        assert {v for row in rows for v in row} == {"0", "1"}
+
+    def test_repeated_pair_exits_2(self, tmp_path, capsys):
+        graph = _write(tmp_path / "g.txt", "1 2\n2 3\n3 1\n2 1\n")
+        cfg = _write(
+            tmp_path / "enum.cfg",
+            f"model.family=beta_model\nmodel.nodes=3\ndata.graph={graph}\n",
+        )
+        assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "edge (1, 0) (nodes from 0) repeats a node pair" in capsys.readouterr().err

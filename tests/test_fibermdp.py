@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fiberwalk.errors import ContractViolation
-from fiberwalk.fibermdp import DiscoveredSet, FiberEnv, MdpConfig
+from fiberwalk.fibermdp import DiscoveredSet, FiberEnv, MdpConfig, overshoot
 from fiberwalk.lattice import compute_lattice_basis
-from fiberwalk.models import build_design_matrix, independence, verify_marginals
+from fiberwalk.models import (
+    beta_model,
+    build_design_matrix,
+    independence,
+    observe_graph,
+    verify_marginals,
+)
 
 
 @pytest.fixture
@@ -49,6 +58,25 @@ class TestStep:
         assert not outcome.feasible
         assert np.array_equal(outcome.next, [0, 1, 1, 0])
         assert np.array_equal(env22.current, [0, 1, 1, 0])
+
+    def test_second_edge_on_a_pair_is_infeasible(self):
+        # A 6-cycle plus the chord 0-3; basis vector 3 adds an edge to
+        # the pairs (0, 1) and (2, 3), which already hold one.
+        spec = beta_model(6)
+        dm = build_design_matrix(spec)
+        edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+        start = observe_graph(spec, dm, edges).counts
+        env = FiberEnv(dm, compute_lattice_basis(dm), start)
+        coeffs = np.zeros(env.basis.count, dtype=np.int64)
+        coeffs[3] = 1
+        candidate = start + env.basis.vectors[3]
+        assert candidate.min() == 0 and sorted(candidate)[-2:] == [2, 2]
+        outcome = env.step(coeffs)
+        assert not outcome.feasible
+        assert outcome.reward == -2.0
+        assert np.array_equal(outcome.next, start)
+        assert np.array_equal(env.current, start)
+        assert env.discovered.count == 1
 
     def test_out_of_bounds_coefficients_rejected(self, env22):
         with pytest.raises(ContractViolation):
@@ -122,3 +150,18 @@ class TestDiscoveredSet:
         assert ds.count == 1
         ds.add(np.array([1, 2, 4]))
         assert ds.count == 2
+
+
+class TestOvershoot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=hnp.arrays(np.int64, st.integers(1, 30), elements=st.integers(-5, 5)),
+        upper=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_distance_outside_the_box(self, x, upper):
+        got = overshoot(x, upper)
+        inside = bool(np.all(x >= 0)) and (upper is None or bool(np.all(x <= upper)))
+        assert (got == 0) == inside
+        assert got == -np.abs(x - np.clip(x, 0, upper)).sum()
+        if upper is None:
+            assert got == x[x < 0].sum()

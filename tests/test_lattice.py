@@ -307,6 +307,20 @@ class TestEnumerateFiber:
         with pytest.raises(OracleTooLargeError):
             enumerate_fiber(dm, margins, cap=5)
 
+    @pytest.mark.parametrize(
+        "n, chords, size",
+        [(6, [(0, 3)], 54), (7, [(0, 3), (2, 5)], 553)],
+    )
+    def test_graph_fiber_holds_only_simple_graphs(self, n, chords, size):
+        # A cycle plus chords; counting multigraphs too gives 190 and 2,878.
+        dm = build_design_matrix(beta_model(n))
+        degrees = np.full(n, 2)
+        for a, b in chords:
+            degrees[[a, b]] += 1
+        points = enumerate_fiber(dm, degrees)
+        assert len(points) == size
+        assert all(max(p) <= 1 for p in points)
+
     def test_fiber_closed_under_basis_moves(self):
         dm = build_design_matrix(independence(3, 3))
         basis = compute_lattice_basis(dm)

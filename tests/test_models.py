@@ -121,9 +121,17 @@ class TestObservedData:
     def test_observe_graph_counts_edges(self):
         spec = beta_model(4)
         dm = build_design_matrix(spec)
-        data = observe_graph(spec, dm, [(0, 1), (2, 3), (1, 0)])
+        data = observe_graph(spec, dm, [(0, 1), (2, 3), (2, 1)])
         assert data.counts.sum() == 3
-        assert np.array_equal(data.marginals, [2, 2, 1, 1])
+        assert np.array_equal(data.marginals, [1, 2, 2, 1])
+
+    @pytest.mark.parametrize("repeat", [(0, 1), (1, 0)])
+    def test_observe_graph_refuses_a_repeated_pair(self, repeat):
+        # The beta model gives a multigraph probability 0.
+        spec = beta_model(4)
+        dm = build_design_matrix(spec)
+        with pytest.raises(ValidationError, match=rf"\({repeat[0]}, {repeat[1]}\)"):
+            observe_graph(spec, dm, [(0, 1), (2, 3), repeat])
 
     def test_marginals_consistent(self):
         spec = independence(3, 3)

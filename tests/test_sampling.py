@@ -9,13 +9,16 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
+from fiberwalk import sampling
 from fiberwalk.agent import make_actor_critic, mask_coefficients, policy_distribution
 from fiberwalk.errors import ContractViolation
 from fiberwalk.lattice import compute_lattice_basis, enumerate_fiber
 from fiberwalk.models import (
+    beta_model,
     build_design_matrix,
     fit_expected_counts,
     independence,
+    observe_graph,
     observe_table,
     verify_marginals,
 )
@@ -26,9 +29,9 @@ from fiberwalk.sampling import (
     explore,
     log_accept_ratio,
     mh_uniform,
+    null_log_weight,
     proposal_log_mass,
     rank_p_value,
-    table_log_weight,
     write_histogram_csv,
     write_pvalues_csv,
     write_results_csv,
@@ -134,7 +137,7 @@ class TestMhUniform:
         # mass on a in {1, 2}; the uniform law puts 0.5 there.
         dm, basis, ac, start = _setup22((2, 1, 1, 2))
         sample, _ = mh_uniform(
-            ac, basis, start, 4000, np.random.default_rng(7), log_weight=table_log_weight
+            ac, basis, start, 4000, np.random.default_rng(7), log_weight=null_log_weight
         )
         frac = float(np.mean(np.isin(sample.points[:, 0], (1, 2))))
         assert 0.85 < frac < 0.95
@@ -176,23 +179,28 @@ def _draw_law(ac, mu, sigma):
     cells = norm.cdf(upper[:, None], mu, sigma) - norm.cdf(lower[:, None], mu, sigma)
     idx = np.array(list(itertools.product(range(len(values)), repeat=len(mu))))
     probs = np.prod(cells[idx, np.arange(len(mu))], axis=1)
+    if ac.mask_k is None:  # every draw is its own key, already in sorted order
+        return values[idx], probs
     masked = np.array([mask_coefficients(row, ac.mask_k) for row in values[idx]])
     keys, inverse = np.unique(masked, axis=0, return_inverse=True)
     return keys, np.bincount(inverse.ravel(), weights=probs)
 
 
-def _transition_matrix(ac, basis, fiber, log_weight):
+def _transition_matrix(ac, basis, fiber, log_weight, upper=np.inf):
+    """Exact Metropolis kernel on ``fiber``; candidates outside ``0..upper`` stay put."""
     index = {p: i for i, p in enumerate(fiber)}
     dist = {p: policy_distribution(ac, np.array(p)) for p in fiber}
     weight = log_weight or (lambda x: 0.0)
     trans = np.zeros((len(fiber), len(fiber)))
     for p in fiber:
         i = index[p]
-        for coeffs, prob in zip(*_draw_law(ac, *dist[p])):
-            cand = tuple(int(v) for v in np.array(p) + coeffs @ basis.vectors)
-            if min(cand) < 0:
-                trans[i, i] += prob
-                continue
+        keys, probs = _draw_law(ac, *dist[p])
+        cands = np.array(p) + keys @ basis.vectors
+        inside = (cands.min(axis=1) >= 0) & (cands.max(axis=1) <= upper)
+        trans[i, i] += probs[~inside].sum()
+        for coeffs, prob, cand in zip(keys[inside], probs[inside], cands[inside]):
+            cand = tuple(int(v) for v in cand)
+            assert cand in index, f"mass leaves the fiber to {cand}"
             ratio = log_accept_ratio(
                 ac, coeffs, dist[p], dist[cand], weight(np.array(cand)) - weight(np.array(p))
             )
@@ -200,6 +208,21 @@ def _transition_matrix(ac, basis, fiber, log_weight):
             trans[i, index[cand]] += prob * accept
             trans[i, i] += prob * (1.0 - accept)
     return trans
+
+
+# Graph oracle: a 6-cycle plus the chord 0-3.  Its fiber holds 54 simple
+# graphs (190 points if multigraphs counted); d = 15, 9 basis vectors.
+_CYCLE6 = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+
+
+def _graph_oracle_setup():
+    spec = beta_model(6)
+    dm = build_design_matrix(spec)
+    data = observe_graph(spec, dm, _CYCLE6)
+    basis = compute_lattice_basis(dm)
+    ac = make_actor_critic(dm.n_cols, basis.count, hidden=(8,), seed=3, coeff_min=-1, coeff_max=1)
+    ac.set_actor_params(np.random.default_rng(3).normal(scale=0.5, size=ac.actor_params().size))
+    return spec, dm, data, basis, ac
 
 
 class TestExactStationaryLaw:
@@ -227,7 +250,7 @@ class TestExactStationaryLaw:
 
     @pytest.mark.parametrize(
         "mask_k, log_weight",
-        [(None, table_log_weight), (None, None), (1, None), (2, None)],
+        [(None, null_log_weight), (None, None), (1, None), (2, None)],
     )
     def test_stationary_law_is_the_target(self, mask_k, log_weight):
         basis, fiber, ac = _oracle_setup(mask_k)
@@ -244,6 +267,19 @@ class TestExactStationaryLaw:
         assert np.max(np.abs(stationary - target)) < 1e-9
 
 
+    def test_graph_chain_is_uniform_on_simple_graphs(self):
+        # Coefficients -1..1 give 3^9 draws per state, each enumerated.
+        _, dm, data, basis, ac = _graph_oracle_setup()
+        fiber = sorted(enumerate_fiber(dm, data.marginals))
+        assert len(fiber) == 54
+        trans = _transition_matrix(ac, basis, fiber, null_log_weight, upper=1)
+        assert np.allclose(trans.sum(axis=1), 1.0, atol=1e-12)
+        n_comp, _ = connected_components(trans > 0, connection="strong")
+        assert n_comp == 1
+        # Detailed balance for the uniform law is a symmetric kernel.
+        assert np.max(np.abs(trans - trans.T)) < 1e-9
+
+
 class TestGoldenTraces:
     """Explore and Metropolis traces pinned bit for bit on the oracle setup.
 
@@ -258,7 +294,7 @@ class TestGoldenTraces:
              "fc60e7f402463ce34ccc0648bb18f521479d7c29280ec1e848ae0c0796788277"),
             (None, mh_uniform, None,
              "94c1a17c90ab445f2e29882cbec5d13d3778733defa4849d97847a386ba81a85"),
-            (None, mh_uniform, table_log_weight,
+            (None, mh_uniform, null_log_weight,
              "9676b602a9f0731d6da4bbaa41df87f098dd2cbf8fbfe5c450f9be180fa681c9"),
             (1, explore, None,
              "f46bac8a4f8ce12b4ea86dd5a17f857c2d01d35c85161144ef689bd1b0a22651"),
@@ -348,6 +384,22 @@ class TestBesagClifford:
             ac, basis, spec, data, chains=10, chain_length=10, seed=0, chain_steps=10
         )
         assert [r.p_value for r in results] == [1.0] * 10
+
+    def test_graph_chains_stay_on_simple_graphs(self, monkeypatch):
+        spec, _, data, basis, ac = _graph_oracle_setup()
+        traces = []
+
+        def recording(*args, **kwargs):
+            sample, discovered = mh_uniform(*args, **kwargs)
+            traces.append(sample.points)
+            return sample, discovered
+
+        monkeypatch.setattr(sampling, "mh_uniform", recording)
+        besag_clifford_pvalues(ac, basis, spec, data, chains=5, chain_length=50, seed=3)
+        points = np.concatenate(traces)
+        assert len(points) == 5 * (100 * 50 + 2)
+        assert points.min() == 0 and points.max() == 1
+        assert len(np.unique(points, axis=0)) > 1  # the chains do move
 
     def test_infinite_observed_statistic_gives_smallest_p(self):
         # Observed statistic above every sampled one: p = 1/(n+1) only
