@@ -27,7 +27,6 @@ from .lattice import (
     compute_lattice_basis,
     decompose_initial_point,
     enumerate_fiber,
-    lift_move,
 )
 from .models import (
     DesignMatrix,
@@ -79,7 +78,6 @@ __all__ = [
     "explore",
     "fit_expected_counts",
     "independence",
-    "lift_move",
     "make_actor_critic",
     "mh_uniform",
     "observe_graph",

@@ -192,7 +192,7 @@ def _parse_shape(text, want):
 
 
 def _observed_data(cfg, spec, design):
-    """Read the observed table or graph; returns (data, edges-or-None)."""
+    """Read the observed table or graph as ObservedData."""
     if spec.family == "beta_model":
         path = cfg.require("data.graph")
         edges, max_id = read_edge_list(path)
@@ -200,12 +200,12 @@ def _observed_data(cfg, spec, design):
             raise ValidationError(
                 f"edge list mentions node {max_id}, model has {spec.shape[0]} nodes"
             )
-        return observe_graph(spec, design, edges), edges
+        return observe_graph(spec, design, edges)
     path = cfg.require("data.table")
     dims, cells = read_table_csv(path)
     if dims != spec.shape:
         raise ValidationError(f"table dims {dims} do not match model shape {spec.shape}")
-    return observe_table(spec, design, cells), None
+    return observe_table(spec, design, cells)
 
 
 def _mdp_config(cfg):
@@ -216,13 +216,11 @@ def _mdp_config(cfg):
     )
 
 
-def _compute_moves(cfg, design, spec, edges):
+def _compute_moves(cfg, design, counts):
     """Kernel basis, optionally via subdivide-and-lift on graph data."""
     strategy = cfg.get("decompose.strategy")
     if strategy is None:
         return compute_lattice_basis(design)
-    if spec.family != "beta_model":
-        raise ConfigError("decomposition applies only to graph (beta model) data")
     node_sets = None
     raw_sets = cfg.get("decompose.node_sets")
     if raw_sets:
@@ -231,14 +229,14 @@ def _compute_moves(cfg, design, spec, edges):
             for group in raw_sets.split(";")
         ]
     subs = decompose_initial_point(
-        edges,
-        spec.shape[0],
+        design,
+        counts,
         strategy,
         k=cfg.get("decompose.k", cast=int),
         node_sets=node_sets,
     )
     sub_bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
-    return lift_basis(sub_bases, subs, design.column_labels)
+    return lift_basis(sub_bases, subs, design.n_cols)
 
 
 def _load_policy(cfg, design):
@@ -297,7 +295,7 @@ def _train_config(cfg):
 def _ingest(command, cfg, policy=False):
     """Open a run (manifest, out dir) and time its ingest stage.
 
-    Returns ``(manifest, spec, design, data, edges, ac, basis)``; the
+    Returns ``(manifest, spec, design, data, ac, basis)``; the
     stored policy ``ac`` and its ``basis`` are ``None`` unless ``policy``.
     """
     manifest = Manifest(command, cfg)
@@ -305,16 +303,16 @@ def _ingest(command, cfg, policy=False):
     with manifest.stage("ingest"):
         spec = _model_spec(cfg)
         design = build_design_matrix(spec)
-        data, edges = _observed_data(cfg, spec, design)
+        data = _observed_data(cfg, spec, design)
         ac, basis = _load_policy(cfg, design) if policy else (None, None)
-    return manifest, spec, design, data, edges, ac, basis
+    return manifest, spec, design, data, ac, basis
 
 
 def run_train(cfg):
-    manifest, spec, design, data, edges, _, _ = _ingest("train", cfg)
+    manifest, _, design, data, _, _ = _ingest("train", cfg)
 
     with manifest.stage("basis"):
-        basis = _compute_moves(cfg, design, spec, edges)
+        basis = _compute_moves(cfg, design, data.counts)
 
     # Every setting is checked before training, and every file is
     # written after it, so a bad config leaves no output behind.
@@ -350,7 +348,7 @@ def run_train(cfg):
 
 
 def run_sample(cfg):
-    manifest, spec, design, data, _, ac, basis = _ingest("sample", cfg, policy=True)
+    manifest, spec, design, data, ac, basis = _ingest("sample", cfg, policy=True)
 
     with manifest.stage("sample"):
         steps = cfg.get("sample.steps", 10_000, int)
@@ -374,7 +372,7 @@ def run_sample(cfg):
 
 
 def run_test(cfg):
-    manifest, spec, _, data, _, ac, basis = _ingest("test", cfg, policy=True)
+    manifest, spec, _, data, ac, basis = _ingest("test", cfg, policy=True)
 
     with manifest.stage("test"):
         results = besag_clifford_pvalues(
@@ -399,7 +397,7 @@ def run_test(cfg):
 
 
 def run_enumerate(cfg):
-    manifest, _, design, data, _, _, _ = _ingest("enumerate", cfg)
+    manifest, _, design, data, _, _ = _ingest("enumerate", cfg)
 
     with manifest.stage("enumerate"):
         cap = cfg.get("enumerate.cap", 100_000, int)
@@ -416,14 +414,12 @@ def run_enumerate(cfg):
 
 
 def run_lift(cfg):
-    manifest, spec, design, _, edges, _, _ = _ingest("lift", cfg)
-    if edges is None:
-        raise ConfigError("lift requires graph data (beta model)")
+    manifest, _, design, data, _, _ = _ingest("lift", cfg)
     if cfg.get("decompose.strategy") is None:
         raise ConfigError("lift requires decompose.strategy")
 
     with manifest.stage("lift"):
-        basis = _compute_moves(cfg, design, spec, edges)
+        basis = _compute_moves(cfg, design, data.counts)
 
     with manifest.stage("write"):
         manifest.output("lifted_basis.txt", save_basis, basis)

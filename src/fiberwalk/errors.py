@@ -29,10 +29,6 @@ class DecompositionError(ValidationError):
     """A decomposition strategy produced no usable sub-problem."""
 
 
-class LiftError(ValidationError):
-    """Sub-problem labels do not embed into the parent label list."""
-
-
 class IncompatiblePolicyError(ValidationError):
     """A stored policy does not match the move basis it is applied to."""
 

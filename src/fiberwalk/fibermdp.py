@@ -4,11 +4,12 @@ States are fiber points, inside the box ``0 <= x <= design.cell_bound``;
 an action is a bounded integer coefficient vector over the lattice
 basis, applied as a move.  Transitions are deterministic.  The reward
 never exceeds zero: a candidate outside the box is charged its
-:func:`overshoot`, the one box test that the walks share, and the zero
-move is charged ``-d`` so the agent cannot stall.  An infeasible
-candidate leaves the state unchanged, keeping the walk on the fiber
-during training exactly as at deployment.  Visited points are counted,
-not stored: :class:`DiscoveredSet` keeps one digest per distinct point.
+:func:`~fiberwalk.models.overshoot`, the one box test that the walks
+share, and the zero move is charged ``-d`` so the agent cannot stall.
+An infeasible candidate leaves the state unchanged, keeping the walk
+on the fiber during training exactly as at deployment.  Visited points
+are counted, not stored: :class:`DiscoveredSet` keeps one digest per
+distinct point.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .lattice import combine_moves
-from .models import verify_marginals
+from .models import overshoot, verify_marginals
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,6 @@ class StepOutcome:
     next: np.ndarray
     reward: float
     feasible: bool
-
-
-def overshoot(x, upper=None):
-    """Minus the total distance of ``x`` outside ``0..upper`` (``None``: no bound); 0 inside."""
-    if x.min() >= 0 and (upper is None or x.max() <= upper):
-        return 0
-    out = np.minimum(x, 0).sum()
-    if upper is not None:
-        out += np.minimum(upper - x, 0).sum()
-    return int(out)
 
 
 def _digest(vec):

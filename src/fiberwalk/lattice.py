@@ -4,8 +4,10 @@ A move is any integer vector in the kernel of the design matrix;
 adding one to a fiber point preserves the marginals.  The basis
 returned by :func:`compute_lattice_basis` spans that kernel as a
 vector space with exactly ``d - rank(M)`` primitive integer vectors.
-Large problems can be split into induced subgraphs whose own bases
-are computed cheaply and lifted back by zero padding.
+A large graph problem can be split into sub-problems, each a set of
+the parent design's columns, so the parent's structural zeros and 0/1
+box carry over.  Their small bases are computed cheaply and lifted
+back by zero padding: each vector is written at its parent columns.
 """
 
 from dataclasses import dataclass
@@ -17,11 +19,10 @@ from ._exact import exact_matvec, integer_kernel_basis
 from .errors import (
     ContractViolation,
     DecompositionError,
-    LiftError,
     OracleTooLargeError,
     ValidationError,
 )
-from .models import DesignMatrix, beta_model, build_design_matrix
+from .models import DesignMatrix, overshoot
 
 CONNECTED_COMPONENTS = "connected_components"
 K_CORE = "k_core"
@@ -70,22 +71,21 @@ class Move:
 
 @dataclass(frozen=True)
 class SubProblem:
-    """A sub-fiber induced on a subset of the parent's columns.
+    """A sub-fiber on a set of the parent design's columns.
 
-    ``column_map`` lists, per sub-matrix column, the parent column
-    label it came from; the order matches the sub-matrix columns.
+    ``columns`` holds the parent column index of each sub-matrix
+    column, in parent order; ``sub_point`` is the observation there.
     """
 
     sub_matrix: DesignMatrix
     sub_point: np.ndarray
-    column_map: tuple
+    columns: np.ndarray
     node_set: tuple = ()
 
     def __post_init__(self):
-        if len(self.column_map) != self.sub_matrix.n_cols:
-            raise ContractViolation("column_map length must match sub-matrix width")
-        if len(set(self.column_map)) != len(self.column_map):
-            raise ContractViolation("column_map must be injective")
+        object.__setattr__(self, "columns", np.asarray(self.columns, dtype=np.int64))
+        if len(self.columns) != self.sub_matrix.n_cols:
+            raise ContractViolation("columns length must match sub-matrix width")
 
 
 def compute_lattice_basis(design):
@@ -120,109 +120,88 @@ def in_kernel(design, move):
     return all(v == 0 for v in exact_matvec(_entries(design), delta))
 
 
-def decompose_initial_point(edges, n_nodes, strategy, k=None, node_sets=None):
-    """Split a graph problem into beta-model sub-problems.
+def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
+    """Split a graph problem into sub-problems, each a set of the parent's columns.
 
-    ``edges`` are the 0-based node pairs of a simple graph, as
-    :func:`~fiberwalk.models.observe_graph` accepts them.
-    Strategies: connected components; the k-core (split into its
-    components); bridge cuts (components after removing all bridges);
-    or caller-chosen induced subgraphs, which must be pairwise
-    edge-disjoint.  Every parent edge lands in at most one sub-problem.
+    ``counts`` is a point of the graph ``design``'s 0/1 box, as
+    :func:`~fiberwalk.models.observe_graph` builds it; its nonzero
+    columns are the edges.  Strategies: connected components; the
+    k-core (split into its components); bridge cuts (components after
+    removing all bridges); or caller-chosen, pairwise edge-disjoint
+    induced subgraphs on 0-based nodes.  A sub-problem keeps the
+    design's rows for its nodes and the columns whose pairs lie inside
+    them, so structural zeros and the box carry over; a node set with
+    no such column is skipped.  Every edge lands in at most one.
     """
-    if not edges:
+    if design.cell_bound != 1:
+        raise ContractViolation("decomposition applies only to graph data (cell bound 1)")
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (design.n_cols,) or overshoot(counts, 1):
+        raise ValidationError(f"observed graph must be a 0/1 point of length {design.n_cols}")
+    if not counts.any():
         raise DecompositionError("graph has no edges")
+    n = design.n_rows
     graph = nx.Graph()
-    graph.add_nodes_from(range(n_nodes))
-    counts = {}
-    for i, j in edges:
-        a, b = min(i, j), max(i, j)
-        if a == b or b >= n_nodes or a < 0:
-            raise ValidationError(f"bad edge ({i}, {j}) for {n_nodes} nodes")
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-        graph.add_edge(a, b)
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(design.column_labels[c] for c in np.flatnonzero(counts))
 
     if strategy == CONNECTED_COMPONENTS:
-        groups = [c for c in nx.connected_components(graph) if len(c) >= 2]
+        groups = list(nx.connected_components(graph))
     elif strategy == K_CORE:
         if k is None:
             raise ContractViolation("k_core strategy requires k")
-        core = nx.k_core(graph, k)
-        groups = [c for c in nx.connected_components(core) if len(c) >= 2]
+        groups = list(nx.connected_components(nx.k_core(graph, k)))
     elif strategy == BRIDGE_CUTS:
         pruned = graph.copy()
         pruned.remove_edges_from(list(nx.bridges(graph)))
-        groups = [c for c in nx.connected_components(pruned) if len(c) >= 2]
+        groups = list(nx.connected_components(pruned))
     elif strategy == INDUCED_SUBGRAPHS:
         if not node_sets:
             raise ContractViolation("induced_subgraphs strategy requires node sets")
         groups = [set(int(v) for v in s) for s in node_sets]
-        groups = [g for g in groups if len(g) >= 2]
+        stray = set().union(*groups) - set(range(n))
+        if stray:
+            raise ValidationError(f"node set names node {min(stray)}, outside 0..{n - 1} (from 0)")
         seen = set()
         for g in groups:
-            for a in g:
-                for b in g:
-                    if a < b and (a, b) in counts:
-                        if (a, b) in seen:
-                            raise DecompositionError(
-                                f"edge ({a}, {b}) appears in more than one induced subgraph"
-                            )
-                        seen.add((a, b))
+            edges = {tuple(sorted(e)) for e in graph.subgraph(g).edges}
+            if seen & edges:
+                raise DecompositionError(f"edge {min(seen & edges)} is in two induced subgraphs")
+            seen |= edges
     else:
         raise ContractViolation(f"unknown decomposition strategy {strategy!r}")
 
     subs = []
     for g in groups:
-        nodes = tuple(sorted(g))
-        spec = beta_model(len(nodes))
-        design = build_design_matrix(spec)
-        labels = [(nodes[i], nodes[j]) for (i, j) in design.column_labels]
-        point = np.array([counts.get(lab, 0) for lab in labels], dtype=np.int64)
-        subs.append(
-            SubProblem(
-                sub_matrix=design,
-                sub_point=point,
-                column_map=tuple(labels),
-                node_set=nodes,
+        columns = np.flatnonzero([a in g and b in g for a, b in design.column_labels])
+        if columns.size:
+            nodes = sorted(g)
+            sub_matrix = DesignMatrix(
+                entries=design.entries[np.ix_(nodes, columns)],
+                column_labels=tuple(design.column_labels[c] for c in columns),
+                cell_bound=design.cell_bound,
             )
-        )
+            subs.append(SubProblem(sub_matrix, counts[columns], columns, tuple(nodes)))
     if not subs:
         raise DecompositionError(f"strategy {strategy!r} produced no usable sub-problem")
     return subs
 
 
-def lift_move(sub_move, sub, parent_labels):
-    """Embed a sub-problem move into the parent coordinate order.
+def lift_basis(sub_bases, subs, n_cols):
+    """Write each sub-basis vector at its sub-problem's columns of an ``n_cols`` row.
 
-    Walks the parent labels appending either 0 or the matching
-    sub-move entry, so the result applies directly to parent points.
+    The rows span the direct sum of the sub-kernels inside the parent
+    kernel: a valid move set, not necessarily a parent kernel basis.
     """
-    delta = sub_move.delta if isinstance(sub_move, Move) else np.asarray(sub_move)
-    if len(delta) != len(sub.column_map):
-        raise ContractViolation("sub-move length must match the sub-problem")
-    position = {lab: idx for idx, lab in enumerate(parent_labels)}
-    out = np.zeros(len(parent_labels), dtype=np.int64)
-    for value, label in zip(delta, sub.column_map):
-        if label not in position:
-            raise LiftError(f"sub-problem label {label!r} missing from parent labels")
-        out[position[label]] = value
-    return Move(delta=out)
-
-
-def lift_basis(sub_bases, subs, parent_labels):
-    """Lift every vector of every sub-basis; returns one move collection.
-
-    The result spans the direct sum of the sub-kernels inside the
-    parent kernel; it is a valid move set but not necessarily a full
-    kernel basis of the parent.
-    """
-    rows = []
-    for basis, sub in zip(sub_bases, subs):
-        for vec in basis.vectors:
-            rows.append(lift_move(Move(delta=vec), sub, parent_labels).delta)
-    if not rows:
+    total = sum(basis.count for basis in sub_bases)
+    if not total:
         raise DecompositionError("no sub-basis vectors to lift")
-    return LatticeBasis(vectors=np.array(rows, dtype=np.int64))
+    vectors = np.zeros((total, n_cols), dtype=np.int64)
+    row = 0
+    for basis, sub in zip(sub_bases, subs):
+        vectors[row:row + basis.count, sub.columns] = basis.vectors
+        row += basis.count
+    return LatticeBasis(vectors=vectors)
 
 
 def enumerate_fiber(design, marginals, cap=100_000):

@@ -15,6 +15,7 @@ carries: none for tables, 1 for the beta model (simple graphs).
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,13 +111,17 @@ class DesignMatrix:
     vector to its sufficient statistics.  ``column_labels`` names the
     surviving cells in lexicographic order; ``removed_labels`` records
     the columns deleted for structural zeros; ``cell_bound`` is the spec's.
+    The exact ``rank`` is computed on first read.
     """
 
     entries: np.ndarray
-    rank: int
     column_labels: tuple
     removed_labels: tuple = ()
     cell_bound: int = None
+
+    @cached_property
+    def rank(self):
+        return integer_rank(self.entries)
 
     @property
     def n_rows(self):
@@ -143,6 +148,16 @@ class DesignMatrix:
         for k, lab in enumerate(self.column_labels):
             out[pos[lab]] = reduced[k]
         return out
+
+
+def overshoot(x, upper=None):
+    """Minus the total distance of ``x`` outside ``0..upper`` (``None``: no bound); 0 inside."""
+    if x.min() >= 0 and (upper is None or x.max() <= upper):
+        return 0
+    out = np.minimum(x, 0).sum()
+    if upper is not None:
+        out += np.minimum(upper - x, 0).sum()
+    return int(out)
 
 
 def build_design_matrix(spec, max_columns=MAX_COLUMNS):
@@ -177,7 +192,6 @@ def build_design_matrix(spec, max_columns=MAX_COLUMNS):
             mat[row, out_j] = 1
     return DesignMatrix(
         entries=mat,
-        rank=integer_rank(mat),
         column_labels=tuple(labels[k] for k in keep),
         removed_labels=removed,
         cell_bound=spec.cell_bound,

@@ -6,7 +6,7 @@ Metropolis-corrected chain keeps one only if it passes the Metropolis
 test, so its stationary law is a given target on the fiber.  On top of
 the chain, the exchangeable-sample protocol turns many independent
 chains into one exact conditional p-value each.  A walk stays in the
-family's box ``0 <= x <= upper`` (:func:`~fiberwalk.fibermdp.overshoot`).
+family's box ``0 <= x <= upper`` (:func:`~fiberwalk.models.overshoot`).
 One target serves every family, the conditional null law proportional
 to ``1/prod(x_i!)``: for tables given their margins (Diaconis and
 Sturmfels 1998), and on the beta model's 0/1 box the uniform law on
@@ -40,9 +40,9 @@ from scipy.special import gammaln, ndtr
 
 from .agent import policy_distribution, policy_sample
 from .errors import ContractViolation
-from .fibermdp import DiscoveredSet, overshoot
+from .fibermdp import DiscoveredSet
 from .lattice import combine_moves
-from .models import chi_square_many, chi_square_statistic, fit_expected_counts
+from .models import chi_square_many, chi_square_statistic, fit_expected_counts, overshoot
 
 STUCK_FACTOR = 10  # consecutive infeasible proposals per dimension before warning
 
@@ -149,7 +149,7 @@ def _range_masses(lo, hi, mu, sigma, cmin, cmax):
     return upper - lower
 
 
-def proposal_log_mass(ac, coeffs, mu, sigma):
+def proposal_log_prob(ac, coeffs, mu, sigma):
     """Log-mass that the policy's draw from N(mu, sigma) becomes ``coeffs``.
 
     Exact under rounding, clamping and ``mask_k`` (see the module
@@ -195,8 +195,8 @@ def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
     reverse = -coeffs
     if np.any((reverse < ac.coeff_min) | (reverse > ac.coeff_max)):
         return -np.inf
-    log_fwd = proposal_log_mass(ac, coeffs, *here)
-    log_rev = proposal_log_mass(ac, reverse, *there)
+    log_fwd = proposal_log_prob(ac, coeffs, *here)
+    log_rev = proposal_log_prob(ac, reverse, *there)
     return log_rev - log_fwd + weight_gain
 
 

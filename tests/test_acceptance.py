@@ -25,11 +25,11 @@ from fiberwalk.agent import (
 )
 from fiberwalk.fibermdp import FiberEnv
 from fiberwalk.lattice import (
-    Move,
+    LatticeBasis,
     compute_lattice_basis,
     decompose_initial_point,
     enumerate_fiber,
-    lift_move,
+    lift_basis,
 )
 from fiberwalk.models import (
     all_two_way,
@@ -358,7 +358,8 @@ class TestLiftSoundness:
         checked = 0
         while checked < 100:
             n_parent = int(rng.integers(6, 12))
-            parent = build_design_matrix(fw.beta_model(n_parent))
+            spec = fw.beta_model(n_parent)
+            parent = build_design_matrix(spec)
             k_sub = int(rng.integers(4, n_parent + 1))
             nodes = sorted(rng.choice(n_parent, size=k_sub, replace=False).tolist())
             edges = [
@@ -370,18 +371,21 @@ class TestLiftSoundness:
             if len(edges) < 2:
                 continue
             subs = decompose_initial_point(
-                edges, n_parent, "induced_subgraphs", node_sets=[set(nodes)]
+                parent,
+                observe_graph(spec, parent, edges).counts,
+                "induced_subgraphs",
+                node_sets=[set(nodes)],
             )
             sub = subs[0]
             sub_basis = compute_lattice_basis(sub.sub_matrix)
             if sub_basis.count == 0:
                 continue
             vec = sub_basis.vectors[int(rng.integers(sub_basis.count))]
-            lifted = lift_move(Move(delta=vec), sub, parent.column_labels)
-            assert all(v == 0 for v in exact_matvec(parent.entries, lifted.delta))
+            lifted = lift_basis([LatticeBasis(vectors=[vec])], [sub], parent.n_cols).vectors[0]
+            assert all(v == 0 for v in exact_matvec(parent.entries, lifted))
             # Applying the lifted move preserves the parent degree sequence.
             counts = rng.integers(0, 3, size=parent.n_cols)
-            shifted = counts + lifted.delta
+            shifted = counts + lifted
             assert np.array_equal(
                 parent.entries @ counts, parent.entries @ shifted
             )

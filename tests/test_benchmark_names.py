@@ -22,7 +22,6 @@ def test_benchmark_imports_and_patches_resolve(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        # The one span kept for a function that no longer exists.
-        assert tracer.missing == ["fiberwalk.sampling.proposal_log_prob"]
+        assert tracer.missing == []
     finally:
         tracer.uninstall()

@@ -287,6 +287,57 @@ class TestLift:
         for vec in basis.vectors:
             assert in_kernel(parent, vec)
 
+    def _lift(self, tmp_path, edges, *lines):
+        graph = _write(tmp_path / "g.txt", "".join(f"{a} {b}\n" for a, b in edges))
+        cfg = _write(tmp_path / "lift.cfg", "\n".join([f"data.graph={graph}", *lines]))
+        return main(["lift", "--config", cfg, "--out", str(tmp_path / "lifted")])
+
+    def test_sub_problem_spanning_a_structural_zero_lifts(self, tmp_path):
+        # The pair 1-3 (index 1) is a structural zero inside the 4-cycle.
+        edges = [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6)]
+        assert self._lift(
+            tmp_path, edges,
+            "model.family=beta_model", "model.nodes=6", "model.structural_zeros=1",
+            "decompose.strategy=connected_components",
+        ) == 0
+        basis = load_basis(tmp_path / "lifted" / "lifted_basis.txt")
+        parent = build_design_matrix(beta_model(6, structural_zeros=[1]))
+        assert basis.count == 1 and basis.dim == parent.n_cols == 14
+        assert in_kernel(parent, basis.vectors[0])
+
+    @pytest.mark.parametrize("node_sets", ["0,1,2", "1,2,3;4,5,7"])
+    def test_node_outside_the_graph_exits_2(self, tmp_path, capsys, node_sets):
+        assert self._lift(
+            tmp_path, [(1, 2), (2, 3), (3, 1), (4, 5)],
+            "model.family=beta_model", "model.nodes=6",
+            "decompose.strategy=induced_subgraphs", f"decompose.node_sets={node_sets}",
+        ) == 2
+        assert "outside 0..5" in capsys.readouterr().err
+
+    def test_table_data_exits_2(self, tmp_path, table22):
+        cfg = _write(
+            tmp_path / "lift.cfg",
+            "\n".join([
+                "model.family=independence", "model.shape=2x2", f"data.table={table22}",
+                "decompose.strategy=connected_components",
+            ]),
+        )
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path / "lifted")]) == 2
+
+    def test_bridge_cuts_basis_is_golden(self, tmp_path):
+        # Two 6-node clusters joined by the bridge 3-9.
+        edges = [
+            (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6),
+            (7, 8), (7, 9), (7, 11), (8, 9), (8, 10), (9, 10), (9, 12), (10, 11), (10, 12),
+            (11, 12), (3, 9),
+        ]
+        assert self._lift(
+            tmp_path, edges,
+            "model.family=beta_model", "model.nodes=12", "decompose.strategy=bridge_cuts",
+        ) == 0
+        digest = _manifest(tmp_path / "lifted")["outputs"]["lifted_basis.txt"]
+        assert digest == "7e1c7514516153330214a6a7e6786ac00cee725868530b6bc0400e590725bcf7"
+
 
 class TestStructuralZeros:
     def test_sampled_points_keep_exact_zeros(self, tmp_path):

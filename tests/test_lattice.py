@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,24 +12,34 @@ from fiberwalk._exact import exact_matvec, integer_rank
 from fiberwalk.errors import (
     ContractViolation,
     DecompositionError,
-    LiftError,
     OracleTooLargeError,
     ValidationError,
 )
 from fiberwalk.lattice import (
+    BRIDGE_CUTS,
+    CONNECTED_COMPONENTS,
+    INDUCED_SUBGRAPHS,
+    K_CORE,
     LatticeBasis,
     Move,
+    SubProblem,
     combine_moves,
     compute_lattice_basis,
     decompose_initial_point,
     enumerate_fiber,
     in_kernel,
     lift_basis,
-    lift_move,
     load_basis,
     save_basis,
 )
-from fiberwalk.models import all_two_way, beta_model, build_design_matrix, independence
+from fiberwalk.models import (
+    DesignMatrix,
+    all_two_way,
+    beta_model,
+    build_design_matrix,
+    independence,
+    observe_graph,
+)
 
 from .oracles import rational_rank
 
@@ -181,10 +191,17 @@ class TestCombineMoves:
             assert in_kernel(mat, combine_moves(coeffs, basis))
 
 
+def _graph(n, edges, zeros=()):
+    """Design and 0/1 counts of a graph on ``n`` nodes (0-based edges)."""
+    spec = beta_model(n, structural_zeros=zeros)
+    design = build_design_matrix(spec)
+    return design, observe_graph(spec, design, edges).counts
+
+
 class TestDecompose:
     def test_two_disjoint_triangles(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        subs = decompose_initial_point(edges, 6, "connected_components")
+        subs = decompose_initial_point(*_graph(6, edges), "connected_components")
         assert len(subs) == 2
         assert all(len(s.node_set) == 3 for s in subs)
         assert all(s.sub_matrix.n_cols == 3 for s in subs)
@@ -192,83 +209,103 @@ class TestDecompose:
     def test_path_has_empty_2_core(self):
         edges = [(0, 1), (1, 2), (2, 3)]
         with pytest.raises(DecompositionError):
-            decompose_initial_point(edges, 4, "k_core", k=2)
+            decompose_initial_point(*_graph(4, edges), "k_core", k=2)
 
     def test_induced_subgraph_restriction(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
         subs = decompose_initial_point(
-            edges, 5, "induced_subgraphs", node_sets=[{0, 1, 2}]
+            *_graph(5, edges), "induced_subgraphs", node_sets=[{0, 1, 2}]
         )
         assert len(subs) == 1
         assert subs[0].sub_matrix.n_cols == 3
-        assert subs[0].column_map == ((0, 1), (0, 2), (1, 2))
+        assert subs[0].sub_matrix.column_labels == ((0, 1), (0, 2), (1, 2))
+        assert subs[0].columns.tolist() == [0, 1, 4]
         assert np.array_equal(subs[0].sub_point, [1, 0, 1])
 
     def test_overlapping_induced_subgraphs_rejected(self):
         edges = [(0, 1), (1, 2)]
         with pytest.raises(DecompositionError):
             decompose_initial_point(
-                edges, 3, "induced_subgraphs", node_sets=[{0, 1}, {0, 1, 2}]
+                *_graph(3, edges), "induced_subgraphs", node_sets=[{0, 1}, {0, 1, 2}]
             )
 
     def test_bridge_cuts_split_barbell(self):
         # Two triangles joined by a bridge 2-3.
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
-        subs = decompose_initial_point(edges, 6, "bridge_cuts")
+        subs = decompose_initial_point(*_graph(6, edges), "bridge_cuts")
         assert len(subs) == 2
         assert {s.node_set for s in subs} == {(0, 1, 2), (3, 4, 5)}
 
     def test_parent_edges_at_most_once(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        subs = decompose_initial_point(edges, 6, "connected_components")
+        subs = decompose_initial_point(*_graph(6, edges), "connected_components")
         seen = []
         for s in subs:
-            seen.extend(s.column_map)
+            seen.extend(s.columns.tolist())
         assert len(seen) == len(set(seen))
+
+    def test_structural_zero_carries_over(self):
+        # A 4-cycle whose chord 0-2 (pair index 1) the model rules out.
+        design, counts = _graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)], zeros=[1])
+        subs = decompose_initial_point(design, counts, "connected_components")
+        cycle = subs[0]
+        assert cycle.node_set == (0, 1, 2, 3)
+        assert cycle.sub_matrix.column_labels == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert cycle.sub_matrix.cell_bound == 1
+        assert np.array_equal(cycle.sub_point, counts[cycle.columns])
+        lifted = lift_basis([compute_lattice_basis(s.sub_matrix) for s in subs], subs, 14)
+        assert lifted.count == 1
+        assert in_kernel(design, lifted.vectors[0])
+
+    def test_node_set_without_allowed_pair_is_skipped(self):
+        design, counts = _graph(4, [(0, 1), (1, 3), (2, 3)], zeros=[1])
+        subs = decompose_initial_point(
+            design, counts, "induced_subgraphs", node_sets=[{0, 2}, {3}, {1, 2, 3}]
+        )
+        assert [s.node_set for s in subs] == [(1, 2, 3)]
+
+    @pytest.mark.parametrize("node_sets", [[{0, 1, 4}], [{-1, 0, 1}]])
+    def test_node_outside_the_graph_refused(self, node_sets):
+        with pytest.raises(ValidationError, match="outside 0..3"):
+            decompose_initial_point(
+                *_graph(4, [(0, 1), (1, 2)]), "induced_subgraphs", node_sets=node_sets
+            )
+
+    def test_counts_outside_the_box_refused(self):
+        # A repeated pair: the point [2, 1, 1] is not a simple graph.
+        design = build_design_matrix(beta_model(3))
+        with pytest.raises(ValidationError, match="0/1"):
+            decompose_initial_point(design, [2, 1, 1], "connected_components")
+
+    def test_table_design_refused(self):
+        design = build_design_matrix(independence(2, 2))
+        with pytest.raises(ContractViolation, match="cell bound"):
+            decompose_initial_point(design, [1, 0, 0, 1], "connected_components")
 
 
 class TestLiftMove:
     def test_zero_padding(self):
-        sub_design = build_design_matrix(beta_model(2))
-        sub = _make_sub(labels=[(0, 1), (2, 3)])
-        parent_labels = [(0, 1), (1, 2), (2, 3)]
-        lifted = lift_move(Move(delta=np.array([1, -1])), sub, parent_labels)
-        assert np.array_equal(lifted.delta, [1, 0, -1])
-        del sub_design
+        sub = _make_sub(columns=[0, 2])
+        lifted = lift_basis([LatticeBasis(vectors=[[1, -1]])], [sub], 3)
+        assert np.array_equal(lifted.vectors, [[1, 0, -1]])
 
     def test_zero_move_lifts_to_zero(self):
-        sub = _make_sub(labels=[(0, 1), (2, 3)])
-        lifted = lift_move(Move(delta=np.array([0, 0])), sub, [(0, 1), (1, 2), (2, 3)])
-        assert lifted.is_zero
-
-    def test_label_mismatch(self):
-        sub = _make_sub(labels=[(0, 1), (7, 8)])
-        with pytest.raises(LiftError):
-            lift_move(Move(delta=np.array([1, -1])), sub, [(0, 1), (1, 2)])
+        sub = _make_sub(columns=[0, 2])
+        lifted = lift_basis([LatticeBasis(vectors=[[0, 0]])], [sub], 3)
+        assert not lifted.vectors.any()
 
     def test_triangle_move_lifts_into_parent_kernel(self):
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
-        parent = build_design_matrix(beta_model(5))
+        parent, counts = _graph(5, edges)
+        # A triangle alone has no move; with node 3 its 6 pairs have 2.
         subs = decompose_initial_point(
-            edges, 5, "induced_subgraphs", node_sets=[{0, 1, 2}]
+            parent, counts, "induced_subgraphs", node_sets=[{0, 1, 2, 3}]
         )
-        sub = subs[0]
-        sub_basis = compute_lattice_basis(sub.sub_matrix)
-        for vec in sub_basis.vectors:
-            lifted = lift_move(Move(delta=vec), sub, parent.column_labels)
-            assert in_kernel(parent, lifted)
-
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(21)
-        sub = _make_sub(labels=[(0, 2), (1, 3)])
-        delta = np.array([3, -2])
-        parent_labels = [(0, 1), (0, 2), (1, 3), (2, 3)]
-        base = lift_move(Move(delta=delta), sub, parent_labels)
-        perm = rng.permutation(len(parent_labels))
-        permuted_labels = [parent_labels[i] for i in perm]
-        lifted = lift_move(Move(delta=delta), sub, permuted_labels)
-        for i, lab in enumerate(permuted_labels):
-            assert lifted.delta[i] == base.delta[parent_labels.index(lab)]
+        sub_basis = compute_lattice_basis(subs[0].sub_matrix)
+        lifted = lift_basis([sub_basis], subs, parent.n_cols)
+        assert lifted.count == 2
+        for vec in lifted.vectors:
+            assert in_kernel(parent, vec)
 
     def test_lift_basis_collects_all_vectors(self):
         # Two disjoint 4-cliques; each beta-model kernel has dimension 2.
@@ -276,13 +313,80 @@ class TestLiftMove:
             (a, b) for group in ([0, 1, 2, 3], [4, 5, 6, 7])
             for i, a in enumerate(group) for b in group[i + 1:]
         ]
-        parent = build_design_matrix(beta_model(8))
-        subs = decompose_initial_point(edges, 8, "connected_components")
+        parent, counts = _graph(8, edges)
+        subs = decompose_initial_point(parent, counts, "connected_components")
         bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
-        lifted = lift_basis(bases, subs, parent.column_labels)
+        lifted = lift_basis(bases, subs, parent.n_cols)
         assert lifted.count == sum(b.count for b in bases)
         for vec in lifted.vectors:
             assert in_kernel(parent, Move(delta=vec))
+
+    def test_nothing_to_lift_rejected(self):
+        sub = _make_sub(columns=[0])
+        with pytest.raises(DecompositionError):
+            lift_basis([LatticeBasis(vectors=np.zeros((0, 1)))], [sub], 3)
+
+
+@st.composite
+def _decomposed_graphs(draw):
+    """A random graph, structural zeros off its edges, and a strategy's sub-problems."""
+    n = draw(st.integers(4, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    on = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, flag in zip(pairs, on) if flag]
+    assume(edges)
+    off = [k for k, flag in enumerate(on) if not flag]
+    zeros = draw(st.lists(st.sampled_from(off), unique=True)) if off else []
+    strategy = draw(st.sampled_from([CONNECTED_COMPONENTS, K_CORE, BRIDGE_CUTS, INDUCED_SUBGRAPHS]))
+    # Disjoint node sets share no node, so they share no edge.
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    node_sets = [{v for v in range(n) if labels[v] == g} for g in range(3)]
+    design, counts = _graph(n, edges, zeros)
+    try:
+        subs = decompose_initial_point(
+            design, counts, strategy, k=draw(st.integers(1, 3)), node_sets=node_sets
+        )
+    except DecompositionError:
+        assume(False)
+    return design, counts, zeros, subs
+
+
+class TestDecomposeAndLiftProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_decomposed_graphs())
+    def test_lifted_moves_are_parent_moves_on_their_columns(self, case):
+        design, counts, zeros, subs = case
+        bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
+        try:
+            lifted = lift_basis(bases, subs, design.n_cols)
+        except DecompositionError:
+            assert not sum(b.count for b in bases)
+            return
+        assert lifted.count == sum(b.count for b in bases)
+        row = 0
+        for basis, sub in zip(bases, subs):
+            outside = np.ones(design.n_cols, dtype=bool)
+            outside[sub.columns] = False
+            for vec in lifted.vectors[row:row + basis.count]:
+                assert in_kernel(design, vec)
+                assert not vec[outside].any()
+            row += basis.count
+
+    @settings(max_examples=150, deadline=None)
+    @given(_decomposed_graphs())
+    def test_sub_problems_are_restrictions_of_the_parent(self, case):
+        design, counts, zeros, subs = case
+        edges_seen = []
+        for sub in subs:
+            nodes = list(sub.node_set)
+            assert np.array_equal(sub.sub_matrix.entries, design.entries[np.ix_(nodes, sub.columns)])
+            assert np.array_equal(sub.sub_point, counts[sub.columns])
+            assert list(sub.columns) == sorted(sub.columns)
+            edges_seen.extend(c for c in sub.columns if counts[c])
+            if not zeros:
+                full = build_design_matrix(beta_model(len(nodes)))
+                assert np.array_equal(sub.sub_matrix.entries, full.entries)
+        assert len(edges_seen) == len(set(edges_seen))
 
 
 class TestEnumerateFiber:
@@ -395,23 +499,7 @@ class TestBasisFile:
             load_basis(path)
 
 
-def _make_sub(labels):
-    """Minimal SubProblem stand-in with the given parent labels."""
-    from fiberwalk.lattice import SubProblem
-
-    design = build_design_matrix(beta_model(2))
-    # beta_model(2) has exactly one column; widen by stacking boards when
-    # more labels are requested.
-    if len(labels) == 1:
-        return SubProblem(
-            sub_matrix=design, sub_point=np.array([0]), column_map=tuple(labels)
-        )
-    from fiberwalk.models import DesignMatrix
-
-    mat = np.ones((1, len(labels)), dtype=np.int64)
-    design = DesignMatrix(entries=mat, rank=1, column_labels=tuple(range(len(labels))))
-    return SubProblem(
-        sub_matrix=design,
-        sub_point=np.zeros(len(labels), dtype=np.int64),
-        column_map=tuple(labels),
-    )
+def _make_sub(columns):
+    """A one-row SubProblem on the given parent columns."""
+    design = DesignMatrix(entries=np.ones((1, len(columns)), dtype=np.int64), column_labels=())
+    return SubProblem(design, np.zeros(len(columns), dtype=np.int64), columns)

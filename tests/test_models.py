@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fiberwalk import models
+from fiberwalk._exact import integer_rank
 from fiberwalk.errors import (
     ContractViolation,
     DegenerateDataError,
@@ -61,6 +63,20 @@ class TestBuildDesignMatrix:
         # Frozen from the rational-elimination oracle.
         assert dm.rank == 3
         assert dm.rank == rational_rank(dm.entries)
+
+    def test_rank_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting_rank(mat):
+            calls.append(mat.shape)
+            return integer_rank(mat)
+
+        monkeypatch.setattr(models, "integer_rank", counting_rank)
+        dm = build_design_matrix(all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]))
+        assert calls == []
+        assert dm.rank == rational_rank(dm.entries)
+        assert dm.rank == rational_rank(dm.entries)
+        assert calls == [dm.entries.shape]
 
     def test_independence_cell_indicators(self):
         r, c = 3, 4

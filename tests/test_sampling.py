@@ -30,7 +30,7 @@ from fiberwalk.sampling import (
     log_accept_ratio,
     mh_uniform,
     null_log_weight,
-    proposal_log_mass,
+    proposal_log_prob,
     rank_p_value,
     write_histogram_csv,
     write_pvalues_csv,
@@ -113,8 +113,8 @@ class TestMhUniform:
         other = np.array([0, 1, 1, 0], dtype=np.int64)
         for coeffs in ([1], [-1], [2]):
             c = np.array(coeffs)
-            fwd = proposal_log_mass(ac, c, *policy_distribution(ac, start))
-            rev = proposal_log_mass(ac, -c, *policy_distribution(ac, other))
+            fwd = proposal_log_prob(ac, c, *policy_distribution(ac, start))
+            rev = proposal_log_prob(ac, -c, *policy_distribution(ac, other))
             assert fwd == pytest.approx(rev)
 
     def test_never_leaves_fiber(self):
@@ -234,7 +234,7 @@ class TestExactStationaryLaw:
             keys, probs = _draw_law(ac, mu, sigma)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             for coeffs, prob in zip(keys, probs):
-                got = math.exp(proposal_log_mass(ac, coeffs, mu, sigma))
+                got = math.exp(proposal_log_prob(ac, coeffs, mu, sigma))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("mask_k", [1, 2])
@@ -245,7 +245,7 @@ class TestExactStationaryLaw:
         for p in fiber[:5]:
             mu, sigma = policy_distribution(ac, np.array(p))
             for coeffs, prob in zip(*_draw_law(ac, mu, sigma)):
-                got = math.exp(proposal_log_mass(ac, coeffs, mu, sigma))
+                got = math.exp(proposal_log_prob(ac, coeffs, mu, sigma))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize(
