@@ -36,12 +36,12 @@ from .neuralnet import (
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
-DEFAULT_SIGMA_FLOOR = 1.0
 
 DEFAULT_HIDDEN = (64, 64)
-DEFAULT_STEP_SCALE = 0.05
 MASK_THRESHOLD = 100  # states wider than this default to mask_k=10
 DEFAULT_MASK_K = 10
+ACTOR_STEP_CAP = 0.1  # longest step train applies to each parameter vector; see actor_update
+CRITIC_STEP_CAP = 1.0
 
 
 def default_mask_k(state_dim):
@@ -64,12 +64,12 @@ class ActorCritic:
     feature_net: DenseNet
     actor_head: DenseNet
     critic_weights: np.ndarray
-    coeff_min: int = -2
-    coeff_max: int = 2
-    mask_k: int = None
-    ball_radius: float = 1e3
-    input_scale: float = 1.0
-    sigma_min: float = DEFAULT_SIGMA_FLOOR
+    coeff_min: int
+    coeff_max: int
+    mask_k: int
+    ball_radius: float
+    input_scale: float
+    sigma_min: float
 
     def __post_init__(self):
         if self.actor_head.input_dim != self.feature_net.output_dim:
@@ -126,6 +126,8 @@ def make_actor_critic(
     fiber discovery and the Metropolis correction both rely on.  Set
     it to 1e-3 to recover an effectively unconstrained policy.
     """
+    if not hidden or min(hidden) < 1:
+        raise ContractViolation(f"hidden layer widths must be positive, got {hidden!r}")
     rng = np.random.default_rng(seed)
     feature_net = make_dense(
         (state_dim, *hidden), ["tanh"] * len(hidden), rng
@@ -347,34 +349,24 @@ def critic_update(ac, traj, step_size, gamma, max_step=None):
     return ac
 
 
-def default_schedules(actor_scale=DEFAULT_STEP_SCALE, critic_scale=DEFAULT_STEP_SCALE, swap=False):
-    """Robbins-Monro pair: t^(-2/3) for the actor, 1/t for the critic.
-
-    ``swap`` exchanges the two decay laws; both pairings satisfy the
-    summability conditions, they differ in which iterate is the fast one.
-    """
-    def power_two_thirds(t):
-        return actor_scale / t ** (2.0 / 3.0)
-
-    def harmonic(t):
-        return critic_scale / t
-
-    if swap:
-        return harmonic, power_two_thirds
-    return power_two_thirds, harmonic
-
-
 @dataclass(frozen=True)
 class TrainConfig:
+    """Discount, GAE weight, window and episode counts, and the step-size schedules.
+
+    The schedules are a Robbins-Monro pair, ``a0 / t^(2/3)`` for the
+    actor and ``b0 / t`` for the critic; ``swap`` exchanges the two
+    decay laws.  Both pairings satisfy the summability conditions, they
+    differ in which iterate is the fast one.
+    """
+
     gamma: float = 0.99
     lam: float = 0.5
     window: int = 8
     episodes: int = 1000
     seed: int = 0
-    actor_schedule: object = None
-    critic_schedule: object = None
-    actor_step_cap: float = 0.1
-    critic_step_cap: float = 1.0
+    a0: float = 0.05
+    b0: float = 0.05
+    swap: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -385,15 +377,20 @@ class TrainConfig:
             raise ContractViolation("window length must be at least 1")
         if self.episodes < 0:
             raise ContractViolation("episode count cannot be negative")
+        if not (self.a0 > 0 and self.b0 > 0):
+            raise ContractViolation("step-size scales a0 and b0 must be positive")
 
     def schedules(self):
-        actor, critic = default_schedules()
-        actor = self.actor_schedule or actor
-        critic = self.critic_schedule or critic
-        for fn in (actor, critic):
-            if not (fn(1) > 0 and fn(2) <= fn(1)):
-                raise ContractViolation("schedules must be positive and nonincreasing")
-        return actor, critic
+        """``(actor, critic)`` step sizes as functions of the update count."""
+        def power_two_thirds(t):
+            return self.a0 / t ** (2.0 / 3.0)
+
+        def harmonic(t):
+            return self.b0 / t
+
+        if self.swap:
+            return harmonic, power_two_thirds
+        return power_two_thirds, harmonic
 
 
 @dataclass(frozen=True)
@@ -458,8 +455,8 @@ def train(env, ac, cfg, start=None):
             n_updates += 1
             alpha = actor_sched(n_updates)
             beta = critic_sched(n_updates)
-            critic_update(ac, traj, beta, cfg.gamma, max_step=cfg.critic_step_cap)
-            actor_update(ac, traj, alpha, cfg.gamma, cfg.lam, max_step=cfg.actor_step_cap)
+            critic_update(ac, traj, beta, cfg.gamma, max_step=CRITIC_STEP_CAP)
+            actor_update(ac, traj, alpha, cfg.gamma, cfg.lam, max_step=ACTOR_STEP_CAP)
             log.append(
                 WindowStats(
                     window=n_updates,

@@ -16,13 +16,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .agent import (
     TrainConfig,
-    default_schedules,
     deserialize_policy,
     make_actor_critic,
     serialize_policy,
@@ -66,6 +66,41 @@ from .sampling import (
 )
 
 _WALKERS = {"uniform": mh_uniform, "explore": explore}
+_POLICY_SETTINGS = ("coeff_min", "coeff_max", "mask_k", "sigma_min", "ball_radius", "input_scale")
+
+_UNSET = object()
+
+
+def _given(**kwargs):
+    """The keyword arguments whose config key is set (``cfg.get(key, _UNSET, cast)``
+    returned a value), so that the library's own default covers the rest."""
+    return {name: value for name, value in kwargs.items() if value is not _UNSET}
+
+
+# Casts for RunConfig.get, besides int and float.
+def _flag(text):
+    """Strict yes/no: 1/true/yes/on or 0/false/no/off."""
+    value = text.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected yes or no")
+    return value in ("1", "true", "yes", "on")
+
+
+def _int_list(text):
+    """Comma-separated integers, blanks skipped."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _int_lists(text):
+    """``;``-separated groups of comma-separated integers."""
+    return [_int_list(group) for group in text.split(";")]
+
+
+def _mask_k(text):
+    """``auto``, ``none`` (no mask) or a coefficient count."""
+    if text in ("none", "None"):
+        return None
+    return text if text == "auto" else int(text)
 
 
 class RunConfig:
@@ -73,7 +108,7 @@ class RunConfig:
 
     def __init__(self, values, seed=0, out_dir="out"):
         self.values = dict(values)
-        self.seed = int(self.values.get("seed", seed))
+        self.seed = self.get("seed", seed, int)
         self.out_dir = out_dir
 
     @classmethod
@@ -99,11 +134,9 @@ class RunConfig:
             return default
         raw = self.values[key]
         try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
             return cast(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key}={raw!r} is not a valid {cast.__name__}") from None
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}={raw!r} is malformed: {exc}") from None
 
     def require(self, key, cast=str):
         value = self.get(key, default=None, cast=cast)
@@ -121,8 +154,11 @@ def _sha256_file(path):
 
 
 class Manifest:
+    """The record of one run; making it makes the run's out dir."""
+
     def __init__(self, command, cfg):
         self.out_dir = cfg.out_dir
+        os.makedirs(self.out_dir, exist_ok=True)
         self.data = {
             "command": command,
             "seed": cfg.seed,
@@ -168,8 +204,7 @@ def _write_text(path, text):
 
 def _model_spec(cfg):
     family = cfg.require("model.family")
-    zeros = cfg.get("model.structural_zeros", default="")
-    zero_set = frozenset(int(v) for v in zeros.split(",") if v.strip() != "")
+    zero_set = frozenset(cfg.get("model.structural_zeros", (), _int_list))
     if family == "independence":
         shape = _parse_shape(cfg.require("model.shape"), 2)
         return independence(*shape, structural_zeros=zero_set)
@@ -191,60 +226,52 @@ def _parse_shape(text, want):
     return dims
 
 
+def _existing(path):
+    if not os.path.exists(path):
+        raise ValidationError(f"referenced path does not exist: {path}")
+    return path
+
+
 def _observed_data(cfg, spec, design):
     """Read the observed table or graph as ObservedData."""
     if spec.family == "beta_model":
-        path = cfg.require("data.graph")
-        edges, max_id = read_edge_list(path)
+        edges, max_id = read_edge_list(_existing(cfg.require("data.graph")))
         if max_id > spec.shape[0]:
             raise ValidationError(
                 f"edge list mentions node {max_id}, model has {spec.shape[0]} nodes"
             )
         return observe_graph(spec, design, edges)
-    path = cfg.require("data.table")
-    dims, cells = read_table_csv(path)
+    dims, cells = read_table_csv(_existing(cfg.require("data.table")))
     if dims != spec.shape:
         raise ValidationError(f"table dims {dims} do not match model shape {spec.shape}")
     return observe_table(spec, design, cells)
 
 
-def _mdp_config(cfg):
-    return MdpConfig(
-        coeff_min=cfg.get("mdp.c1", -2, int),
-        coeff_max=cfg.get("mdp.c2", 2, int),
-        steps_per_episode=cfg.get("mdp.steps_per_episode", 100, int),
-    )
-
-
-def _compute_moves(cfg, design, counts):
-    """Kernel basis, optionally via subdivide-and-lift on graph data."""
+def _decomposition(cfg):
+    """Keyword arguments of :func:`decompose_initial_point`, or None for one exact basis."""
     strategy = cfg.get("decompose.strategy")
     if strategy is None:
+        return None
+    node_sets = cfg.get("decompose.node_sets", cast=_int_lists)
+    return {
+        "strategy": strategy,
+        "k": cfg.get("decompose.k", cast=int),
+        "node_sets": None if node_sets is None else [{v - 1 for v in g} for g in node_sets],
+    }
+
+
+def _compute_moves(design, counts, decomposition):
+    """Kernel basis, optionally via subdivide-and-lift on graph data."""
+    if decomposition is None:
         return compute_lattice_basis(design)
-    node_sets = None
-    raw_sets = cfg.get("decompose.node_sets")
-    if raw_sets:
-        node_sets = [
-            {int(v) - 1 for v in group.split(",") if v.strip() != ""}
-            for group in raw_sets.split(";")
-        ]
-    subs = decompose_initial_point(
-        design,
-        counts,
-        strategy,
-        k=cfg.get("decompose.k", cast=int),
-        node_sets=node_sets,
-    )
+    subs = decompose_initial_point(design, counts, **decomposition)
     sub_bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
     return lift_basis(sub_bases, subs, design.n_cols)
 
 
 def _load_policy(cfg, design):
-    policy_path = cfg.require("policy.file")
-    basis_path = cfg.require("policy.basis")
-    for path in (policy_path, basis_path):
-        if not os.path.exists(path):
-            raise ValidationError(f"referenced path does not exist: {path}")
+    policy_path = _existing(cfg.require("policy.file"))
+    basis_path = _existing(cfg.require("policy.basis"))
     with open(policy_path) as fh:
         ac, want_sha = deserialize_policy(fh.read())
     if want_sha is not None and want_sha != _sha256_file(basis_path):
@@ -257,79 +284,53 @@ def _load_policy(cfg, design):
     return ac, basis
 
 
-def _hidden_widths(cfg):
-    text = cfg.get("train.hidden", "64,64")
-    try:
-        widths = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        widths = ()
-    if not widths or min(widths) < 1:
-        raise ConfigError(f"train.hidden={text!r} must list positive layer widths, like 64,64")
-    return widths
-
-
-def _mask_k(cfg):
-    mask = cfg.get("train.mask_k", "auto")
-    if mask in ("none", "None"):
-        return None
-    return mask if mask == "auto" else cfg.get("train.mask_k", cast=int)
-
-
-def _train_config(cfg):
-    actor_sched, critic_sched = default_schedules(
-        actor_scale=cfg.get("train.a0", 0.05, float),
-        critic_scale=cfg.get("train.b0", 0.05, float),
-        swap=cfg.get("train.swap_schedules", False, bool),
-    )
-    return TrainConfig(
-        gamma=cfg.get("mdp.gamma", 0.99, float),
-        lam=cfg.get("train.lambda", 0.5, float),
-        window=cfg.get("train.window", 8, int),
-        episodes=cfg.get("train.episodes", 1000, int),
-        seed=cfg.seed,
-        actor_schedule=actor_sched,
-        critic_schedule=critic_sched,
-    )
-
-
-def _ingest(command, cfg, policy=False):
-    """Open a run (manifest, out dir) and time its ingest stage.
-
-    Returns ``(manifest, spec, design, data, ac, basis)``; the
-    stored policy ``ac`` and its ``basis`` are ``None`` unless ``policy``.
-    """
-    manifest = Manifest(command, cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def _ingest(manifest, cfg, policy=False):
+    """Read the model, design and data, and the stored policy ``ac`` and its ``basis``
+    if ``policy`` (else ``None``), timed as the ingest stage."""
     with manifest.stage("ingest"):
         spec = _model_spec(cfg)
         design = build_design_matrix(spec)
         data = _observed_data(cfg, spec, design)
         ac, basis = _load_policy(cfg, design) if policy else (None, None)
-    return manifest, spec, design, data, ac, basis
+    return spec, design, data, ac, basis
 
 
 def run_train(cfg):
-    manifest, _, design, data, _, _ = _ingest("train", cfg)
+    # Every setting is read and range-checked before any input file, and
+    # every file is written after training, so a bad config leaves no output.
+    manifest = Manifest("train", cfg)
+    mdp = MdpConfig(**_given(
+        coeff_min=cfg.get("mdp.c1", _UNSET, int),
+        coeff_max=cfg.get("mdp.c2", _UNSET, int),
+        steps_per_episode=cfg.get("mdp.steps_per_episode", _UNSET, int),
+    ))
+    train_cfg = TrainConfig(seed=cfg.seed, **_given(
+        gamma=cfg.get("mdp.gamma", _UNSET, float),
+        lam=cfg.get("train.lambda", _UNSET, float),
+        window=cfg.get("train.window", _UNSET, int),
+        episodes=cfg.get("train.episodes", _UNSET, int),
+        a0=cfg.get("train.a0", _UNSET, float),
+        b0=cfg.get("train.b0", _UNSET, float),
+        swap=cfg.get("train.swap_schedules", _UNSET, _flag),
+    ))
+    net = _given(
+        hidden=cfg.get("train.hidden", _UNSET, _int_list),
+        mask_k=cfg.get("train.mask_k", _UNSET, _mask_k),
+        ball_radius=cfg.get("train.ball_radius", _UNSET, float),
+        input_scale=cfg.get("train.input_scale", _UNSET, float),
+        sigma_min=cfg.get("train.sigma_min", _UNSET, float),
+    )
+    decomposition = _decomposition(cfg)
+    _, design, data, _, _ = _ingest(manifest, cfg)
 
     with manifest.stage("basis"):
-        basis = _compute_moves(cfg, design, data.counts)
+        basis = _compute_moves(design, data.counts, decomposition)
 
-    # Every setting is checked before training, and every file is
-    # written after it, so a bad config leaves no output behind.
     with manifest.stage("train"):
-        mdp = _mdp_config(cfg)
-        train_cfg = _train_config(cfg)
+        net.setdefault("input_scale", max(1.0, float(data.counts.max())))
         ac = make_actor_critic(
-            state_dim=design.n_cols,
-            n_coeffs=basis.count,
-            hidden=_hidden_widths(cfg),
-            seed=cfg.seed,
-            coeff_min=mdp.coeff_min,
-            coeff_max=mdp.coeff_max,
-            mask_k=_mask_k(cfg),
-            ball_radius=cfg.get("train.ball_radius", 1e3, float),
-            input_scale=cfg.get("train.input_scale", max(1.0, float(data.counts.max())), float),
-            sigma_min=cfg.get("train.sigma_min", "auto", float),
+            design.n_cols, basis.count, seed=cfg.seed,
+            coeff_min=mdp.coeff_min, coeff_max=mdp.coeff_max, **net,
         )
         log = train(FiberEnv(design, basis, data.counts, mdp), ac, train_cfg, start=data.counts)
 
@@ -338,6 +339,9 @@ def run_train(cfg):
         manifest.output("trainlog.csv", write_train_log, log)
         basis_sha = manifest.data["outputs"]["basis.txt"]
         manifest.output("policy.txt", _write_text, serialize_policy(ac, basis_sha256=basis_sha))
+    policy = {key: getattr(ac, key) for key in _POLICY_SETTINGS}
+    policy["hidden"] = [width for _, width, _ in ac.feature_net.layout()]
+    manifest.data["settings"] = {"mdp": asdict(mdp), "train": asdict(train_cfg), "policy": policy}
 
     if log:
         print(
@@ -348,13 +352,14 @@ def run_train(cfg):
 
 
 def run_sample(cfg):
-    manifest, spec, design, data, ac, basis = _ingest("sample", cfg, policy=True)
+    manifest = Manifest("sample", cfg)
+    steps = cfg.get("sample.steps", 10_000, int)
+    mode = cfg.get("sample.mode", "uniform")
+    if mode not in _WALKERS:
+        raise ConfigError(f"sample.mode must be uniform or explore, got {mode!r}")
+    spec, design, data, ac, basis = _ingest(manifest, cfg, policy=True)
 
     with manifest.stage("sample"):
-        steps = cfg.get("sample.steps", 10_000, int)
-        mode = cfg.get("sample.mode", "uniform")
-        if mode not in _WALKERS:
-            raise ConfigError(f"sample.mode must be uniform or explore, got {mode!r}")
         expected = fit_expected_counts(spec, data)
         rng = np.random.default_rng(cfg.seed)
         sample, discovered = _WALKERS[mode](
@@ -364,6 +369,7 @@ def run_sample(cfg):
 
     with manifest.stage("write"):
         manifest.output("sample.csv", write_sample_csv, sample, design.column_labels)
+    manifest.data["settings"] = {"steps": steps, "mode": mode}
     manifest.data["discovered_count"] = discovered.count
     manifest.data["stuck"] = sample.stuck
 
@@ -372,36 +378,36 @@ def run_sample(cfg):
 
 
 def run_test(cfg):
-    manifest, spec, _, data, ac, basis = _ingest("test", cfg, policy=True)
+    manifest = Manifest("test", cfg)
+    # chain_steps None: the library's 100 Metropolis steps per sample point.
+    settings = {
+        "chains": cfg.get("test.chains", 100, int),
+        "chain_length": cfg.get("test.chain_length", 100, int),
+        "chain_steps": cfg.get("test.chain_steps", cast=int),
+    }
+    spec, _, data, ac, basis = _ingest(manifest, cfg, policy=True)
 
     with manifest.stage("test"):
-        results = besag_clifford_pvalues(
-            ac,
-            basis,
-            spec,
-            data,
-            chains=cfg.get("test.chains", 100, int),
-            chain_length=cfg.get("test.chain_length", 100, int),
-            seed=cfg.seed,
-            chain_steps=cfg.get("test.chain_steps", cast=int),
-        )
+        results = besag_clifford_pvalues(ac, basis, spec, data, seed=cfg.seed, **settings)
     pvals = [r.p_value for r in results]
 
     with manifest.stage("write"):
         manifest.output("results.csv", write_results_csv, results)
         manifest.output("pvalues.csv", write_pvalues_csv, results)
         manifest.output("histogram.csv", write_histogram_csv, pvals)
+    manifest.data["settings"] = settings
 
     print(f"{len(results)} chains; median p-value {float(np.median(pvals)):.4f}")
     return manifest.write()
 
 
 def run_enumerate(cfg):
-    manifest, _, design, data, _, _ = _ingest("enumerate", cfg)
+    manifest = Manifest("enumerate", cfg)
+    cap = _given(cap=cfg.get("enumerate.cap", _UNSET, int))
+    _, design, data, _, _ = _ingest(manifest, cfg)
 
     with manifest.stage("enumerate"):
-        cap = cfg.get("enumerate.cap", 100_000, int)
-        points = enumerate_fiber(design, data.marginals, cap=cap)
+        points = enumerate_fiber(design, data.marginals, **cap)
 
     with manifest.stage("write"):
         header = ",".join("_".join(str(v) for v in lab) for lab in design.column_labels)
@@ -414,12 +420,14 @@ def run_enumerate(cfg):
 
 
 def run_lift(cfg):
-    manifest, _, design, data, _, _ = _ingest("lift", cfg)
-    if cfg.get("decompose.strategy") is None:
+    manifest = Manifest("lift", cfg)
+    decomposition = _decomposition(cfg)
+    if decomposition is None:
         raise ConfigError("lift requires decompose.strategy")
+    _, design, data, _, _ = _ingest(manifest, cfg)
 
     with manifest.stage("lift"):
-        basis = _compute_moves(cfg, design, data.counts)
+        basis = _compute_moves(design, data.counts, decomposition)
 
     with manifest.stage("write"):
         manifest.output("lifted_basis.txt", save_basis, basis)

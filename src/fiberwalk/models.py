@@ -139,16 +139,6 @@ class DesignMatrix:
             )
         return self.entries @ counts
 
-    def embed_full(self, reduced):
-        """Re-insert zeros at removed cells, restoring full-length order."""
-        reduced = np.asarray(reduced)
-        full_labels = sorted(self.column_labels + self.removed_labels)
-        pos = {lab: k for k, lab in enumerate(full_labels)}
-        out = np.zeros(len(full_labels), dtype=reduced.dtype)
-        for k, lab in enumerate(self.column_labels):
-            out[pos[lab]] = reduced[k]
-        return out
-
 
 def overshoot(x, upper=None):
     """Minus the total distance of ``x`` outside ``0..upper`` (``None``: no bound); 0 inside."""

@@ -82,3 +82,12 @@ def relative_error(a, b):
     b = np.asarray(b, dtype=float)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def embed_full(spec, reduced):
+    """The full-length cell vector of ``spec``: ``reduced`` with a zero put back
+    at each structural zero, read off the spec's cell order alone."""
+    n_cells = len(spec.cell_labels())
+    full = np.zeros(n_cells, dtype=np.asarray(reduced).dtype)
+    full[[k for k in range(n_cells) if k not in spec.structural_zeros]] = reduced
+    return full

@@ -16,7 +16,6 @@ from fiberwalk.agent import (
     critic_update,
     critic_value,
     default_mask_k,
-    default_schedules,
     deserialize_policy,
     gaussian_log_density,
     make_actor_critic,
@@ -163,7 +162,9 @@ class TestCriticValue:
             weights=[np.zeros((2, 1))], biases=[np.zeros(2)], activations=["identity"]
         )
         ac = ActorCritic(
-            feature_net=feature_net, actor_head=head, critic_weights=np.array([3.0])
+            feature_net=feature_net, actor_head=head, critic_weights=np.array([3.0]),
+            coeff_min=-2, coeff_max=2, mask_k=None, ball_radius=1e3, input_scale=1.0,
+            sigma_min=1.0,
         )
         assert critic_value(ac, np.array([1.0])) == 6.0
 
@@ -423,7 +424,7 @@ class TestTrain:
 
 class TestSchedulesAndConfig:
     def test_default_schedules_decay(self):
-        actor, critic = default_schedules()
+        actor, critic = TrainConfig().schedules()
         assert actor(1) == pytest.approx(0.05)
         assert actor(8) == pytest.approx(0.05 / 4.0)
         assert critic(10) == pytest.approx(0.005)
@@ -431,7 +432,7 @@ class TestSchedulesAndConfig:
         assert critic(1000) / actor(1000) < 0.1
 
     def test_swap_exchanges_decay_laws(self):
-        actor, critic = default_schedules(swap=True)
+        actor, critic = TrainConfig(swap=True).schedules()
         assert actor(8) == pytest.approx(0.05 / 8.0)
         assert critic(8) == pytest.approx(0.05 / 4.0)
 
@@ -443,10 +444,10 @@ class TestSchedulesAndConfig:
         with pytest.raises(ContractViolation):
             TrainConfig(lam=1.5)
 
-    def test_increasing_schedule_rejected(self):
-        cfg = TrainConfig(actor_schedule=lambda t: t * 0.1)
+    @pytest.mark.parametrize("scales", [{"a0": 0.0}, {"b0": -0.05}], ids=["a0=0", "b0<0"])
+    def test_nonpositive_step_scale_rejected(self, scales):
         with pytest.raises(ContractViolation):
-            cfg.schedules()
+            TrainConfig(**scales)
 
 
 class TestGaussianDensity:

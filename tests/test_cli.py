@@ -88,6 +88,50 @@ class TestValidation:
         assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+    @pytest.mark.parametrize(
+        "family, line, named",
+        [
+            ("table", "seed=x", "seed"),
+            ("table", "model.structural_zeros=1,a", "model.structural_zeros"),
+            ("table", "train.swap_schedules=maybe", "train.swap_schedules"),
+            ("table", "data.table=missing.csv", "missing.csv"),
+            ("graph", "data.graph=missing.txt", "missing.txt"),
+            ("graph", "decompose.node_sets=1,2,x", "decompose.node_sets"),
+        ],
+    )
+    def test_malformed_or_missing_input_exits_2(self, tmp_path, capsys, family, line, named):
+        table = _write(tmp_path / "t.csv", "dims=2x2\n1,0\n0,1\n")
+        graph = _write(tmp_path / "g.txt", "1 2\n2 3\n3 1\n")
+        base = {
+            "table": f"model.family=independence\nmodel.shape=2x2\ndata.table={table}\n",
+            "graph": f"model.family=beta_model\nmodel.nodes=3\ndata.graph={graph}\n"
+            "decompose.strategy=induced_subgraphs\ndecompose.node_sets=1,2,3\n",
+        }[family]
+        cfg = _write(tmp_path / "c.cfg", base + "train.episodes=1\n" + line + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("test", "test.chains=x"), ("sample", "sample.steps=1.5"), ("train", "train.hidden=a")],
+    )
+    def test_malformed_setting_exits_2_before_any_file_is_read(
+        self, tmp_path, capsys, command, line
+    ):
+        # Every referenced file is missing, so reading one would name it instead.
+        cfg = _write(
+            tmp_path / "c.cfg",
+            "model.family=independence\nmodel.shape=2x2\ndata.table=missing.csv\n"
+            "policy.file=missing.txt\npolicy.basis=missing-basis.txt\n" + line + "\n",
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, train_cfg):
         out = tmp_path / "run"
@@ -112,7 +156,11 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
-        "line", ["mdp.gamma=1.0", "mdp.c1=3", "train.mask_k=2", "train.hidden=a"]
+        "line",
+        [
+            "mdp.gamma=1.0", "mdp.c1=3", "train.mask_k=2", "train.hidden=a", "train.hidden=0",
+            "train.a0=0",
+        ],
     )
     def test_bad_setting_exits_2_and_writes_nothing(self, tmp_path, train_cfg, line):
         # The 2x2 basis has one vector, so mask_k=2 exceeds it.
