@@ -1,10 +1,12 @@
 """Actor-critic learner over lattice-basis coefficient actions.
 
-One feature extractor is shared by both heads: the actor head emits a
-mean and log standard deviation per coefficient, defining a diagonal
-Gaussian whose samples are rounded, clamped to the coefficient bounds
-and optionally masked down to the largest few entries; the critic is
-the linear map ``features . omega``.  The actor ascends the
+The policy is one network: tanh hidden layers, then a linear last
+layer that emits a mean and log standard deviation per coefficient,
+defining a diagonal Gaussian whose samples are rounded, clamped to the
+coefficient bounds and optionally masked down to the largest few
+entries.  The critic is the linear map ``features . omega`` on the
+network's last hidden layer, read from the same forward pass, so one
+pass evaluates both.  The actor ascends the
 GAE-weighted score direction averaged over a rollout window; the
 critic descends the squared n-step bootstrap error.  Both parameter
 vectors are projected back onto a large ball after every update,
@@ -61,8 +63,7 @@ def default_sigma_min(state_dim):
 
 @dataclass
 class ActorCritic:
-    feature_net: DenseNet
-    actor_head: DenseNet
+    net: DenseNet
     critic_weights: np.ndarray
     coeff_min: int
     coeff_max: int
@@ -72,34 +73,31 @@ class ActorCritic:
     sigma_min: float
 
     def __post_init__(self):
-        if self.actor_head.input_dim != self.feature_net.output_dim:
-            raise ContractViolation("actor head does not chain with the feature net")
-        if self.actor_head.output_dim % 2 != 0:
-            raise ContractViolation("actor head must emit (mean, log-sigma) pairs")
-        if len(self.critic_weights) != self.feature_net.output_dim:
-            raise ContractViolation("critic weight length must match feature width")
-        if self.mask_k is not None and self.mask_k > self.n_coeffs:
-            raise ContractViolation("mask_k cannot exceed the coefficient count")
+        if self.net.output_dim % 2 != 0:
+            raise ContractViolation("the policy network must emit (mean, log-sigma) pairs")
+        if len(self.critic_weights) != self.net.weights[-1].shape[1]:
+            raise ContractViolation("critic weight length must match the last hidden layer")
+        if self.mask_k is not None and not 1 <= self.mask_k <= self.n_coeffs:
+            raise ContractViolation("mask_k must lie between 1 and the coefficient count")
         if self.coeff_min >= self.coeff_max:
             raise ContractViolation("coeff_min must be below coeff_max")
+        for name in ("sigma_min", "ball_radius", "input_scale"):
+            if not getattr(self, name) > 0:
+                raise ContractViolation(f"{name} must be positive")
 
     @property
     def n_coeffs(self):
-        return self.actor_head.output_dim // 2
+        return self.net.output_dim // 2
 
     @property
     def state_dim(self):
-        return self.feature_net.input_dim
+        return self.net.input_dim
 
     def actor_params(self):
-        return np.concatenate(
-            [self.feature_net.param_vector(), self.actor_head.param_vector()]
-        )
+        return self.net.param_vector()
 
     def set_actor_params(self, vec):
-        split = self.feature_net.n_params
-        self.feature_net.set_param_vector(vec[:split])
-        self.actor_head.set_param_vector(vec[split:])
+        self.net.set_param_vector(vec)
 
 
 def make_actor_critic(
@@ -114,9 +112,9 @@ def make_actor_critic(
     input_scale=1.0,
     sigma_min="auto",
 ):
-    """Fresh learner with tanh feature layers and a linear actor head.
+    """Fresh learner: tanh layers of widths ``hidden``, then a linear head.
 
-    ``input_scale`` divides the raw state before the feature net; set
+    ``input_scale`` divides the raw state before the network; set
     it near the largest count of the start point so the tanh layers
     see O(1) inputs instead of saturating on raw counts.
 
@@ -129,17 +127,15 @@ def make_actor_critic(
     if not hidden or min(hidden) < 1:
         raise ContractViolation(f"hidden layer widths must be positive, got {hidden!r}")
     rng = np.random.default_rng(seed)
-    feature_net = make_dense(
-        (state_dim, *hidden), ["tanh"] * len(hidden), rng
+    net = make_dense(
+        (state_dim, *hidden, 2 * n_coeffs), ["tanh"] * len(hidden) + ["identity"], rng
     )
-    actor_head = make_dense((hidden[-1], 2 * n_coeffs), ["identity"], rng)
     if mask_k == "auto":
         mask_k = default_mask_k(state_dim)
     if sigma_min == "auto":
         sigma_min = default_sigma_min(state_dim)
     return ActorCritic(
-        feature_net=feature_net,
-        actor_head=actor_head,
+        net=net,
         critic_weights=np.zeros(hidden[-1]),
         coeff_min=coeff_min,
         coeff_max=coeff_max,
@@ -150,8 +146,11 @@ def make_actor_critic(
     )
 
 
-def _net_input(ac, state):
-    return np.asarray(state, dtype=float) / ac.input_scale
+def _forward(ac, state):
+    """One network pass at ``state``: ``(output, features, cache)``, where the
+    features are the last hidden layer, the critic's input."""
+    out, cache = ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)
+    return out, cache[1][-2], cache
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,6 @@ class PolicySample:
     coeffs: np.ndarray
     log_prob_grad: np.ndarray
     continuous: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
     features: np.ndarray
 
 
@@ -185,8 +182,7 @@ def _head_distribution(ac, head_out):
 
 def policy_distribution(ac, state):
     """Mean and stddev of the coefficient Gaussian at ``state``."""
-    feats = ac.feature_net.forward(_net_input(ac, state))
-    mu, sigma, _ = _head_distribution(ac, ac.actor_head.forward(feats))
+    mu, sigma, _ = _head_distribution(ac, _forward(ac, state)[0])
     return mu, sigma
 
 
@@ -194,15 +190,14 @@ def policy_sample(ac, state, rng, dist=None):
     """Draw a coefficient action, with its score gradient unless ``dist`` is given.
 
     The gradient is d/d(theta) of ln N(z; mu, sigma) at the continuous
-    draw ``z``, flowing through the actor head and the shared feature
-    extractor; stddev entries pinned by the clamp contribute zero.
+    draw ``z``, flowing back through every layer of the network; stddev
+    entries pinned by the clamp contribute zero.
     ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``;
     passing it skips the network pass, so ``features`` and
     ``log_prob_grad`` are ``None``.
     """
     if dist is None:
-        feats, feat_cache = ac.feature_net.forward_cached(_net_input(ac, state))
-        head_out, head_cache = ac.actor_head.forward_cached(feats)
+        head_out, feats, cache = _forward(ac, state)
         mu, sigma, sigma_raw = _head_distribution(ac, head_out)
     else:
         feats = None
@@ -217,19 +212,13 @@ def policy_sample(ac, state, rng, dist=None):
         dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
         unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
         dlog = dsigma * np.where(unclamped, sigma_raw, 0.0)
-        head_grad, dfeats = ac.actor_head.backward(
-            head_cache, np.concatenate([dmu, dlog])
-        )
-        feat_grad, _ = ac.feature_net.backward(feat_cache, dfeats)
-        grad = np.concatenate([feat_grad, head_grad])
+        grad, _ = ac.net.backward(cache, np.concatenate([dmu, dlog]))
         if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite policy gradient")
     return PolicySample(
         coeffs=coeffs,
         log_prob_grad=grad,
         continuous=z,
-        mu=mu,
-        sigma=sigma,
         features=feats,
     )
 
@@ -248,9 +237,9 @@ def policy_log_density(ac, state, continuous):
 
 
 def critic_value(ac, state, features=None):
-    """State value: inner product of shared features with the critic weights."""
+    """State value: inner product of the last hidden layer with the critic weights."""
     if features is None:
-        features = ac.feature_net.forward(_net_input(ac, state))
+        features = _forward(ac, state)[1]
     return float(features @ ac.critic_weights)
 
 
@@ -444,7 +433,7 @@ def train(env, ac, cfg, start=None):
                 grads.append(sample.log_prob_grad)
                 feasible_count += outcome.feasible
                 state = outcome.next
-            end_feats = ac.feature_net.forward(_net_input(ac, state))
+            end_feats = _forward(ac, state)[1]
             traj = Trajectory(
                 features=np.array(feats + [end_feats]),
                 rewards=np.array(rewards),
@@ -506,7 +495,12 @@ def serialize_policy(ac, basis_sha256=None):
         f"sigma_min={repr(float(ac.sigma_min))}",
         f"basis_sha256={basis_sha256 or 'none'}",
     ]
-    body = serialize_dense(ac.feature_net) + serialize_dense(ac.actor_head)
+    # Two v1 blocks: the hidden layers, then the head.
+    net = ac.net
+    body = "".join(
+        serialize_dense(DenseNet(net.weights[part], net.biases[part], net.activations[part]))
+        for part in (slice(-1), slice(-1, None))
+    )
     critic = [f"critic={len(ac.critic_weights)}"]
     critic.extend(repr(float(v)) for v in ac.critic_weights)
     return "\n".join(lines) + "\n" + body + "\n".join(critic) + "\n"
@@ -533,7 +527,11 @@ def deserialize_policy(text):
         for i, (key, cast) in enumerate(_POLICY_HEADER, start=1)
     }
     sha = header.pop("basis_sha256")
-    feature_net, pos = parse_dense(lines, len(_POLICY_HEADER) + 1)
-    actor_head, pos = parse_dense(lines, pos)
+    hidden, pos = parse_dense(lines, len(_POLICY_HEADER) + 1)
+    head, pos = parse_dense(lines, pos)
+    net = DenseNet(
+        hidden.weights + head.weights, hidden.biases + head.biases,
+        hidden.activations + head.activations,
+    )
     critic = np.array(line_floats(lines, pos + 1, line_field(lines, pos, "critic")))
-    return ActorCritic(feature_net, actor_head, critic, **header), sha
+    return ActorCritic(net, critic, **header), sha

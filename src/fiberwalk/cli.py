@@ -103,6 +103,11 @@ def _mask_k(text):
     return text if text == "auto" else int(text)
 
 
+def _sigma_min(text):
+    """``auto`` or a stddev floor."""
+    return text if text == "auto" else float(text)
+
+
 class RunConfig:
     """Flat dotted-key configuration with typed accessors."""
 
@@ -318,7 +323,7 @@ def run_train(cfg):
         mask_k=cfg.get("train.mask_k", _UNSET, _mask_k),
         ball_radius=cfg.get("train.ball_radius", _UNSET, float),
         input_scale=cfg.get("train.input_scale", _UNSET, float),
-        sigma_min=cfg.get("train.sigma_min", _UNSET, float),
+        sigma_min=cfg.get("train.sigma_min", _UNSET, _sigma_min),
     )
     decomposition = _decomposition(cfg)
     _, design, data, _, _ = _ingest(manifest, cfg)
@@ -340,7 +345,7 @@ def run_train(cfg):
         basis_sha = manifest.data["outputs"]["basis.txt"]
         manifest.output("policy.txt", _write_text, serialize_policy(ac, basis_sha256=basis_sha))
     policy = {key: getattr(ac, key) for key in _POLICY_SETTINGS}
-    policy["hidden"] = [width for _, width, _ in ac.feature_net.layout()]
+    policy["hidden"] = [width for _, width, _ in ac.net.layout()[:-1]]
     manifest.data["settings"] = {"mdp": asdict(mdp), "train": asdict(train_cfg), "policy": policy}
 
     if log:

@@ -89,6 +89,8 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
     ``(mu, sigma)`` gives the reverse mass and, after an accept, the
     next proposal.
     """
+    if steps < 0:
+        raise ContractViolation(f"step count cannot be negative, got {steps}")
     state = np.asarray(start, dtype=np.int64)
     if overshoot(state, upper):
         raise ContractViolation("start point lies outside the box")
@@ -256,6 +258,10 @@ def besag_clifford_pvalues(
     generator seeded ``seed + i``, so results do not depend on
     scheduling.
     """
+    if chains < 1 or chain_length < 1:
+        raise ContractViolation(
+            f"need at least one chain of length 1, got {chains} chains of length {chain_length}"
+        )
     expected = fit_expected_counts(spec, data)
     observed = chi_square_statistic(data.counts, expected)
     steps = chain_steps if chain_steps is not None else 100 * chain_length

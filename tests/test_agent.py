@@ -40,8 +40,13 @@ def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):
     ac = make_actor_critic(state_dim, n_coeffs, hidden=hidden, seed=seed, **kw)
     rng = np.random.default_rng(seed + 100)
     ac.set_actor_params(rng.normal(scale=0.4, size=ac.actor_params().size))
-    ac.critic_weights = rng.normal(scale=0.4, size=ac.feature_net.output_dim)
+    ac.critic_weights = rng.normal(scale=0.4, size=len(ac.critic_weights))
     return ac
+
+
+def _features(ac, state):
+    """The network's last hidden layer at ``state`` (input scale 1)."""
+    return ac.net.forward_cached(np.asarray(state, dtype=float))[1][1][-2]
 
 
 def _manual_window(ac, states, rng, rewards=None):
@@ -54,7 +59,7 @@ def _manual_window(ac, states, rng, rewards=None):
         values.append(critic_value(ac, s, features=sample.features))
         grads.append(sample.log_prob_grad)
         continuous.append(sample.continuous)
-    end_feats = ac.feature_net.forward(np.asarray(states[-1], dtype=float))
+    end_feats = _features(ac, states[-1])
     if rewards is None:
         rewards = -np.abs(np.random.default_rng(5).normal(size=k))
     traj = Trajectory(
@@ -88,7 +93,7 @@ class TestPolicySample:
     def test_clamps_to_bounds(self):
         ac = _small_ac(n_coeffs=2)
         # Push the mean head far above the upper bound.
-        ac.actor_head.biases[0][:2] = 50.0
+        ac.net.biases[-1][:2] = 50.0
         sample = policy_sample(ac, np.array([0, 0, 0, 0]), np.random.default_rng(0))
         assert np.all(sample.coeffs == ac.coeff_max)
 
@@ -118,6 +123,40 @@ class TestPolicySample:
 
             fd = central_difference(logpi, theta0)
             assert relative_error(sample.log_prob_grad, fd) < 1e-4
+
+
+class TestOneNetworkPass:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"forward_cached": 0, "backward": 0}
+        for name in calls:
+            original = getattr(DenseNet, name)
+
+            def counted(net, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(net, *args)
+
+            monkeypatch.setattr(DenseNet, name, counted)
+        return calls
+
+    def test_policy_evaluation_is_one_forward_pass(self, calls):
+        ac = _small_ac(hidden=(5, 4))
+        assert [v for v in vars(ac).values() if isinstance(v, DenseNet)] == [ac.net]
+        state = np.array([1, 0, 2, 3])
+        policy_distribution(ac, state)
+        assert calls == {"forward_cached": 1, "backward": 0}
+        sample = policy_sample(ac, state, np.random.default_rng(0))
+        assert calls == {"forward_cached": 2, "backward": 1}
+        assert critic_value(ac, state, features=sample.features) == critic_value(ac, state)
+
+    def test_training_step_is_one_forward_and_one_backward_pass(self, calls):
+        dm = build_design_matrix(independence(2, 2))
+        env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
+        ac = make_actor_critic(4, 1, hidden=(6, 3), seed=0)
+        log = train(env, ac, TrainConfig(episodes=1, window=8))
+        steps = env.config.steps_per_episode
+        # One pass per step, plus one at each window's end for the bootstrap value.
+        assert calls == {"forward_cached": steps + len(log), "backward": steps}
 
 
 class TestMasking:
@@ -151,18 +190,16 @@ class TestMasking:
 class TestCriticValue:
     def test_zero_weights(self):
         ac = _small_ac()
-        ac.critic_weights = np.zeros(ac.feature_net.output_dim)
+        ac.critic_weights = np.zeros(len(ac.critic_weights))
         assert critic_value(ac, np.array([1, 2, 3, 4])) == 0.0
 
     def test_scalar_inner_product(self):
-        feature_net = DenseNet(
-            weights=[np.array([[2.0]])], biases=[np.zeros(1)], activations=["identity"]
-        )
-        head = DenseNet(
-            weights=[np.zeros((2, 1))], biases=[np.zeros(2)], activations=["identity"]
+        net = DenseNet(
+            weights=[np.array([[2.0]]), np.zeros((2, 1))], biases=[np.zeros(1), np.zeros(2)],
+            activations=["identity", "identity"],
         )
         ac = ActorCritic(
-            feature_net=feature_net, actor_head=head, critic_weights=np.array([3.0]),
+            net=net, critic_weights=np.array([3.0]),
             coeff_min=-2, coeff_max=2, mask_k=None, ball_radius=1e3, input_scale=1.0,
             sigma_min=1.0,
         )
@@ -172,9 +209,9 @@ class TestCriticValue:
         rng = np.random.default_rng(1)
         ac = _small_ac()
         state = np.array([2, 1, 0, 3])
-        phi = ac.feature_net.forward(state.astype(float))
+        phi = _features(ac, state)
         for _ in range(20):
-            bump = rng.normal(scale=0.1, size=ac.feature_net.output_dim)
+            bump = rng.normal(scale=0.1, size=len(ac.critic_weights))
             before = critic_value(ac, state)
             ac2 = copy.deepcopy(ac)
             ac2.critic_weights = ac.critic_weights + bump
@@ -233,7 +270,7 @@ class TestActorUpdate:
     def test_zero_advantages_leave_parameters_unchanged(self):
         ac = _small_ac()
         # Zero critic and zero rewards make every temporal difference 0.
-        ac.critic_weights = np.zeros(ac.feature_net.output_dim)
+        ac.critic_weights = np.zeros(len(ac.critic_weights))
         rng = np.random.default_rng(0)
         states = [np.array([1, 0, 0, 1])] * 4
         traj, _ = _manual_window(ac, states, rng, rewards=np.zeros(3))
@@ -289,7 +326,7 @@ class TestActorUpdate:
 class TestCriticUpdate:
     def test_exact_values_leave_weights_unchanged(self):
         ac = _small_ac()
-        ac.critic_weights = np.zeros(ac.feature_net.output_dim)
+        ac.critic_weights = np.zeros(len(ac.critic_weights))
         rng = np.random.default_rng(1)
         states = [np.array([1, 0, 0, 1])] * 4
         traj, _ = _manual_window(ac, states, rng, rewards=np.zeros(3))
@@ -508,6 +545,14 @@ class TestPolicySerialization:
         with pytest.raises(ValidationError, match=f"line {first_param + 1}: expected a number"):
             deserialize_policy("\n".join(lines))
 
+    @pytest.mark.parametrize("line", ["mask_k=0", "sigma_min=0.0", "input_scale=-1.0"])
+    def test_out_of_range_setting_rejected(self, line):
+        lines = self._policy_lines()
+        key = line.split("=")[0]
+        lines[next(i for i, text in enumerate(lines) if text.startswith(key + "="))] = line
+        with pytest.raises(ContractViolation, match=key):
+            deserialize_policy("\n".join(lines))
+
     def test_short_critic_block_rejected(self):
         lines = self._policy_lines()[:-1]
         with pytest.raises(ValidationError, match="shorter than its header promises"):
@@ -548,7 +593,7 @@ class TestPolicySerializationProperty:
         )
         size = ac.actor_params().size
         ac.set_actor_params(np.array(data.draw(st.lists(_PARAM, min_size=size, max_size=size))))
-        width = ac.feature_net.output_dim
+        width = len(ac.critic_weights)
         ac.critic_weights = np.array(data.draw(st.lists(_PARAM, min_size=width, max_size=width)))
         sha = data.draw(st.one_of(st.none(), st.just("ab" * 32)))
 
@@ -568,5 +613,4 @@ class TestPolicySerializationProperty:
         assert (back.coeff_min, back.coeff_max, back.mask_k) == (
             ac.coeff_min, ac.coeff_max, ac.mask_k
         )
-        assert back.feature_net.layout() == ac.feature_net.layout()
-        assert back.actor_head.layout() == ac.actor_head.layout()
+        assert back.net.layout() == ac.net.layout()

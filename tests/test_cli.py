@@ -159,7 +159,8 @@ class TestTrain:
         "line",
         [
             "mdp.gamma=1.0", "mdp.c1=3", "train.mask_k=2", "train.hidden=a", "train.hidden=0",
-            "train.a0=0",
+            "train.a0=0", "train.mask_k=-1", "train.mask_k=0", "train.ball_radius=-1",
+            "train.sigma_min=0", "train.input_scale=0",
         ],
     )
     def test_bad_setting_exits_2_and_writes_nothing(self, tmp_path, train_cfg, line):
@@ -227,6 +228,24 @@ class TestSampleAndTest:
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line, output",
+        [
+            ("test", "test.chain_length=0", "results.csv"),
+            ("test", "test.chains=0", "results.csv"),
+            ("sample", "sample.steps=-5", "sample.csv"),
+        ],
+    )
+    def test_count_out_of_range_exits_2_and_writes_no_result(
+        self, tmp_path, train_cfg, table22, capsys, command, line, output
+    ):
+        trained = self._trained(tmp_path, train_cfg)
+        cfg = self._policy_cfg(tmp_path, table22, trained, line)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"fiberwalk {command}: ")
+        assert not (out / output).exists() and not (out / "manifest.json").exists()
 
     def test_stage_timings_of_every_command(self, tmp_path, train_cfg, table22):
         trained = self._trained(tmp_path, train_cfg)

@@ -86,7 +86,7 @@ def test_spelled_out_defaults_write_the_same_bytes(tmp_path):
         for key, value in readme.items()
         if value is not None and key not in fixed and key.split(".")[0] in ("seed", "mdp", "train")
     ]
-    assert len(spelled) == 12
+    assert len(spelled) == 13
     outputs = {}
     for name, lines in (("bare", []), ("spelled", spelled)):
         trained = tmp_path / name / "train"

@@ -1,0 +1,54 @@
+"""Golden output bytes of one small run of each command.
+
+A seed reproduces the output checksums; these pin them, so a refactor
+that should leave every output unchanged is checked against the bytes
+the program wrote before it, not only against a second run of itself.
+"""
+
+import hashlib
+
+from fiberwalk.cli import main
+
+GOLDEN = {
+    ("train", "policy.txt"):
+        "7989c379239e7ca4e34cfb8ace658477e7d74cde7f3f6ee2e6868f476e3e55b0",
+    ("train", "trainlog.csv"):
+        "4e7dc2df009ea93a923624ca9045405fd5ad90ff62c9b619a6f41acc2494b4d0",
+    ("test", "results.csv"):
+        "d2764afcb93125b84f14680f20bbf5a6dd7e709d8d4a2c92c86709de39cb6be2",
+    ("sample", "sample.csv"):
+        "0e1800aede50185d45c17cea2361a5a0d0cb70064b3eb816c70f8703ffd37756",
+}
+
+
+def test_outputs_of_a_3x3_run_are_golden(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("dims=3x3\n4,1,2\n1,3,1\n2,2,5\n")
+    trained = tmp_path / "train"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                "model.family=independence",
+                "model.shape=3x3",
+                f"data.table={table}",
+                "seed=7",
+                "mdp.steps_per_episode=30",
+                "train.episodes=3",
+                "train.hidden=8,6",
+                f"policy.file={trained / 'policy.txt'}",
+                f"policy.basis={trained / 'basis.txt'}",
+                "sample.steps=40",
+                "test.chains=3",
+                "test.chain_length=6",
+            ]
+        )
+        + "\n"
+    )
+    for command in ("train", "sample", "test"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    digests = {
+        (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+        for command, name in GOLDEN
+    }
+    assert digests == GOLDEN

@@ -98,8 +98,8 @@ class TestExplore:
         # Single-point fiber; force the policy to always propose +2 with
         # a tiny stddev, so every proposal is infeasible.
         ac.set_actor_params(np.zeros(ac.actor_params().size))
-        ac.actor_head.biases[0][0] = 2.0     # mean
-        ac.actor_head.biases[0][1] = -20.0   # log sigma, clamps to 1e-3
+        ac.net.biases[-1][0] = 2.0     # mean
+        ac.net.biases[-1][1] = -20.0   # log sigma, clamps to 1e-3
         start = np.array([1, 1, 0, 0], dtype=np.int64)
         sample, discovered = explore(ac, basis, start, 100, np.random.default_rng(5))
         assert sample.stuck
@@ -379,7 +379,7 @@ class TestBesagClifford:
         data = observe_table(spec, dm, table)
         ac = make_actor_critic(dm.n_cols, basis.count, hidden=(4,), seed=0, sigma_min=1e-3)
         ac.set_actor_params(np.zeros(ac.actor_params().size))
-        ac.actor_head.biases[0][basis.count:] = -20.0  # log sigma, clamps to 1e-3
+        ac.net.biases[-1][basis.count:] = -20.0  # log sigma, clamps to 1e-3
         results = besag_clifford_pvalues(
             ac, basis, spec, data, chains=10, chain_length=10, seed=0, chain_steps=10
         )
