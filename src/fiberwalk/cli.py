@@ -45,11 +45,10 @@ from .lattice import (
     save_basis,
 )
 from .models import (
-    all_two_way,
-    beta_model,
+    BETA_MODEL,
+    ModelSpec,
     build_design_matrix,
     fit_expected_counts,
-    independence,
     observe_graph,
     observe_table,
     read_edge_list,
@@ -101,6 +100,11 @@ def _mask_k(text):
     if text in ("none", "None"):
         return None
     return text if text == "auto" else int(text)
+
+
+def _dims(text):
+    """``x``-separated dimensions, as in ``4x4`` or ``3x3x3``."""
+    return tuple(int(p) for p in text.split("x"))
 
 
 def _sigma_min(text):
@@ -207,30 +211,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _model_spec(cfg):
-    family = cfg.require("model.family")
-    zero_set = frozenset(cfg.get("model.structural_zeros", (), _int_list))
-    if family == "independence":
-        shape = _parse_shape(cfg.require("model.shape"), 2)
-        return independence(*shape, structural_zeros=zero_set)
-    if family == "all_two_way":
-        shape = _parse_shape(cfg.require("model.shape"), 3)
-        return all_two_way(*shape, structural_zeros=zero_set)
-    if family == "beta_model":
-        return beta_model(cfg.require("model.nodes", cast=int), structural_zeros=zero_set)
-    raise ConfigError(f"unknown model.family {family!r}")
-
-
-def _parse_shape(text, want):
-    try:
-        dims = tuple(int(p) for p in text.split("x"))
-    except ValueError:
-        raise ConfigError(f"model.shape {text!r} must look like 4x4 or 3x3x3") from None
-    if len(dims) != want:
-        raise ConfigError(f"model.shape {text!r} must have {want} dimensions")
-    return dims
-
-
 def _existing(path):
     if not os.path.exists(path):
         raise ValidationError(f"referenced path does not exist: {path}")
@@ -239,7 +219,7 @@ def _existing(path):
 
 def _observed_data(cfg, spec, design):
     """Read the observed table or graph as ObservedData."""
-    if spec.family == "beta_model":
+    if spec.family == BETA_MODEL:
         edges, max_id = read_edge_list(_existing(cfg.require("data.graph")))
         if max_id > spec.shape[0]:
             raise ValidationError(
@@ -293,7 +273,12 @@ def _ingest(manifest, cfg, policy=False):
     """Read the model, design and data, and the stored policy ``ac`` and its ``basis``
     if ``policy`` (else ``None``), timed as the ingest stage."""
     with manifest.stage("ingest"):
-        spec = _model_spec(cfg)
+        family = cfg.require("model.family")
+        shape = (
+            (cfg.require("model.nodes", cast=int),) if family == BETA_MODEL
+            else cfg.require("model.shape", cast=_dims)
+        )
+        spec = ModelSpec(family, shape, cfg.get("model.structural_zeros", (), _int_list))
         design = build_design_matrix(spec)
         data = _observed_data(cfg, spec, design)
         ac, basis = _load_policy(cfg, design) if policy else (None, None)

@@ -8,14 +8,23 @@ columns are cells (or node pairs) in lexicographic order; structural
 zeros are realized by deleting the corresponding columns, so every
 vector in the reduced coordinate space obeys the zero constraints by
 construction.
-The family also fixes each cell's upper bound, which the design matrix
-carries: none for tables, 1 for the beta model (simple graphs).
+
+A family's margins are written once, in ``ModelSpec._column_rows``:
+for each kept cell, its row in each of the family's margins (a table's
+row and column, its three two-way margins, or a node pair's two
+nodes).  The design matrix is a scatter of that table, and the fit of
+expected counts runs over it in reduced coordinates, so a structural
+zero is a column that is not there.  The family also fixes each cell's
+upper bound, which the design matrix carries and which picks the fit:
+no bound (tables) is fitted by iterative proportional fitting, the 0/1
+box (simple graphs) by the Bernoulli fixed point of the beta model.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -90,6 +99,40 @@ class ModelSpec:
             return [(i, j) for i in range(n) for j in range(i + 1, n)]
         return [tuple(ix) for ix in np.ndindex(*self.shape)]
 
+    @cached_property
+    def _column_rows(self):
+        """Each kept cell's design row in each of the family's ``k`` margins.
+
+        ``(rows, n)``: ``rows[c, t]`` is the row that column ``c`` adds
+        to in margin ``t`` (a read-only ``(d, k)`` integer array in
+        column order), and ``n`` is the number of design rows.  A
+        table's margins are its row and column sums (k = 2) or its
+        (i,j), (i,k) and (j,k) sums (k = 3), laid out one after
+        another; a node pair's are its two nodes.  ``n`` comes from the
+        family, so a margin whose cells are all structural zeros keeps
+        its (all-zero) row.  The design matrix and the fit both read
+        it, so it is computed once per spec.
+        """
+        labels = self.cell_labels()
+        ndim = len(labels[0])
+        cells = np.array(
+            [lab for k, lab in enumerate(labels) if k not in self.structural_zeros], dtype=np.int64
+        ).reshape(-1, ndim)
+        if self.family == BETA_MODEL:
+            rows, n = cells, self.shape[0]
+        else:
+            # A margin sums out one axis; a cell's row in it is the offset of
+            # the margin plus the cell's row-major index with that axis dropped.
+            strides, offsets, n = [], [], 0
+            for axes in combinations(range(ndim), ndim - 1):
+                dims = [self.shape[a] if a in axes else 1 for a in range(ndim)]
+                strides.append([math.prod(dims[a + 1:]) if a in axes else 0 for a in range(ndim)])
+                offsets.append(n)
+                n += math.prod(dims)
+            rows = cells @ np.array(strides).T + offsets
+        rows.flags.writeable = False
+        return rows, n
+
 
 def independence(rows, cols, structural_zeros=()):
     return ModelSpec(INDEPENDENCE, (rows, cols), frozenset(structural_zeros))
@@ -150,40 +193,25 @@ def overshoot(x, upper=None):
     return int(out)
 
 
+def _margin_totals(rows, n, values):
+    """``design.entries @ values``: the sum of ``values`` over each row's columns."""
+    return np.bincount(rows.ravel(), np.repeat(values, rows.shape[1]), n)
+
+
 def build_design_matrix(spec, max_columns=MAX_COLUMNS):
     """Design matrix of ``spec`` with structural-zero columns deleted."""
     if spec.full_dim > max_columns:
         raise SizingError(
             f"{spec.full_dim} columns exceeds the configured maximum {max_columns}"
         )
+    rows, n = spec._column_rows
+    mat = np.zeros((n, len(rows)), dtype=np.int64)
+    mat[rows, np.arange(len(rows))[:, None]] = 1
     labels = spec.cell_labels()
-    if spec.family == INDEPENDENCE:
-        r, c = spec.shape
-        n = r + c
-        col = lambda lab: (lab[0], r + lab[1])
-    elif spec.family == ALL_TWO_WAY:
-        d1, d2, d3 = spec.shape
-        n = d1 * d2 + d1 * d3 + d2 * d3
-        # Row layout: (i,j) margins, then (i,k), then (j,k).
-        col = lambda lab: (
-            lab[0] * d2 + lab[1],
-            d1 * d2 + lab[0] * d3 + lab[2],
-            d1 * d2 + d1 * d3 + lab[1] * d3 + lab[2],
-        )
-    else:
-        n = spec.shape[0]
-        col = lambda lab: lab
-
-    keep = [k for k in range(len(labels)) if k not in spec.structural_zeros]
-    removed = tuple(labels[k] for k in sorted(spec.structural_zeros))
-    mat = np.zeros((n, len(keep)), dtype=np.int64)
-    for out_j, k in enumerate(keep):
-        for row in col(labels[k]):
-            mat[row, out_j] = 1
     return DesignMatrix(
         entries=mat,
-        column_labels=tuple(labels[k] for k in keep),
-        removed_labels=removed,
+        column_labels=tuple(lab for k, lab in enumerate(labels) if k not in spec.structural_zeros),
+        removed_labels=tuple(labels[k] for k in sorted(spec.structural_zeros)),
         cell_bound=spec.cell_bound,
     )
 
@@ -235,44 +263,23 @@ def observe_graph(spec, design, edges):
     return observe_table(spec, design, flat)
 
 
-def _table_margin_axes(spec):
-    if spec.family == INDEPENDENCE:
-        return [(0,), (1,)]
-    return [(0, 1), (0, 2), (1, 2)]
+def _ipf(rows, target, tol, max_iter):
+    """Iterative proportional fitting of the columns to the margin totals ``target``.
 
-
-def _ipf(spec, full_counts, tol, max_iter):
-    """Iterative proportional fitting toward the family's margins.
-
-    Structural-zero cells start at 0 and stay there because scaling
-    never resurrects a zero.  Returns the fitted full table.
+    Each sweep takes the margins in turn and scales every column by its
+    row's target over the row's current total (0 where that total is
+    0).  Starting from all ones, an independence table without
+    structural zeros is fitted in one sweep.
     """
-    shape = spec.shape
-    observed = np.asarray(full_counts, dtype=float).reshape(shape)
-    axes_groups = _table_margin_axes(spec)
-    ndim = len(shape)
-    targets = []
-    for group in axes_groups:
-        other = tuple(ax for ax in range(ndim) if ax not in group)
-        targets.append(observed.sum(axis=other))
-
-    fitted = np.ones(shape, dtype=float)
-    for idx in spec.structural_zeros:
-        fitted.reshape(-1)[idx] = 0.0
-
+    n = len(target)
+    fitted = np.ones(len(rows))
     gap = math.inf
     for _ in range(max_iter):
-        for group, target in zip(axes_groups, targets):
-            other = tuple(ax for ax in range(ndim) if ax not in group)
-            current = fitted.sum(axis=other)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(current > 0, target / np.where(current > 0, current, 1.0), 0.0)
-            expand = [slice(None) if ax in group else None for ax in range(ndim)]
-            fitted = fitted * ratio[tuple(expand)]
-        gap = 0.0
-        for group, target in zip(axes_groups, targets):
-            other = tuple(ax for ax in range(ndim) if ax not in group)
-            gap = max(gap, float(np.max(np.abs(fitted.sum(axis=other) - target))))
+        for margin in rows.T:
+            current = np.bincount(margin, fitted, n)
+            ratio = np.divide(target, current, out=np.zeros(n), where=current > 0)
+            fitted = fitted * ratio[margin]
+        gap = float(np.max(np.abs(_margin_totals(rows, n, fitted) - target)))
         if gap <= tol:
             return fitted
     raise FitError(
@@ -280,44 +287,29 @@ def _ipf(spec, full_counts, tol, max_iter):
     )
 
 
-def _fit_beta(spec, full_counts, tol, max_iter, damping=0.5):
-    """Damped fixed-point MLE of the beta model.
+def _fit_bernoulli(rows, target, tol, max_iter, damping=0.5):
+    """Damped fixed-point MLE of the beta model (each column is 0 or 1).
 
-    Works on node weights through the edge-probability map
-    p_ij = exp(b_i + b_j) / (1 + exp(b_i + b_j)); each sweep nudges
-    b_i by half of log(degree_i / expected_degree_i).
+    Works on one weight b per row through the column probability
+    p = exp(s) / (1 + exp(s)), s = the sum of its rows' weights; each
+    sweep nudges b_i by half of log(target_i / expected_i).  A row with
+    target 0 is held at the weight floor.
     """
-    n = spec.shape[0]
-    labels = spec.cell_labels()
-    flat = np.asarray(full_counts, dtype=float)
-    allowed = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(allowed, False)
-    for idx in spec.structural_zeros:
-        i, j = labels[idx]
-        allowed[i, j] = allowed[j, i] = False
-
-    adj = np.zeros((n, n), dtype=float)
-    for k, (i, j) in enumerate(labels):
-        adj[i, j] = adj[j, i] = flat[k]
-    degrees = adj.sum(axis=1)
-
+    n = len(target)
     CAP = 40.0
-    beta = np.zeros(n)
-    zero_deg = degrees == 0
-    beta[zero_deg] = -CAP
-
+    zero = target == 0
+    beta = np.where(zero, -CAP, 0.0)
     gap = math.inf
     for _ in range(max_iter):
-        logits = np.clip(beta[:, None] + beta[None, :], -CAP, CAP)
-        probs = np.where(allowed, 1.0 / (1.0 + np.exp(-logits)), 0.0)
-        exp_deg = probs.sum(axis=1)
-        gap = float(np.max(np.abs(exp_deg - degrees)))
+        probs = 1.0 / (1.0 + np.exp(-np.clip(beta[rows].sum(axis=1), -CAP, CAP)))
+        expected = _margin_totals(rows, n, probs)
+        gap = float(np.max(np.abs(expected - target)))
         if gap <= tol:
             return probs
-        live = ~zero_deg & (exp_deg > 0)
-        beta[live] += damping * (np.log(degrees[live]) - np.log(exp_deg[live]))
+        live = ~zero & (expected > 0)
+        beta[live] += damping * (np.log(target[live]) - np.log(expected[live]))
         beta = np.clip(beta, -CAP, CAP)
-        beta[zero_deg] = -CAP
+        beta[zero] = -CAP
     raise FitError(
         f"beta-model fit did not reach degree gap {tol} within {max_iter} iterations",
         last_gap=gap,
@@ -327,32 +319,19 @@ def _fit_beta(spec, full_counts, tol, max_iter, damping=0.5):
 def fit_expected_counts(spec, data, tol=1e-8, max_iter=10_000):
     """Expected cell counts under ``spec`` matching the observed margins.
 
-    Independence uses the closed form row*col/total when there are no
-    structural zeros, otherwise IPF over row and column margins; the
-    all-two-way model always uses IPF over its three margins; the beta
-    model uses a damped fixed-point iteration.  The result lives in
-    the reduced coordinate space of the design matrix.
+    Tables (no cell bound) are fitted by IPF over their margins, graphs
+    (the 0/1 box) by the beta model's Bernoulli fixed point.  Both run
+    over ``spec._column_rows``, in the reduced coordinate space of the
+    design matrix.
     """
     if tol <= 0:
         raise ContractViolation("tol must be positive")
     counts = np.asarray(data.counts, dtype=np.int64)
     if counts.sum() == 0:
         raise DegenerateDataError("all observed counts are zero")
-
-    keep = [k for k in range(spec.full_dim) if k not in spec.structural_zeros]
-    full = np.zeros(spec.full_dim, dtype=float)
-    full[keep] = counts
-
-    if spec.family == INDEPENDENCE and not spec.structural_zeros:
-        table = full.reshape(spec.shape)
-        fitted = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    elif spec.family == BETA_MODEL:
-        probs = _fit_beta(spec, full, tol, max_iter)
-        fitted_flat = np.array([probs[i, j] for i, j in spec.cell_labels()])
-        return fitted_flat[keep]
-    else:
-        fitted = _ipf(spec, full, tol, max_iter)
-    return fitted.reshape(-1)[keep]
+    rows, n = spec._column_rows
+    fit = _ipf if spec.cell_bound is None else _fit_bernoulli
+    return fit(rows, _margin_totals(rows, n, counts), tol, max_iter)
 
 
 def chi_square_statistic(observed, expected):

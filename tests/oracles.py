@@ -2,8 +2,10 @@
 
 Deliberately different machinery from the package: rational row
 reduction with ``fractions.Fraction`` instead of integer column
-elimination, and plain central differences for gradients.  Expected
-values frozen into tests were computed with these.
+elimination, plain central differences for gradients, and model fits
+on the full table (axis sums, an n x n edge-probability matrix) instead
+of the package's reduced margin rows.  Expected values frozen into
+tests were computed with these.
 """
 
 from fractions import Fraction
@@ -91,3 +93,77 @@ def embed_full(spec, reduced):
     full = np.zeros(n_cells, dtype=np.asarray(reduced).dtype)
     full[[k for k in range(n_cells) if k not in spec.structural_zeros]] = reduced
     return full
+
+
+def reference_fit(spec, counts, tol=1e-8, max_iter=10_000):
+    """Expected counts of the reduced ``counts`` under ``spec``, fitted on the full
+    table; ``None`` if the iteration does not reach ``tol`` in ``max_iter`` sweeps.
+
+    Independence without structural zeros takes the closed form
+    row * col / total; other tables take IPF over axis sums with the
+    structural zeros started at 0; graphs take the damped fixed point of
+    the beta model on the n x n matrix of edge probabilities.
+    """
+    full = embed_full(spec, np.asarray(counts, dtype=float))
+    kept = [k for k in range(full.size) if k not in spec.structural_zeros]
+    if spec.family == "beta_model":
+        probs = _reference_beta(spec, full, tol, max_iter)
+        if probs is None:
+            return None
+        return np.array([probs[i, j] for i, j in spec.cell_labels()])[kept]
+    table = full.reshape(spec.shape)
+    if spec.family == "independence" and not spec.structural_zeros:
+        return (np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()).reshape(-1)
+    fitted = _reference_ipf(spec, table, tol, max_iter)
+    return None if fitted is None else fitted.reshape(-1)[kept]
+
+
+def _reference_ipf(spec, observed, tol, max_iter):
+    ndim = len(spec.shape)
+    groups = [(0,), (1,)] if ndim == 2 else [(0, 1), (0, 2), (1, 2)]
+    others = [tuple(ax for ax in range(ndim) if ax not in group) for group in groups]
+    targets = [observed.sum(axis=other) for other in others]
+    fitted = np.ones(spec.shape)
+    for idx in spec.structural_zeros:
+        fitted.reshape(-1)[idx] = 0.0
+    for _ in range(max_iter):
+        for group, other, target in zip(groups, others, targets):
+            current = fitted.sum(axis=other)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(current > 0, target / np.where(current > 0, current, 1.0), 0.0)
+            expand = tuple(slice(None) if ax in group else None for ax in range(ndim))
+            fitted = fitted * ratio[expand]
+        gap = max(
+            float(np.max(np.abs(fitted.sum(axis=other) - target)))
+            for other, target in zip(others, targets)
+        )
+        if gap <= tol:
+            return fitted
+    return None
+
+
+def _reference_beta(spec, flat, tol, max_iter, damping=0.5, cap=40.0):
+    n = spec.shape[0]
+    labels = spec.cell_labels()
+    allowed = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(allowed, False)
+    for idx in spec.structural_zeros:
+        i, j = labels[idx]
+        allowed[i, j] = allowed[j, i] = False
+    adj = np.zeros((n, n))
+    for k, (i, j) in enumerate(labels):
+        adj[i, j] = adj[j, i] = flat[k]
+    degrees = adj.sum(axis=1)
+    zero_deg = degrees == 0
+    beta = np.where(zero_deg, -cap, 0.0)
+    for _ in range(max_iter):
+        logits = np.clip(beta[:, None] + beta[None, :], -cap, cap)
+        probs = np.where(allowed, 1.0 / (1.0 + np.exp(-logits)), 0.0)
+        exp_deg = probs.sum(axis=1)
+        if float(np.max(np.abs(exp_deg - degrees))) <= tol:
+            return probs
+        live = ~zero_deg & (exp_deg > 0)
+        beta[live] += damping * (np.log(degrees[live]) - np.log(exp_deg[live]))
+        beta = np.clip(beta, -cap, cap)
+        beta[zero_deg] = -cap
+    return None

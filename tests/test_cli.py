@@ -93,6 +93,10 @@ class TestValidation:
         [
             ("table", "seed=x", "seed"),
             ("table", "model.structural_zeros=1,a", "model.structural_zeros"),
+            ("table", "model.family=foo", "unknown model family 'foo'"),
+            ("table", "model.shape=4", "expects 2 dimension(s), got (4,)"),
+            ("table", "model.shape=2x2x2", "expects 2 dimension(s), got (2, 2, 2)"),
+            ("table", "model.shape=axb", "model.shape"),
             ("table", "train.swap_schedules=maybe", "train.swap_schedules"),
             ("table", "data.table=missing.csv", "missing.csv"),
             ("graph", "data.graph=missing.txt", "missing.txt"),

@@ -15,9 +15,11 @@ GOLDEN = {
     ("train", "trainlog.csv"):
         "4e7dc2df009ea93a923624ca9045405fd5ad90ff62c9b619a6f41acc2494b4d0",
     ("test", "results.csv"):
-        "d2764afcb93125b84f14680f20bbf5a6dd7e709d8d4a2c92c86709de39cb6be2",
+        "e1596eb2f8b99e05d0e8501000947517c75f5173f63c146fc5c102fe4ffbd424",
+    ("test", "pvalues.csv"):
+        "06c869d2c971dbcf3b437395b811e0fd075548e06915a5ad9bd134389357ac21",
     ("sample", "sample.csv"):
-        "0e1800aede50185d45c17cea2361a5a0d0cb70064b3eb816c70f8703ffd37756",
+        "a8b5b5a816dca96210a2e7c754633306daec03f041d1ac3f4843f52cc76bf1f7",
 }
 
 

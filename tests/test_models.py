@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,10 +13,16 @@ from fiberwalk._exact import integer_rank
 from fiberwalk.errors import (
     ContractViolation,
     DegenerateDataError,
+    FitError,
     SizingError,
     ValidationError,
 )
 from fiberwalk.models import (
+    ALL_TWO_WAY,
+    BETA_MODEL,
+    INDEPENDENCE,
+    ModelSpec,
+    ObservedData,
     all_two_way,
     beta_model,
     build_design_matrix,
@@ -30,7 +36,7 @@ from fiberwalk.models import (
     read_table_csv,
 )
 
-from .oracles import embed_full, rational_rank
+from .oracles import embed_full, rational_rank, reference_fit, relative_error
 
 
 class TestModelSpec:
@@ -86,6 +92,26 @@ class TestBuildDesignMatrix:
             expect[i] = 1
             expect[r + j] = 1
             assert np.array_equal(dm.entries[:, col], expect)
+
+    def test_all_two_way_rows_are_ij_then_ik_then_jk_margins(self):
+        d1, d2, d3 = 2, 3, 4
+        dm = build_design_matrix(all_two_way(d1, d2, d3))
+        for col, (i, j, k) in enumerate(dm.column_labels):
+            expect = np.zeros(d1 * d2 + d1 * d3 + d2 * d3, dtype=np.int64)
+            expect[[i * d2 + j, d1 * d2 + i * d3 + k, d1 * d2 + d1 * d3 + j * d3 + k]] = 1
+            assert np.array_equal(dm.entries[:, col], expect)
+
+    def test_a_margin_of_structural_zeros_keeps_its_row(self):
+        dm = build_design_matrix(independence(2, 3, structural_zeros={0, 1, 2}))
+        assert dm.entries.shape == (5, 3)
+        assert not dm.entries[0].any()
+        spec = independence(2, 3, structural_zeros={0, 1, 2, 5})
+        data = observe_table(spec, build_design_matrix(spec), [0, 0, 0, 3, 4, 0])
+        np.testing.assert_allclose(fit_expected_counts(spec, data), [3, 4])
+
+    def test_every_cell_a_structural_zero_leaves_no_column(self):
+        for spec, n in ((independence(2, 2, range(4)), 4), (beta_model(3, range(3)), 3)):
+            assert build_design_matrix(spec).entries.shape == (n, 0)
 
     def test_beta_model_degree_map(self):
         dm = build_design_matrix(beta_model(3))
@@ -212,14 +238,61 @@ class TestFitExpectedCounts:
     def test_beta_model_boundary_sequence_raises_with_gap(self):
         # A path's degree sequence lies on the boundary of the expected
         # degree polytope; the fixed point cannot close the gap.
-        from fiberwalk.errors import FitError
-
         spec = beta_model(4)
         dm = build_design_matrix(spec)
         data = observe_graph(spec, dm, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(FitError) as err:
             fit_expected_counts(spec, data, tol=1e-8, max_iter=200)
         assert err.value.last_gap is not None and err.value.last_gap > 0
+
+    def test_ipf_out_of_sweeps_raises_with_gap(self):
+        spec = all_two_way(2, 3, 2)
+        dm = build_design_matrix(spec)
+        data = observe_table(spec, dm, np.random.default_rng(3).integers(1, 9, size=(2, 3, 2)))
+        with pytest.raises(FitError) as err:
+            fit_expected_counts(spec, data, tol=1e-8, max_iter=1)
+        assert err.value.last_gap is not None and err.value.last_gap > 0
+
+    def test_bit_equal_to_full_table_ipf_on_the_benchmark_zero_cell_tables(self):
+        # The benchmark's table3x3x3z draws: seeds 1-3, ten data sets each.
+        spec = all_two_way(3, 3, 3, structural_zeros={0, 13, 26})
+        dm = build_design_matrix(spec)
+        for seed in (1, 2, 3):
+            for k in range(10):
+                cells = np.random.default_rng([seed, k]).integers(1, 5, size=27)
+                cells[[0, 13, 26]] = 0
+                data = observe_table(spec, dm, cells)
+                assert np.array_equal(
+                    fit_expected_counts(spec, data), reference_fit(spec, data.counts)
+                )
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_fit_matches_full_table_reference_within_margins_and_box(self, data):
+        family = data.draw(st.sampled_from([INDEPENDENCE, ALL_TWO_WAY, BETA_MODEL]))
+        # Beta model: 3-6 nodes; independence: up to 4x4; all-two-way: up to 3x3x3.
+        ndim, top = {BETA_MODEL: (1, 6), INDEPENDENCE: (2, 4), ALL_TWO_WAY: (3, 3)}[family]
+        low = 3 if family == BETA_MODEL else 2
+        shape = data.draw(st.lists(st.integers(low, top), min_size=ndim, max_size=ndim))
+        full_dim = ModelSpec(family, shape).full_dim
+        zeros = data.draw(st.sets(st.integers(0, full_dim - 1), max_size=full_dim // 3))
+        spec = ModelSpec(family, shape, zeros)
+        dm = build_design_matrix(spec)
+        high = 6 if spec.cell_bound is None else spec.cell_bound
+        counts = data.draw(hnp.arrays(np.int64, dm.n_cols, elements=st.integers(0, high)))
+        assume(counts.sum() > 0)
+        observed = ObservedData(counts, dm.marginals(counts))
+        tol, max_iter = 1e-8, 500
+        want = reference_fit(spec, counts, tol, max_iter)
+        if want is None:
+            with pytest.raises(FitError):
+                fit_expected_counts(spec, observed, tol=tol, max_iter=max_iter)
+            return
+        got = fit_expected_counts(spec, observed, tol=tol, max_iter=max_iter)
+        assert relative_error(got, want) <= 1e-12
+        assert np.max(np.abs(dm.entries @ got - observed.marginals)) <= tol
+        assert got.min() >= 0
+        assert spec.cell_bound is None or got.max() <= spec.cell_bound
 
     def test_zero_grand_total_degenerate(self):
         spec = independence(2, 2)
