@@ -1,9 +1,11 @@
 """Model families, design matrices, expected counts, and the test statistic.
 
 Every supported model is determined by a 0/1 design matrix M: the
-sufficient statistics of a count vector u are just M @ u.  This demo
-builds M for the three families, fits expected counts, and evaluates
-the Pearson statistic.
+sufficient statistics of a count vector u are just M @ u.  The package
+holds M as its margin-rows table (``dm.rows``: the rows each column
+adds to); ``dm.entries`` is the dense view of the same matrix.  This
+demo builds M for the three families, fits expected counts, and
+evaluates the Pearson statistic.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ spec = independence(2, 2)
 dm = build_design_matrix(spec)
 print("independence(2,2) design matrix (rows = row/col indicators):")
 print(dm.entries)
+print("as its margin-rows table (column -> the rows it adds to):")
+print(dm.rows)
 print("rank:", dm.rank)
 
 table = np.array([10, 0, 0, 10])  # strongly diagonal
@@ -53,4 +57,4 @@ bdata = observe_graph(bspec, bdm, edges)
 print("\nbeta_model(5): degree sequence =", bdata.marginals)
 probs = fit_expected_counts(bspec, bdata)
 print("fitted edge probabilities:", np.round(probs, 3))
-print("expected degrees:", np.round(bdm.entries @ probs, 6))
+print("expected degrees:", np.round(bdm.marginals(probs), 6))

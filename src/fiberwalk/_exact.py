@@ -3,17 +3,19 @@
 Everything here works on Python ints, which are arbitrary precision, so
 no intermediate result can overflow or pick up rounding error.  The
 public entry points are ``integer_rank`` and ``integer_kernel_basis``;
-both run the same fraction-free column elimination on sparse columns,
-each a dict ``{row: value}`` of its nonzero entries.  Design matrices
-and their kernel vectors are mostly zeros, so an update costs the
-pivot column's nonzeros rather than the column's full height.
+both run the same fraction-free column elimination on a row count and
+sparse columns, each a dict ``{row: value}`` of its nonzero entries,
+read from a design's margin-rows table or a plain matrix's
+``sparse_columns``.  Design matrices and their kernel vectors are
+mostly zeros, so an update costs the pivot column's nonzeros rather
+than the column's full height.
 """
 
 import numpy as np
 
 
-def _sparse_columns(mat):
-    """Return (n_rows, columns), each column a dict of its nonzero entries."""
+def sparse_columns(mat):
+    """Return (n_rows, columns) of a 2-D matrix, each column a dict of its nonzero entries."""
     arr = np.asarray(mat)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D matrix")
@@ -23,8 +25,8 @@ def _sparse_columns(mat):
     ]
 
 
-def _column_echelon(cols, n_rows):
-    """Reduce the top ``n_rows`` block of ``cols`` to column echelon form.
+def integer_rank(n_rows, cols):
+    """Exact rank of the top ``n_rows`` block of ``cols``, reduced in place to column echelon form.
 
     Each column is a dict ``{row: value}`` of its nonzeros; entries that
     cancel to 0 are dropped.  Uses unimodular column operations only
@@ -33,8 +35,7 @@ def _column_echelon(cols, n_rows):
     in every non-pivot column, so an update touches only the pivot
     column's nonzeros, all at the current row or below: each row costs
     one scan of the remaining columns plus, per update, the pivot
-    column's nonzero count.  Returns the pivot count, i.e. the rank of
-    the top block.
+    column's nonzero count.  Returns the pivot count.
     """
     pivots = 0
     for r in range(n_rows):
@@ -69,28 +70,22 @@ def _column_echelon(cols, n_rows):
     return pivots
 
 
-def integer_rank(mat):
-    """Rank of an integer matrix, computed exactly."""
-    n, cols = _sparse_columns(mat)
-    return _column_echelon(cols, n)
+def integer_kernel_basis(n_rows, cols):
+    """Integer basis of the rational kernel of the matrix with these sparse columns.
 
-
-def integer_kernel_basis(mat):
-    """Integer basis of the rational kernel of ``mat``.
-
-    Eliminates the stacked matrix [mat; I] by columns: once the top
+    Eliminates the stacked matrix [M; I] by columns: once the top
     block of a column is zeroed, its bottom block is an exact integer
-    kernel vector.  Returns a ``(d - rank(mat), d)`` int64 array whose
+    kernel vector.  Returns a ``(d - rank(M), d)`` int64 array whose
     rows are sign-normalized (first nonzero entry positive).  The bottom
     block starts as the identity and only unimodular column operations
     are applied, so it stays unimodular: the rows have full rank and
-    each is primitive (entry gcd 1) by construction.
+    each is primitive (entry gcd 1) by construction.  The column dicts
+    are reduced in place.
     """
-    n, cols = _sparse_columns(mat)
-    d = len(cols)
+    n, d = n_rows, len(cols)
     for j, col in enumerate(cols):
         col[n + j] = 1
-    pivots = _column_echelon(cols, n)
+    pivots = integer_rank(n, cols)
     kernel = np.zeros((d - pivots, d), dtype=np.int64)
     for out, col in zip(kernel, cols[pivots:]):
         first = min(col)
@@ -101,13 +96,3 @@ def integer_kernel_basis(mat):
             out[i - n] = sign * v
     return kernel
 
-
-def exact_matvec(mat, vec):
-    """mat @ vec in Python ints over the nonzeros of mat; returns a list."""
-    arr = np.asarray(mat)
-    rows, cols = np.nonzero(arr)
-    xs = [int(v) for v in vec]
-    out = [0] * arr.shape[0]
-    for r, j, a in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist()):
-        out[r] += int(a) * xs[j]
-    return out

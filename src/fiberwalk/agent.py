@@ -20,7 +20,6 @@ masking belong to the environment's interpretation of the action.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,19 +220,6 @@ def policy_sample(ac, state, rng, dist=None):
         continuous=z,
         features=feats,
     )
-
-
-def gaussian_log_density(z, mu, sigma):
-    z, mu, sigma = (np.asarray(v, dtype=float) for v in (z, mu, sigma))
-    return float(
-        np.sum(-0.5 * math.log(2 * math.pi) - np.log(sigma) - (z - mu) ** 2 / (2 * sigma**2))
-    )
-
-
-def policy_log_density(ac, state, continuous):
-    """ln pi(continuous | state) under the current parameters."""
-    mu, sigma = policy_distribution(ac, state)
-    return gaussian_log_density(continuous, mu, sigma)
 
 
 def critic_value(ac, state, features=None):

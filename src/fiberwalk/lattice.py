@@ -6,8 +6,10 @@ returned by :func:`compute_lattice_basis` spans that kernel as a
 vector space with exactly ``d - rank(M)`` primitive integer vectors.
 A large graph problem can be split into sub-problems, each a set of
 the parent design's columns, so the parent's structural zeros and 0/1
-box carry over.  Their small bases are computed cheaply and lifted
-back by zero padding: each vector is written at its parent columns.
+box carry over; a graph design's rows are its nodes, so a sub-problem's
+margin-rows table is the parent's, renumbered to its nodes.  Their small
+bases are lifted back by zero padding: each vector is written at its
+parent columns.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from ._exact import exact_matvec, integer_kernel_basis
+from ._exact import integer_kernel_basis, sparse_columns
 from .errors import (
     ContractViolation,
     DecompositionError,
@@ -28,10 +30,6 @@ CONNECTED_COMPONENTS = "connected_components"
 K_CORE = "k_core"
 BRIDGE_CUTS = "bridge_cuts"
 INDUCED_SUBGRAPHS = "induced_subgraphs"
-
-
-def _entries(mat):
-    return mat.entries if isinstance(mat, DesignMatrix) else np.asarray(mat)
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,15 @@ def compute_lattice_basis(design):
     The elimination is exact (Python integers), so membership in the
     kernel holds with no tolerance.  Vectors are primitive (entry gcd
     1) and sign-normalized (first nonzero entry positive), making the
-    result deterministic across platforms.
+    result deterministic across platforms.  ``design`` may also be a
+    plain 2-D integer matrix.
     """
-    mat = _entries(design)
-    if mat.size == 0:
+    n, cols = (
+        design.sparse_columns() if isinstance(design, DesignMatrix) else sparse_columns(design)
+    )
+    if not n or not cols:
         raise ContractViolation("design matrix is empty")
-    return LatticeBasis(vectors=integer_kernel_basis(mat))
+    return LatticeBasis(vectors=integer_kernel_basis(n, cols))
 
 
 def combine_moves(coeffs, basis):
@@ -117,7 +118,7 @@ def combine_moves(coeffs, basis):
 def in_kernel(design, move):
     """Exact check that ``design @ move == 0``."""
     delta = move.delta if isinstance(move, Move) else move
-    return all(v == 0 for v in exact_matvec(_entries(design), delta))
+    return not design.marginals(delta).any()
 
 
 def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
@@ -143,7 +144,7 @@ def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
     n = design.n_rows
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
-    graph.add_edges_from(design.column_labels[c] for c in np.flatnonzero(counts))
+    graph.add_edges_from(design.rows[np.flatnonzero(counts)].tolist())
 
     if strategy == CONNECTED_COMPONENTS:
         groups = list(nx.connected_components(graph))
@@ -173,11 +174,12 @@ def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
 
     subs = []
     for g in groups:
-        columns = np.flatnonzero([a in g and b in g for a, b in design.column_labels])
+        nodes = sorted(g)
+        columns = np.flatnonzero(np.isin(design.rows, nodes).all(axis=1))
         if columns.size:
-            nodes = sorted(g)
             sub_matrix = DesignMatrix(
-                entries=design.entries[np.ix_(nodes, columns)],
+                rows=np.searchsorted(nodes, design.rows[columns]),
+                n_rows=len(nodes),
                 column_labels=tuple(design.column_labels[c] for c in columns),
                 cell_bound=design.cell_bound,
             )
@@ -209,24 +211,21 @@ def enumerate_fiber(design, marginals, cap=100_000):
 
     Depth-first search over coordinates with margin pruning; each
     partial assignment keeps the residual ``b`` nonnegative, and rows
-    with no remaining support must have residual zero.  Intended as a
-    ground-truth oracle at desk scale; raises once more than ``cap``
-    points are found.
+    with no remaining support must have residual zero, and a column takes
+    at most the smallest residual of its rows.  Intended as a ground-truth
+    oracle at desk scale; raises once more than ``cap`` points are found.
     """
-    mat = design.entries
+    rows = design.rows
     b = np.asarray(marginals, dtype=np.int64)
-    n, d = mat.shape
-    if np.any(mat < 0):
-        raise ContractViolation("enumeration requires a nonnegative matrix")
+    d = design.n_cols
     if np.any(b < 0):
         return set()
-    if d > 0 and np.any(mat.sum(axis=0) == 0):
-        raise OracleTooLargeError("a zero column makes the fiber unbounded")
 
     # support_after[i][r]: does any column >= i touch row r?
-    support_after = np.zeros((d + 1, n), dtype=bool)
+    support_after = np.zeros((d + 1, design.n_rows), dtype=bool)
     for i in range(d - 1, -1, -1):
-        support_after[i] = support_after[i + 1] | (mat[:, i] > 0)
+        support_after[i] = support_after[i + 1]
+        support_after[i, rows[i]] = True
 
     points = set()
     x = np.zeros(d, dtype=np.int64)
@@ -240,14 +239,14 @@ def enumerate_fiber(design, marginals, cap=100_000):
                     raise OracleTooLargeError(f"fiber exceeds cap of {cap} points")
                 points.add(tuple(int(v) for v in x))
             return
-        col = mat[:, i]
-        rows = col > 0
-        ub = int(np.min(residual[rows] // col[rows]))
+        ub = int(residual[rows[i]].min())
         if design.cell_bound is not None:
             ub = min(ub, design.cell_bound)
         for v in range(ub + 1):
             x[i] = v
-            recurse(i + 1, residual - v * col)
+            step = residual.copy()
+            step[rows[i]] -= v
+            recurse(i + 1, step)
         x[i] = 0
 
     recurse(0, b.copy())
@@ -279,9 +278,14 @@ def load_basis(path):
             ) from None
         mismatch = f"{path}: basis body does not match its header"
         rows = 0
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if line.strip():
-                row = np.array(line.split(), dtype=np.int64)
+                try:
+                    row = np.array(line.split(), dtype=np.int64)
+                except (ValueError, OverflowError):
+                    raise ValidationError(
+                        f"{path}:{lineno}: basis entries must be integers in int64 range"
+                    ) from None
                 if rows == count or row.shape != (dim,):
                     raise ValidationError(mismatch)
                 vectors[rows] = row

@@ -12,9 +12,10 @@ construction.
 A family's margins are written once, in ``ModelSpec._column_rows``:
 for each kept cell, its row in each of the family's margins (a table's
 row and column, its three two-way margins, or a node pair's two
-nodes).  The design matrix is a scatter of that table, and the fit of
-expected counts runs over it in reduced coordinates, so a structural
-zero is a column that is not there.  The family also fixes each cell's
+nodes).  The design matrix is that table, and every product with it
+(marginals, the fiber and kernel checks, a fit's margin totals) is one
+scatter of the table in reduced coordinates, so a structural zero is
+a column that is not there.  The family also fixes each cell's
 upper bound, which the design matrix carries and which picks the fit:
 no bound (tables) is fitted by iterative proportional fitting, the 0/1
 box (simple graphs) by the Bernoulli fixed point of the beta model.
@@ -28,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._exact import exact_matvec, integer_rank
+from ._exact import integer_rank
 from .errors import (
     ContractViolation,
     DegenerateDataError,
@@ -110,8 +111,8 @@ class ModelSpec:
         (i,j), (i,k) and (j,k) sums (k = 3), laid out one after
         another; a node pair's are its two nodes.  ``n`` comes from the
         family, so a margin whose cells are all structural zeros keeps
-        its (all-zero) row.  The design matrix and the fit both read
-        it, so it is computed once per spec.
+        its (all-zero) row.  The design matrix is this table, and the
+        fit reads it too, so it is computed once per spec.
         """
         labels = self.cell_labels()
         ndim = len(labels[0])
@@ -148,31 +149,41 @@ def beta_model(n_nodes, structural_zeros=()):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """0/1 marginal map of a model family.
+    """0/1 marginal map of a model family, held as its margin-rows table.
 
-    ``entries`` is the n x d integer matrix taking a (reduced) count
-    vector to its sufficient statistics.  ``column_labels`` names the
-    surviving cells in lexicographic order; ``removed_labels`` records
-    the columns deleted for structural zeros; ``cell_bound`` is the spec's.
-    The exact ``rank`` is computed on first read.
+    Column ``c`` of the ``n_rows`` x d matrix has its 1s at the rows
+    ``rows[c]`` of the spec's read-only ``(d, k)`` table; ``marginals``
+    takes a (reduced) count vector to its sufficient statistics.
+    ``column_labels`` names the surviving cells in lexicographic order;
+    ``removed_labels`` records the columns deleted for structural zeros;
+    ``cell_bound`` is the spec's.  The exact ``rank`` and the dense
+    ``entries`` view are computed on first read.
     """
 
-    entries: np.ndarray
+    rows: np.ndarray
+    n_rows: int
     column_labels: tuple
     removed_labels: tuple = ()
     cell_bound: int = None
 
-    @cached_property
-    def rank(self):
-        return integer_rank(self.entries)
-
-    @property
-    def n_rows(self):
-        return self.entries.shape[0]
-
     @property
     def n_cols(self):
-        return self.entries.shape[1]
+        return len(self.rows)
+
+    @cached_property
+    def entries(self):
+        """Dense ``n_rows`` x d view, for display and outside checks; the package never reads it."""
+        mat = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
+        mat[self.rows, np.arange(self.n_cols)[:, None]] = 1
+        return mat
+
+    def sparse_columns(self):
+        """``(n_rows, columns)``, each column a new dict ``{row: 1}``, for the exact elimination."""
+        return self.n_rows, [dict.fromkeys(r, 1) for r in self.rows.tolist()]
+
+    @cached_property
+    def rank(self):
+        return integer_rank(*self.sparse_columns())
 
     def marginals(self, counts):
         counts = np.asarray(counts)
@@ -180,7 +191,7 @@ class DesignMatrix:
             raise ContractViolation(
                 f"count vector has length {counts.shape}, expected {self.n_cols}"
             )
-        return self.entries @ counts
+        return _margin_totals(self.rows, self.n_rows, counts)
 
 
 def overshoot(x, upper=None):
@@ -194,8 +205,14 @@ def overshoot(x, upper=None):
 
 
 def _margin_totals(rows, n, values):
-    """``design.entries @ values``: the sum of ``values`` over each row's columns."""
-    return np.bincount(rows.ravel(), np.repeat(values, rows.shape[1]), n)
+    """``M @ values`` for the margin-rows table ``rows`` of ``n`` rows.
+
+    Each column's value is added at its rows, in the values' dtype widened
+    to at least int64: exact on integer counts, in column order on floats.
+    """
+    out = np.zeros(n, dtype=np.result_type(values, np.int64))
+    np.add.at(out, rows.ravel(), np.repeat(values, rows.shape[1]))
+    return out
 
 
 def build_design_matrix(spec, max_columns=MAX_COLUMNS):
@@ -205,11 +222,10 @@ def build_design_matrix(spec, max_columns=MAX_COLUMNS):
             f"{spec.full_dim} columns exceeds the configured maximum {max_columns}"
         )
     rows, n = spec._column_rows
-    mat = np.zeros((n, len(rows)), dtype=np.int64)
-    mat[rows, np.arange(len(rows))[:, None]] = 1
     labels = spec.cell_labels()
     return DesignMatrix(
-        entries=mat,
+        rows=rows,
+        n_rows=n,
         column_labels=tuple(lab for k, lab in enumerate(labels) if k not in spec.structural_zeros),
         removed_labels=tuple(labels[k] for k in sorted(spec.structural_zeros)),
         cell_bound=spec.cell_bound,
@@ -390,14 +406,17 @@ def read_table_csv(path):
         if len(dims) not in (2, 3) or any(s < 2 for s in dims):
             raise ValidationError(f"unsupported table dimensions {dims}")
         cells = []
-        for row in csv.reader(fh):
-            cells.extend(int(v) for v in row if v.strip() != "")
+        reader = csv.reader(fh)
+        for row in reader:
+            for text in filter(None, map(str.strip, row)):
+                if not (text.isdecimal() and int(text) < 2**63):
+                    where = f"{path}:{reader.line_num + 1}"
+                    raise ValidationError(f"{where}: table cell {text!r} is not in 0..2**63-1")
+                cells.append(int(text))
     if len(cells) != int(np.prod(dims)):
         raise ValidationError(
             f"table body has {len(cells)} cells, header promises {int(np.prod(dims))}"
         )
-    if any(v < 0 for v in cells):
-        raise ValidationError("table cells must be nonnegative")
     return dims, np.array(cells, dtype=np.int64)
 
 
@@ -410,8 +429,8 @@ def read_edge_list(path):
             parts = line.split()
             if not parts or line.lstrip().startswith("#"):
                 continue
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'i j' pair")
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ValidationError(f"{path}:{lineno}: expected an 'i j' pair of node ids")
             i, j = (int(p) for p in parts)
             if i < 1 or j < 1 or i == j:
                 raise ValidationError(f"{path}:{lineno}: node ids are 1-based and distinct")
@@ -423,7 +442,5 @@ def read_edge_list(path):
 
 
 def verify_marginals(design, point, marginals):
-    """Exact check that ``design @ point == marginals`` (Python ints)."""
-    got = exact_matvec(design.entries, point)
-    want = [int(v) for v in marginals]
-    return got == want
+    """Exact check that ``design @ point == marginals``."""
+    return np.array_equal(design.marginals(point), marginals)

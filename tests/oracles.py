@@ -2,15 +2,20 @@
 
 Deliberately different machinery from the package: rational row
 reduction with ``fractions.Fraction`` instead of integer column
-elimination, plain central differences for gradients, and model fits
-on the full table (axis sums, an n x n edge-probability matrix) instead
-of the package's reduced margin rows.  Expected values frozen into
-tests were computed with these.
+elimination, products over a dense matrix instead of the design's
+margin-rows scatter, a box scan instead of the pruned fiber search, plain central differences for gradients, and model fits on the
+full table (axis sums, an n x n edge-probability matrix) instead of the
+package's reduced margin rows.  Expected values frozen into tests were
+computed with these.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from fiberwalk.agent import policy_distribution
 
 
 def rational_rref(mat):
@@ -56,6 +61,54 @@ def rational_nullspace(mat):
             vec[p] = -rows[r][f]
         basis.append(vec)
     return basis
+
+
+def exact_matvec(mat, vec):
+    """mat @ vec in Python ints over the nonzeros of mat; returns a list."""
+    arr = np.asarray(mat)
+    rows, cols = np.nonzero(arr)
+    xs = [int(v) for v in vec]
+    out = [0] * arr.shape[0]
+    for r, j, a in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist()):
+        out[r] += int(a) * xs[j]
+    return out
+
+
+def box_sides(mat, marginals, upper=None):
+    """Largest value of each coordinate of a point of ``{x >= 0 : mat @ x == marginals}``.
+
+    ``mat`` is 0/1 with no zero column, so a coordinate is at most the
+    smallest marginal of the rows its column touches (and ``upper``).
+    """
+    want = np.asarray(marginals, dtype=np.int64)
+    sides = [int(want[np.asarray(col) != 0].min()) for col in np.asarray(mat).T]
+    return sides if upper is None else [min(s, upper) for s in sides]
+
+
+def box_fiber(mat, marginals, upper=None):
+    """The fiber ``{0 <= x <= upper : mat @ x == marginals}`` of a 0/1 matrix.
+
+    Tests every point of the box that ``box_sides`` gives.
+    """
+    mat = np.asarray(mat, dtype=np.int64)
+    sides = box_sides(mat, marginals, upper)
+    points = list(itertools.product(*(range(s + 1) for s in sides)))
+    box = np.array(points, dtype=np.int64).reshape(len(points), mat.shape[1])
+    hit = (box @ mat.T == np.asarray(marginals, dtype=np.int64)).all(axis=1)
+    return {tuple(int(v) for v in x) for x in box[hit]}
+
+
+def gaussian_log_density(z, mu, sigma):
+    z, mu, sigma = (np.asarray(v, dtype=float) for v in (z, mu, sigma))
+    return float(
+        np.sum(-0.5 * math.log(2 * math.pi) - np.log(sigma) - (z - mu) ** 2 / (2 * sigma**2))
+    )
+
+
+def policy_log_density(ac, state, continuous):
+    """ln pi(continuous | state) under the current parameters."""
+    mu, sigma = policy_distribution(ac, state)
+    return gaussian_log_density(continuous, mu, sigma)
 
 
 def central_difference(func, x, eps=1e-5):

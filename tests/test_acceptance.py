@@ -14,12 +14,10 @@ import pytest
 from scipy import stats
 
 import fiberwalk as fw
-from fiberwalk._exact import exact_matvec
 from fiberwalk.agent import (
     TrainConfig,
     compute_gae,
     make_actor_critic,
-    policy_log_density,
     policy_sample,
     train,
 )
@@ -46,7 +44,9 @@ from fiberwalk.sampling import besag_clifford_pvalues, explore, mh_uniform
 from .oracles import (
     central_difference,
     embed_full,
+    exact_matvec,
     gae_double_sum,
+    policy_log_density,
     rational_rank,
     relative_error,
 )

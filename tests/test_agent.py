@@ -17,11 +17,9 @@ from fiberwalk.agent import (
     critic_value,
     default_mask_k,
     deserialize_policy,
-    gaussian_log_density,
     make_actor_critic,
     mask_coefficients,
     policy_distribution,
-    policy_log_density,
     policy_sample,
     serialize_policy,
     train,
@@ -33,7 +31,13 @@ from fiberwalk.lattice import compute_lattice_basis
 from fiberwalk.models import build_design_matrix, independence
 from fiberwalk.neuralnet import DenseNet
 
-from .oracles import central_difference, gae_double_sum, relative_error
+from .oracles import (
+    central_difference,
+    gae_double_sum,
+    gaussian_log_density,
+    policy_log_density,
+    relative_error,
+)
 
 
 def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):

@@ -4,7 +4,8 @@
 public functions, and ``tracing.Tracer`` patches functions where their
 callers look them up.  A renamed function only shows there as a
 missing span, and a changed return value only as a failed traced run,
-so this checks the names and runs one tiny traced pass.
+so this checks the names and runs one tiny traced pass, with the
+harness's own checks of the design and the chain points on it.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from fiberwalk.agent import TrainConfig, make_actor_critic, train
 from fiberwalk.fibermdp import FiberEnv, MdpConfig
-from fiberwalk.lattice import compute_lattice_basis
+from fiberwalk.lattice import LatticeBasis, compute_lattice_basis
 from fiberwalk.models import build_design_matrix, independence, observe_table
 from fiberwalk.sampling import besag_clifford_pvalues
 
@@ -64,3 +65,16 @@ def test_traced_pass_gives_finite_layer_metrics(tracing):
     assert metrics["sampling.mh_steps"] == (2 * 400, "count")
     assert metrics["sampling.proposals"] == (2 * 400, "count")
     assert not any(note.startswith("not traced") for note in notes)
+
+    # The harness's own checks read the design; on a correct pass none fails.
+    import pipeline
+
+    ledger = pipeline.Ledger()
+    run.update(design=design, data=data)
+    pipeline.check_chain_points(run, tracer, ledger)
+    assert sum(s[tracing.NAME] == "sampling.mh_uniform" for s in tracer.spans) == 2 * 2
+    assert ledger.failures == []
+    assert pipeline.basis_in_kernel(design, basis)
+    broken = basis.vectors.copy()
+    broken[-1, 0] += 1
+    assert not pipeline.basis_in_kernel(design, LatticeBasis(vectors=broken))

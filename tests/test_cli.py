@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,27 @@ class TestValidation:
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "family, body, lineno",
+        [
+            ("table", "dims=2x2\n1,0\n0,x\n", 3),
+            ("table", "dims=2x2\n1,99999999999999999999\n0,1\n", 2),
+            ("table", "dims=2x2\n1,-1\n0,1\n", 2),
+            ("graph", "1 2\n2 a\n", 2),
+        ],
+        ids=["table-letter", "table-overflow", "table-negative", "graph-letter"],
+    )
+    def test_malformed_data_file_exits_2_naming_its_line(
+        self, tmp_path, capsys, family, body, lineno
+    ):
+        data = _write(tmp_path / "data.txt", body)
+        cfg = _write(tmp_path / "c.cfg", {
+            "table": f"model.family=independence\nmodel.shape=2x2\ndata.table={data}\n",
+            "graph": f"model.family=beta_model\nmodel.nodes=3\ndata.graph={data}\n",
+        }[family])
+        assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{data}:{lineno}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, line",
         [("test", "test.chains=x"), ("sample", "sample.steps=1.5"), ("train", "train.hidden=a")],
     )
@@ -224,6 +246,20 @@ class TestSampleAndTest:
         cfg = self._policy_cfg(tmp_path, table22, trained, "sample.mode=gibbs")
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
         assert "sample.mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body", ["1 x -1 0", "1 -1 -1 99999999999999999999"], ids=["letter", "overflow"]
+    )
+    def test_malformed_basis_file_exits_2_naming_its_line(
+        self, tmp_path, train_cfg, table22, capsys, body
+    ):
+        trained = self._trained(tmp_path, train_cfg)
+        policy = trained / "policy.txt"
+        policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
+        (trained / "basis.txt").write_text(f"c=1 d=4\n{body}\n")
+        cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
+        assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert f"{trained / 'basis.txt'}:2:" in capsys.readouterr().err
 
     def test_truncated_policy_exit_2(self, tmp_path, train_cfg, table22, capsys):
         trained = self._trained(tmp_path, train_cfg)

@@ -1,6 +1,7 @@
 """Tests for kernel bases, moves, decomposition, lifting, and enumeration."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fiberwalk._exact import exact_matvec, integer_rank
+from fiberwalk._exact import integer_rank, sparse_columns
 from fiberwalk.errors import (
     ContractViolation,
     DecompositionError,
@@ -34,14 +35,16 @@ from fiberwalk.lattice import (
 )
 from fiberwalk.models import (
     DesignMatrix,
+    ModelSpec,
     all_two_way,
     beta_model,
     build_design_matrix,
     independence,
     observe_graph,
+    verify_marginals,
 )
 
-from .oracles import rational_rank
+from .oracles import box_fiber, box_sides, exact_matvec, rational_rank
 
 
 class TestComputeLatticeBasis:
@@ -88,7 +91,7 @@ class TestComputeLatticeBasis:
         rng = np.random.default_rng(5)
         for _ in range(20):
             mat = rng.integers(-3, 4, size=(4, 6))
-            assert integer_rank(mat) == rational_rank(mat)
+            assert integer_rank(*sparse_columns(mat)) == rational_rank(mat)
 
 
 # sha256 of each basis as little-endian int64 bytes.  The values come
@@ -127,7 +130,7 @@ class TestEliminationProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
     def test_integer_rank_matches_rational_oracle(self, mat):
-        assert integer_rank(mat) == rational_rank(mat)
+        assert integer_rank(*sparse_columns(mat)) == rational_rank(mat)
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
@@ -157,7 +160,7 @@ class TestEliminationProperties:
         move = combine_moves(coeffs, basis)
         assert move.delta.dtype == np.int64
         assert np.array_equal(move.delta, coeffs @ basis.vectors)
-        assert in_kernel(mat, move)
+        assert not any(exact_matvec(mat, move.delta))
 
 
 class TestCombineMoves:
@@ -175,7 +178,7 @@ class TestCombineMoves:
         basis = LatticeBasis(vectors=np.array([[1, -1, 0], [0, 1, -1]]))
         move = combine_moves(np.array([1, -1]), basis)
         assert np.array_equal(move.delta, [1, -2, 1])
-        assert in_kernel(np.array([[1, 1, 1]]), move)
+        assert exact_matvec([[1, 1, 1]], move.delta) == [0]
 
     def test_wrong_length_rejected(self):
         basis = LatticeBasis(vectors=np.array([[1, -1]]))
@@ -188,7 +191,7 @@ class TestCombineMoves:
         basis = compute_lattice_basis(mat)
         for _ in range(25):
             coeffs = rng.integers(-2, 3, size=basis.count)
-            assert in_kernel(mat, combine_moves(coeffs, basis))
+            assert not any(exact_matvec(mat, combine_moves(coeffs, basis).delta))
 
 
 def _graph(n, edges, zeros=()):
@@ -438,6 +441,57 @@ class TestEnumerateFiber:
                         assert tuple(int(v) for v in neighbor) in fiber
 
 
+@st.composite
+def _small_designs(draw):
+    """A small spec of any family with random structural zeros, and its design."""
+    family = draw(st.sampled_from(["independence", "all_two_way", "beta_model"]))
+    shape = {
+        "independence": st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        "all_two_way": st.tuples(st.integers(2, 3), st.just(2), st.just(2)),
+        "beta_model": st.tuples(st.integers(3, 5)),
+    }[family]
+    spec = ModelSpec(family, draw(shape))
+    zeros = draw(st.sets(st.integers(0, spec.full_dim - 1), max_size=spec.full_dim // 3))
+    spec = ModelSpec(family, spec.shape, zeros)
+    return spec, build_design_matrix(spec)
+
+
+class TestDesignProductsMatchTheDenseMatrix:
+    """Every product the package takes with a design, against the dense matrix in Python ints."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_designs(), st.data())
+    def test_marginals_fiber_and_kernel_checks(self, case, data):
+        spec, dm = case
+        dense = dm.entries.astype(object)
+        assert dense.shape == (dm.n_rows, dm.n_cols)
+        # Counts past 2**53, where a float product would round.
+        big = data.draw(hnp.arrays(np.int64, dm.n_cols, elements=st.integers(0, 2**58)))
+        assert dm.marginals(big).dtype == np.int64
+        assert np.array_equal(dm.marginals(big), dense @ big.astype(object))
+        assert verify_marginals(dm, big, dense @ big.astype(object))
+
+        high = spec.cell_bound or 2
+        point = data.draw(hnp.arrays(np.int64, dm.n_cols, elements=st.integers(0, high)))
+        b = dense @ point.astype(object)
+        row = data.draw(st.integers(0, dm.n_rows - 1))
+        shifted = b.copy()
+        shifted[row] += data.draw(st.integers(-1, 1))
+        assert verify_marginals(dm, point, b)
+        assert verify_marginals(dm, point, shifted) == (not (shifted - b).any())
+
+        vec = data.draw(hnp.arrays(np.int64, dm.n_cols, elements=st.integers(-2, 2)))
+        assert in_kernel(dm, vec) == (not (dense @ vec.astype(object)).any())
+        basis = compute_lattice_basis(dm)
+        if basis.count:
+            coeffs = data.draw(hnp.arrays(np.int64, basis.count, elements=st.integers(-2, 2)))
+            assert in_kernel(dm, combine_moves(coeffs, basis))
+
+        sides = box_sides(dm.entries, shifted, spec.cell_bound)
+        assume(math.prod(s + 1 for s in sides) <= 50_000)
+        assert enumerate_fiber(dm, shifted) == box_fiber(dm.entries, shifted, spec.cell_bound)
+
+
 class TestBasisFile:
     def test_round_trip(self, tmp_path):
         dm = build_design_matrix(independence(3, 4))
@@ -501,5 +555,6 @@ class TestBasisFile:
 
 def _make_sub(columns):
     """A one-row SubProblem on the given parent columns."""
-    design = DesignMatrix(entries=np.ones((1, len(columns)), dtype=np.int64), column_labels=())
+    rows = np.zeros((len(columns), 1), dtype=np.int64)
+    design = DesignMatrix(rows=rows, n_rows=1, column_labels=())
     return SubProblem(design, np.zeros(len(columns), dtype=np.int64), columns)

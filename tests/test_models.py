@@ -73,9 +73,9 @@ class TestBuildDesignMatrix:
     def test_rank_is_computed_on_first_read(self, monkeypatch):
         calls = []
 
-        def counting_rank(mat):
-            calls.append(mat.shape)
-            return integer_rank(mat)
+        def counting_rank(n_rows, cols):
+            calls.append((n_rows, len(cols)))
+            return integer_rank(n_rows, cols)
 
         monkeypatch.setattr(models, "integer_rank", counting_rank)
         dm = build_design_matrix(all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]))
