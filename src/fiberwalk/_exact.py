@@ -75,24 +75,25 @@ def integer_kernel_basis(n_rows, cols):
 
     Eliminates the stacked matrix [M; I] by columns: once the top
     block of a column is zeroed, its bottom block is an exact integer
-    kernel vector.  Returns a ``(d - rank(M), d)`` int64 array whose
-    rows are sign-normalized (first nonzero entry positive).  The bottom
-    block starts as the identity and only unimodular column operations
-    are applied, so it stays unimodular: the rows have full rank and
-    each is primitive (entry gcd 1) by construction.  The column dicts
-    are reduced in place.
+    kernel vector.  Returns ``((c, d), (rows, columns, values))``: the
+    shape ``c = d - rank(M)`` and the nonzeros of the sign-normalized
+    vectors (first nonzero entry positive), in vector order and, within
+    a vector, in column order.  The bottom block starts as the identity
+    and only unimodular column operations are applied, so it stays
+    unimodular: the vectors have full rank and each is primitive (entry
+    gcd 1) by construction.  The column dicts are reduced in place.
     """
     n, d = n_rows, len(cols)
     for j, col in enumerate(cols):
         col[n + j] = 1
     pivots = integer_rank(n, cols)
-    kernel = np.zeros((d - pivots, d), dtype=np.int64)
-    for out, col in zip(kernel, cols[pivots:]):
-        first = min(col)
-        if first < n:  # pragma: no cover
+    rows, columns, values = [], [], []
+    for k, col in enumerate(cols[pivots:]):
+        keys = sorted(col)
+        if keys[0] < n:  # pragma: no cover
             raise AssertionError("column echelon left a nonzero top block")
-        sign = -1 if col[first] < 0 else 1
-        for i, v in col.items():
-            out[i - n] = sign * v
-    return kernel
-
+        sign = -1 if col[keys[0]] < 0 else 1
+        rows += [k] * len(keys)
+        columns += [i - n for i in keys]
+        values += [sign * col[i] for i in keys]
+    return (d - pivots, d), (rows, columns, values)

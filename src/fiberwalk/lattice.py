@@ -4,15 +4,19 @@ A move is any integer vector in the kernel of the design matrix;
 adding one to a fiber point preserves the marginals.  The basis
 returned by :func:`compute_lattice_basis` spans that kernel as a
 vector space with exactly ``d - rank(M)`` primitive integer vectors.
+A basis is held as its nonzeros, a handful per vector even when d is
+in the thousands: the elimination emits them, a move is one integer
+scatter of them, and the basis file lists only them.
 A large graph problem can be split into sub-problems, each a set of
 the parent design's columns, so the parent's structural zeros and 0/1
 box carry over; a graph design's rows are its nodes, so a sub-problem's
 margin-rows table is the parent's, renumbered to its nodes.  Their small
-bases are lifted back by zero padding: each vector is written at its
-parent columns.
+bases are lifted back by zero padding: each vector's nonzeros are
+written at its parent columns.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -32,25 +36,43 @@ BRIDGE_CUTS = "bridge_cuts"
 INDUCED_SUBGRAPHS = "induced_subgraphs"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeBasis:
-    """Integer kernel vectors, one per row of ``vectors``."""
+    """``count`` integer kernel vectors of length ``dim``, held as their nonzeros.
 
-    vectors: np.ndarray
+    Nonzero ``k`` is ``vals[k]`` at column ``cols[k]`` of vector
+    ``rows[k]``, in vector order and, within a vector, in column order;
+    all three are int64.  ``LatticeBasis(vectors)`` takes the nonzeros
+    of a dense 2-D array; ``LatticeBasis(shape=(count, dim),
+    nonzeros=(rows, cols, vals))`` takes them as they are.  The dense
+    ``vectors`` view is built on first read.
+    """
 
-    def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ContractViolation("basis vectors must form a 2-D array")
-        object.__setattr__(self, "vectors", arr)
+    count: int
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    @property
-    def count(self):
-        return self.vectors.shape[0]
+    def __init__(self, vectors=None, *, shape=None, nonzeros=None):
+        if vectors is not None:
+            arr = np.asarray(vectors, dtype=np.int64)
+            if arr.ndim != 2:
+                raise ContractViolation("basis vectors must form a 2-D array")
+            rows, cols = np.nonzero(arr)
+            shape, nonzeros = arr.shape, (rows, cols, arr[rows, cols])
+        for name, value in zip(("count", "dim"), shape):
+            object.__setattr__(self, name, int(value))
+        for name, value in zip(("rows", "cols", "vals"), nonzeros):
+            object.__setattr__(self, name, np.asarray(value, dtype=np.int64))
 
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
+    @cached_property
+    def vectors(self):
+        """Dense read-only ``(count, dim)`` view, for display and outside checks; the package never reads it."""
+        out = np.zeros((self.count, self.dim), dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -72,7 +94,7 @@ class SubProblem:
     """A sub-fiber on a set of the parent design's columns.
 
     ``columns`` holds the parent column index of each sub-matrix
-    column, in parent order; ``sub_point`` is the observation there.
+    column, strictly increasing; ``sub_point`` is the observation there.
     """
 
     sub_matrix: DesignMatrix
@@ -84,6 +106,8 @@ class SubProblem:
         object.__setattr__(self, "columns", np.asarray(self.columns, dtype=np.int64))
         if len(self.columns) != self.sub_matrix.n_cols:
             raise ContractViolation("columns length must match sub-matrix width")
+        if np.any(np.diff(self.columns) <= 0):
+            raise ContractViolation("sub-problem columns must strictly increase")
 
 
 def compute_lattice_basis(design):
@@ -100,19 +124,26 @@ def compute_lattice_basis(design):
     )
     if not n or not cols:
         raise ContractViolation("design matrix is empty")
-    return LatticeBasis(vectors=integer_kernel_basis(n, cols))
+    shape, nonzeros = integer_kernel_basis(n, cols)
+    return LatticeBasis(shape=shape, nonzeros=nonzeros)
 
 
 def combine_moves(coeffs, basis):
-    """Integer linear combination of basis vectors."""
+    """Integer linear combination ``coeffs @ vectors`` of the basis vectors.
+
+    One scatter over the stored nonzeros: each adds its vector's
+    coefficient times its value at its column, in int64, so the result
+    equals the dense product's entry for entry.  The cost is the
+    nonzero count, whatever the basis's width.
+    """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.shape != (basis.count,):
         raise ContractViolation(
             f"expected {basis.count} coefficients, got {coeffs.shape}"
         )
-    if basis.count == 0:
-        return Move(delta=np.zeros(basis.dim, dtype=np.int64))
-    return Move(delta=coeffs @ basis.vectors)
+    delta = np.zeros(basis.dim, dtype=np.int64)
+    np.add.at(delta, basis.cols, coeffs[basis.rows] * basis.vals)
+    return Move(delta=delta)
 
 
 def in_kernel(design, move):
@@ -190,20 +221,23 @@ def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
 
 
 def lift_basis(sub_bases, subs, n_cols):
-    """Write each sub-basis vector at its sub-problem's columns of an ``n_cols`` row.
+    """Write each sub-basis vector's nonzeros at its sub-problem's columns of an ``n_cols`` vector.
 
-    The rows span the direct sum of the sub-kernels inside the parent
+    The vectors span the direct sum of the sub-kernels inside the parent
     kernel: a valid move set, not necessarily a parent kernel basis.
     """
-    total = sum(basis.count for basis in sub_bases)
-    if not total:
+    counts = [basis.count for basis in sub_bases]
+    if not sum(counts):
         raise DecompositionError("no sub-basis vectors to lift")
-    vectors = np.zeros((total, n_cols), dtype=np.int64)
-    row = 0
-    for basis, sub in zip(sub_bases, subs):
-        vectors[row:row + basis.count, sub.columns] = basis.vectors
-        row += basis.count
-    return LatticeBasis(vectors=vectors)
+    offsets = np.cumsum([0] + counts)
+    return LatticeBasis(
+        shape=(offsets[-1], n_cols),
+        nonzeros=(
+            np.concatenate([b.rows + off for b, off in zip(sub_bases, offsets)]),
+            np.concatenate([sub.columns[b.cols] for b, sub in zip(sub_bases, subs)]),
+            np.concatenate([b.vals for b in sub_bases]),
+        ),
+    )
 
 
 def enumerate_fiber(design, marginals, cap=100_000):
@@ -257,39 +291,91 @@ def enumerate_fiber(design, marginals, cap=100_000):
 # Basis file format
 # ------------------------------------------------------------------
 
+_V2_HEADER = "fiberwalk-basis v2"
+
+
 def save_basis(path, basis):
-    """One vector per line, space-separated, under a ``c= d=`` header."""
+    """Write a version 2 basis file, which lists only the nonzeros.
+
+    A ``fiberwalk-basis v2 c=<count> d=<dim>`` header, then one line per
+    vector listing its nonzeros as ``column:value``, columns ascending;
+    a zero vector is an empty line.
+    """
+    pairs = [f"{c}:{v}" for c, v in zip(basis.cols.tolist(), basis.vals.tolist())]
+    bounds = np.searchsorted(basis.rows, np.arange(basis.count + 1)).tolist()
     with open(path, "w") as fh:
-        fh.write(f"c={basis.count} d={basis.dim}\n")
-        for vec in basis.vectors:
-            fh.write(" ".join(map(str, vec.tolist())) + "\n")
+        fh.write(f"{_V2_HEADER} c={basis.count} d={basis.dim}\n")
+        for start, end in zip(bounds, bounds[1:]):
+            fh.write(" ".join(pairs[start:end]) + "\n")
 
 
 def load_basis(path):
+    """Read a basis file of version 2, or of version 1.
+
+    Version 1 has a ``c=<count> d=<dim>`` header, then one line of all
+    ``dim`` entries per vector.  A malformed file raises
+    :class:`ValidationError` naming its path and line.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
+        words = fh.readline().split()
+        v2 = words[:2] == _V2_HEADER.split()
         try:
-            count = int(header[0].split("=")[1])
-            dim = int(header[1].split("=")[1])
-            vectors = np.zeros((count, dim), dtype=np.int64)
-        except (IndexError, ValueError):
+            (c_key, count), (d_key, dim) = (w.split("=") for w in words[2 * v2:])
+            count, dim = int(count), int(dim)
+            if (c_key, d_key) != ("c", "d") or count < 0 or dim < 0:
+                raise ValueError
+        except ValueError:
             raise ValidationError(
-                f"{path}: basis file must start with 'c=<count> d=<dim>'"
+                f"{path}:1: basis file must start with "
+                f"'{_V2_HEADER} c=<count> d=<dim>' or 'c=<count> d=<dim>'"
             ) from None
-        mismatch = f"{path}: basis body does not match its header"
-        rows = 0
+        read_line = _v2_nonzeros if v2 else _v1_nonzeros
+        parts, lineno = [], 1
         for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                try:
-                    row = np.array(line.split(), dtype=np.int64)
-                except (ValueError, OverflowError):
-                    raise ValidationError(
-                        f"{path}:{lineno}: basis entries must be integers in int64 range"
-                    ) from None
-                if rows == count or row.shape != (dim,):
-                    raise ValidationError(mismatch)
-                vectors[rows] = row
-                rows += 1
-    if rows != count:
-        raise ValidationError(mismatch)
-    return LatticeBasis(vectors=vectors)
+            where = f"{path}:{lineno}"
+            if v2 or line.strip():
+                if len(parts) == count:
+                    raise ValidationError(f"{where}: more vectors than the header's c={count}")
+                parts.append(read_line(where, line, dim))
+    if len(parts) != count:
+        raise ValidationError(
+            f"{path}:{lineno + 1}: "
+            f"{len(parts)} vectors, but the header says c={count}"
+        )
+    rows = np.repeat(np.arange(count), [part.shape[1] for part in parts])
+    cols, vals = np.concatenate([np.empty((2, 0), np.int64), *parts], axis=1)
+    return LatticeBasis(shape=(count, dim), nonzeros=(rows, cols, vals))
+
+
+def _v1_nonzeros(where, line, dim):
+    """The ``(2, k)`` columns and values of a v1 line, every one of the ``dim`` entries written out."""
+    try:
+        row = np.array(line.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"{where}: basis entries must be integers in int64 range") from None
+    if row.shape != (dim,):
+        raise ValidationError(f"{where}: {row.size} entries, but the header says d={dim}")
+    cols = np.flatnonzero(row)
+    return np.stack([cols, row[cols]])
+
+
+def _v2_nonzeros(where, line, dim):
+    """The ``(2, k)`` columns and values of a v2 line of ``column:value`` pairs."""
+    cols, vals = [], []
+    try:
+        for pair in line.split():
+            col, val = pair.split(":")
+            cols.append(int(col))
+            vals.append(int(val))
+        part = np.array([cols, vals], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValidationError(
+            f"{where}: expected column:value pairs of integers in int64 range"
+        ) from None
+    if any(a >= b for a, b in zip(cols, cols[1:])):
+        raise ValidationError(f"{where}: columns must strictly increase")
+    if cols and (cols[0] < 0 or cols[-1] >= dim):
+        raise ValidationError(f"{where}: column outside 0..{dim - 1}")
+    if not all(vals):
+        raise ValidationError(f"{where}: a listed value is 0")
+    return part

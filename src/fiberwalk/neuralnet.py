@@ -164,7 +164,7 @@ def serialize_dense(net):
         lines.append(f"layer in={in_dim} out={out_dim} act={act}")
     vec = net.param_vector()
     lines.append(f"params={vec.size}")
-    lines.extend(repr(float(v)) for v in vec)
+    lines.extend(map(repr, vec.tolist()))
     return "\n".join(lines) + "\n"
 
 

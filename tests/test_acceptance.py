@@ -7,7 +7,11 @@ in the other test modules.
 
 import copy
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,4 +449,68 @@ class TestDiscoveryScaling:
             "discovery scaling (Table-1 substitute; full-scale counts not desk-reproducible)",
             all_ok and elapsed < 600,
             "; ".join(details) + f", {elapsed:.0f}s",
+        )
+
+
+# Runs one command in a child process and prints the child's own peak RSS.
+_PEAK_RSS_CHILD = """
+import resource, sys
+from fiberwalk.cli import main
+code = main(sys.argv[1:])
+print("peak_rss_mb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+sys.exit(code)
+"""
+
+
+class TestWideGraphMemory:
+    def test_train_and_test_on_g200_stay_under_1gb(self, tmp_path):
+        # G(200, 0.05): d = 19,900 and a 19,700-vector basis, whose dense
+        # int64 form alone would take 3.1 GB.
+        n_nodes = 200
+        rng = np.random.default_rng(200)
+        edges = [
+            (i + 1, j + 1)
+            for i in range(n_nodes)
+            for j in range(i + 1, n_nodes)
+            if rng.random() < 0.05
+        ]
+        (tmp_path / "graph.txt").write_text("".join(f"{a} {b}\n" for a, b in edges))
+        (tmp_path / "run.cfg").write_text(
+            "\n".join(
+                [
+                    "model.family=beta_model",
+                    f"model.nodes={n_nodes}",
+                    "data.graph=graph.txt",
+                    "seed=1",
+                    "mdp.steps_per_episode=5",
+                    "train.episodes=1",
+                    "policy.file=train/policy.txt",
+                    "policy.basis=train/basis.txt",
+                    "test.chains=1",
+                    "test.chain_length=2",
+                    "test.chain_steps=2",
+                ]
+            )
+            + "\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+            if p
+        )
+        t0 = time.time()
+        peaks = {}
+        for command in ("train", "test"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS_CHILD, command, "--config", "run.cfg",
+                 "--out", command],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            peaks[command] = float(proc.stdout.split("peak_rss_mb")[-1])
+        elapsed = time.time() - t0
+        _report(
+            "G(200, 0.05) train and test under 1 GB",
+            max(peaks.values()) < 1024,
+            ", ".join(f"{c} {mb:.0f} MB" for c, mb in peaks.items()) + f", {elapsed:.0f}s",
         )

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver."""
 
+import hashlib
 import json
 import re
 
@@ -247,19 +248,42 @@ class TestSampleAndTest:
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
         assert "sample.mode" in capsys.readouterr().err
 
+    V2 = "fiberwalk-basis v2 c=1 d=4\n"
+
     @pytest.mark.parametrize(
-        "body", ["1 x -1 0", "1 -1 -1 99999999999999999999"], ids=["letter", "overflow"]
+        "text, line",
+        [
+            ("c=1 d=4\n1 x -1 0\n", 2),
+            ("c=1 d=4\n1 -1 -1 99999999999999999999\n", 2),
+            (V2 + "0:1 4:-1\n", 2),
+            (V2 + "0:1 -1:-1\n", 2),
+            (V2 + "0:1 0:-1\n", 2),
+            (V2 + "3:1 0:-1\n", 2),
+            (V2 + "0:1 3:0\n", 2),
+            (V2 + "0:1 3:99999999999999999999\n", 2),
+            (V2 + "0:1 3:-1.0\n", 2),
+            (V2 + "0:1 3 -1\n", 2),
+            (V2 + "0:1 3:-1\n1:1 2:-1\n", 3),
+            (V2 + "0:1 3:-1\n\n", 3),
+            ("fiberwalk-basis v2 c=2 d=4\n0:1 3:-1\n", 3),
+        ],
+        ids=[
+            "letter", "overflow", "v2-column-past-d", "v2-negative-column",
+            "v2-repeated-column", "v2-unsorted-columns", "v2-zero-value", "v2-overflow",
+            "v2-not-an-integer", "v2-not-a-pair", "v2-extra-vector", "v2-extra-empty-vector",
+            "v2-missing-vector",
+        ],
     )
     def test_malformed_basis_file_exits_2_naming_its_line(
-        self, tmp_path, train_cfg, table22, capsys, body
+        self, tmp_path, train_cfg, table22, capsys, text, line
     ):
         trained = self._trained(tmp_path, train_cfg)
         policy = trained / "policy.txt"
         policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
-        (trained / "basis.txt").write_text(f"c=1 d=4\n{body}\n")
+        (trained / "basis.txt").write_text(text)
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
-        assert f"{trained / 'basis.txt'}:2:" in capsys.readouterr().err
+        assert f"{trained / 'basis.txt'}:{line}:" in capsys.readouterr().err
 
     def test_truncated_policy_exit_2(self, tmp_path, train_cfg, table22, capsys):
         trained = self._trained(tmp_path, train_cfg)
@@ -443,7 +467,13 @@ class TestLift:
             "model.family=beta_model", "model.nodes=12", "decompose.strategy=bridge_cuts",
         ) == 0
         digest = _manifest(tmp_path / "lifted")["outputs"]["lifted_basis.txt"]
-        assert digest == "7e1c7514516153330214a6a7e6786ac00cee725868530b6bc0400e590725bcf7"
+        assert digest == "9f09c7637cf81952bcbfe3f2b6aaa72e5f1ad5b001aa5f0184cfe1941df9a9cf"
+        # The vectors as little-endian int64, the same under every file format.
+        vectors = load_basis(tmp_path / "lifted" / "lifted_basis.txt").vectors
+        assert vectors.shape == (18, 66)
+        assert hashlib.sha256(vectors.astype("<i8").tobytes()).hexdigest() == (
+            "35eecd50963bdbe4e19e4f2f98417da5039d38c392b05574a8e539048352bb66"
+        )
 
 
 class TestStructuralZeros:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -152,15 +152,28 @@ class TestEliminationProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_matrices, st.data())
     def test_combine_moves_equals_dense_product(self, mat, data):
-        basis = compute_lattice_basis(mat)
-        coeffs = np.array(
-            data.draw(st.lists(st.integers(-3, 3), min_size=basis.count, max_size=basis.count)),
-            dtype=np.int64,
-        )
-        move = combine_moves(coeffs, basis)
-        assert move.delta.dtype == np.int64
-        assert np.array_equal(move.delta, coeffs @ basis.vectors)
-        assert not any(exact_matvec(mat, move.delta))
+        kernel = compute_lattice_basis(mat)
+        # A random sparse basis (zero rows and c = 0 included), and it lifted
+        # onto increasing columns of a wider space.
+        sparse = LatticeBasis(vectors=data.draw(hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(0, 5), st.integers(1, 6)),
+            elements=st.sampled_from([0, 0, 0, 1, -1, 7, -2**40]),
+        )))
+        columns = sorted(data.draw(st.sets(st.integers(0, 9), min_size=sparse.dim, max_size=sparse.dim)))
+        bases = [kernel, sparse]
+        if sparse.count:
+            bases.append(lift_basis([sparse], [_make_sub(columns)], 10))
+        for basis in bases:
+            coeffs = np.array(
+                data.draw(st.lists(st.integers(-3, 3), min_size=basis.count, max_size=basis.count)),
+                dtype=np.int64,
+            )
+            move = combine_moves(coeffs, basis)
+            assert move.delta.dtype == np.int64
+            assert np.array_equal(move.delta, coeffs @ basis.vectors)
+            if basis is kernel:
+                assert not any(exact_matvec(mat, move.delta))
 
 
 class TestCombineMoves:
@@ -323,6 +336,11 @@ class TestLiftMove:
         assert lifted.count == sum(b.count for b in bases)
         for vec in lifted.vectors:
             assert in_kernel(parent, Move(delta=vec))
+
+    def test_columns_out_of_parent_order_refused(self):
+        # A lifted vector lists its nonzeros in column order, so a sub-problem's columns increase.
+        with pytest.raises(ContractViolation, match="strictly increase"):
+            _make_sub(columns=[2, 0])
 
     def test_nothing_to_lift_rejected(self):
         sub = _make_sub(columns=[0])
@@ -500,23 +518,37 @@ class TestBasisFile:
         save_basis(path, basis)
         back = load_basis(path)
         assert np.array_equal(back.vectors, basis.vectors)
-        assert path.read_text().startswith(f"c={basis.count} d={basis.dim}\n")
+        assert path.read_text().startswith(f"fiberwalk-basis v2 c={basis.count} d={basis.dim}\n")
 
     def test_file_bytes(self, tmp_path):
         path = tmp_path / "basis.txt"
-        save_basis(path, LatticeBasis(vectors=np.array([[1, -1, 0], [0, 12, -12]])))
-        assert path.read_bytes() == b"c=2 d=3\n1 -1 0\n0 12 -12\n"
+        vectors = np.array([[1, -1, 0], [0, 0, 0], [0, 12, -12]])
+        save_basis(path, LatticeBasis(vectors=vectors))
+        assert path.read_bytes() == b"fiberwalk-basis v2 c=3 d=3\n0:1 1:-1\n\n1:12 2:-12\n"
+        # Version 1 files, every entry written out, still load.
+        path.write_bytes(b"c=3 d=3\n1 -1 0\n0 0 0\n0 12 -12\n")
+        assert np.array_equal(load_basis(path).vectors, vectors)
+        path.write_bytes(b"c=2 d=3\n1 -1 0\n0 12 -12\n")
+        assert np.array_equal(load_basis(path).vectors, vectors[[0, 2]])
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         dm = build_design_matrix(all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]))
-        basis = compute_lattice_basis(dm)
-        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
-        save_basis(first, basis)
-        back = load_basis(first)
-        save_basis(second, back)
-        assert back.vectors.dtype == np.int64
-        assert np.array_equal(back.vectors, basis.vectors)
-        assert first.read_bytes() == second.read_bytes()
+        # The second basis has a zero vector, written as an empty line.
+        zero_row = lift_basis(
+            [LatticeBasis(vectors=[[0, 0]]), LatticeBasis(vectors=[[3, -1]])],
+            [_make_sub([0, 2]), _make_sub([1, 4])],
+            5,
+        )
+        for basis in (compute_lattice_basis(dm), zero_row):
+            first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+            save_basis(first, basis)
+            back = load_basis(first)
+            save_basis(second, back)
+            assert back.vectors.dtype == np.int64
+            assert np.array_equal(back.vectors, basis.vectors)
+            assert first.read_bytes().startswith(b"fiberwalk-basis v2 ")
+            assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes() == b"fiberwalk-basis v2 c=2 d=5\n\n1:3 4:-1\n"
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -526,6 +558,8 @@ class TestBasisFile:
             elements=st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
         )
     )
+    @example(np.zeros((0, 3), dtype=np.int64))
+    @example(np.array([[0, 0], [np.iinfo(np.int64).min, np.iinfo(np.int64).max], [0, 0]]))
     def test_round_trip_property(self, tmp_path_factory, vectors):
         path = tmp_path_factory.mktemp("basis") / "basis.txt"
         save_basis(path, LatticeBasis(vectors=vectors))
