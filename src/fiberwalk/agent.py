@@ -17,23 +17,21 @@ pair.
 Log-probabilities are always evaluated at the pre-rounding continuous
 sample: the policy density is a Gaussian, and rounding, clamping and
 masking belong to the environment's interpretation of the action.
+
+A policy file (version 2) is the settings, the layer widths and then
+one value per line: the network's parameter vector, then the critic
+weights.  The values are read in one NumPy call; a version 1 file is
+refused, and its policy must be trained again.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ValidationError
-from .neuralnet import (
-    DenseNet,
-    line_field,
-    line_floats,
-    make_dense,
-    parse_dense,
-    project_to_ball,
-    serialize_dense,
-)
+from .neuralnet import DenseNet, make_dense, project_to_ball
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
@@ -126,9 +124,7 @@ def make_actor_critic(
     if not hidden or min(hidden) < 1:
         raise ContractViolation(f"hidden layer widths must be positive, got {hidden!r}")
     rng = np.random.default_rng(seed)
-    net = make_dense(
-        (state_dim, *hidden, 2 * n_coeffs), ["tanh"] * len(hidden) + ["identity"], rng
-    )
+    net = make_dense((state_dim, *hidden, 2 * n_coeffs), rng)
     if mask_k == "auto":
         mask_k = default_mask_k(state_dim)
     if sigma_min == "auto":
@@ -149,7 +145,7 @@ def _forward(ac, state):
     """One network pass at ``state``: ``(output, features, cache)``, where the
     features are the last hidden layer, the critic's input."""
     out, cache = ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)
-    return out, cache[1][-2], cache
+    return out, cache[-2], cache
 
 
 @dataclass(frozen=True)
@@ -467,12 +463,20 @@ def write_train_log(path, log):
 
 
 # ------------------------------------------------------------------
-# Policy file format (version 1)
+# Policy file format (version 2): "fiberwalk-policy v2", the settings of
+# _POLICY_HEADER as key=value lines, "layers=<in>,<h1>,...,<out>", then one
+# repr float per line, the network's param_vector() followed by the critic
+# weights.  The layer widths fix how many values follow.
 # ------------------------------------------------------------------
+
+# Values formatted at a time: only this many Python floats and strings
+# exist at once, whatever the policy's size.
+_WRITE_CHUNK = 1 << 16
+
 
 def serialize_policy(ac, basis_sha256=None):
     lines = [
-        "fiberwalk-policy v1",
+        "fiberwalk-policy v2",
         f"coeff_min={ac.coeff_min}",
         f"coeff_max={ac.coeff_max}",
         f"mask_k={'none' if ac.mask_k is None else ac.mask_k}",
@@ -480,16 +484,20 @@ def serialize_policy(ac, basis_sha256=None):
         f"input_scale={repr(float(ac.input_scale))}",
         f"sigma_min={repr(float(ac.sigma_min))}",
         f"basis_sha256={basis_sha256 or 'none'}",
+        f"layers={','.join(map(str, ac.net.dims))}",
     ]
-    # Two v1 blocks: the hidden layers, then the head.
-    net = ac.net
-    body = "".join(
-        serialize_dense(DenseNet(net.weights[part], net.biases[part], net.activations[part]))
-        for part in (slice(-1), slice(-1, None))
-    )
-    critic = [f"critic={len(ac.critic_weights)}"]
-    critic.extend(repr(float(v)) for v in ac.critic_weights)
-    return "\n".join(lines) + "\n" + body + "\n".join(critic) + "\n"
+    values = np.concatenate([ac.actor_params(), ac.critic_weights])
+    parts = ["\n".join(lines) + "\n"]
+    for start in range(0, values.size, _WRITE_CHUNK):
+        parts.append("\n".join(map(repr, values[start:start + _WRITE_CHUNK].tolist())) + "\n")
+    return "".join(parts)
+
+
+def _widths(value):
+    dims = tuple(int(width) for width in value.split(","))
+    if len(dims) < 3 or min(dims) < 1:
+        raise ValueError(f"need an input, a hidden and an output width, got {value!r}")
+    return dims
 
 
 _POLICY_HEADER = (
@@ -500,24 +508,79 @@ _POLICY_HEADER = (
     ("input_scale", float),
     ("sigma_min", float),
     ("basis_sha256", lambda value: None if value == "none" else value),
+    ("layers", _widths),
 )
+_BODY_START = len(_POLICY_HEADER) + 1  # 0-based index of the first value line
+_SPACES = " \t\r\v\f"  # whitespace other than the line break
+
+
+def line_field(lines, i, key, cast=int):
+    """``cast(value)`` of ``lines[i]``, which must read ``key=value``."""
+    name, _, value = lines[i].partition("=") if i < len(lines) else ("", "", "")
+    try:
+        if name == key:
+            return cast(value)
+    except ValueError:
+        pass
+    raise ValidationError(f"line {i + 1}: expected {key}=...")
+
+
+def _one_per_line(text):
+    """The numbers in ``text`` as one array, or None unless each line holds
+    exactly one number and nothing else."""
+    with warnings.catch_warnings():
+        # NumPy 1.x stops at the first bad token with a warning instead of raising.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep="\n")
+        except (ValueError, DeprecationWarning):
+            return None
+    n_lines = text.count("\n") + (not text.endswith("\n"))
+    if values.size != n_lines or any(space in text for space in _SPACES):
+        return None
+    return values
+
+
+def _body_values(body, count):
+    """The ``count`` numbers of a policy body, one per line, read in one call."""
+    values = _one_per_line(body)
+    if values is not None and values.size == count:
+        return values
+    # Only a malformed body gets here: name its first bad line.
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for i, line in enumerate(lines):
+        lineno = _BODY_START + i + 1
+        if i == count:
+            raise ValidationError(
+                f"line {lineno}: expected the end of the file; the layer widths fix {count} values"
+            )
+        if _one_per_line(line) is None:
+            raise ValidationError(f"line {lineno}: expected a number")
+    raise ValidationError(
+        f"line {_BODY_START + len(lines) + 1}: expected a number; "
+        f"the layer widths fix {count} values"
+    )
 
 
 def deserialize_policy(text):
-    """Parse a policy file; returns (ActorCritic, basis_sha256 or None)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "fiberwalk-policy v1":
-        raise ValidationError("not a v1 policy file")
+    """Parse a v2 policy file; returns (ActorCritic, basis_sha256 or None)."""
+    lines = text.split("\n", _BODY_START)
+    if lines[0] == "fiberwalk-policy v1":
+        raise ValidationError(
+            "line 1: a v1 policy file, which this version does not read; retrain the policy"
+        )
+    if lines[0] != "fiberwalk-policy v2":
+        raise ValidationError("line 1: not a v2 policy file")
     header = {
         key: line_field(lines, i, key, cast)
         for i, (key, cast) in enumerate(_POLICY_HEADER, start=1)
     }
-    sha = header.pop("basis_sha256")
-    hidden, pos = parse_dense(lines, len(_POLICY_HEADER) + 1)
-    head, pos = parse_dense(lines, pos)
-    net = DenseNet(
-        hidden.weights + head.weights, hidden.biases + head.biases,
-        hidden.activations + head.activations,
-    )
-    critic = np.array(line_floats(lines, pos + 1, line_field(lines, pos, "critic")))
-    return ActorCritic(net, critic, **header), sha
+    sha, dims = header.pop("basis_sha256"), header.pop("layers")
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    # The body is popped so that its text is freed once it is parsed.
+    values = _body_values(lines.pop() if len(lines) > _BODY_START else "", n_params + dims[-2])
+    net = make_dense(dims, np.random.default_rng(0))
+    net.set_param_vector(values[:n_params])
+    return ActorCritic(net, values[n_params:].copy(), **header), sha

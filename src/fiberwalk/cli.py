@@ -266,6 +266,14 @@ def _load_policy(cfg, design):
     basis = load_basis(basis_path)
     if basis.dim != design.n_cols:
         raise IncompatiblePolicyError("basis dimension does not match the model")
+    if ac.state_dim != design.n_cols:
+        raise IncompatiblePolicyError(
+            f"policy reads {ac.state_dim} cells, the model has {design.n_cols}"
+        )
+    if ac.n_coeffs != basis.count:
+        raise IncompatiblePolicyError(
+            f"policy emits {ac.n_coeffs} coefficients, the basis has {basis.count} vectors"
+        )
     return ac, basis
 
 
@@ -330,7 +338,7 @@ def run_train(cfg):
         basis_sha = manifest.data["outputs"]["basis.txt"]
         manifest.output("policy.txt", _write_text, serialize_policy(ac, basis_sha256=basis_sha))
     policy = {key: getattr(ac, key) for key in _POLICY_SETTINGS}
-    policy["hidden"] = [width for _, width, _ in ac.net.layout()[:-1]]
+    policy["hidden"] = list(ac.net.dims[1:-1])
     manifest.data["settings"] = {"mdp": asdict(mdp), "train": asdict(train_cfg), "policy": policy}
 
     if log:

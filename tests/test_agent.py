@@ -1,6 +1,8 @@
 """Tests for the actor-critic learner: policy, GAE, updates, training."""
 
 import copy
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):
 
 def _features(ac, state):
     """The network's last hidden layer at ``state`` (input scale 1)."""
-    return ac.net.forward_cached(np.asarray(state, dtype=float))[1][1][-2]
+    return ac.net.forward_cached(np.asarray(state, dtype=float))[1][-2]
 
 
 def _manual_window(ac, states, rng, rewards=None):
@@ -200,14 +202,13 @@ class TestCriticValue:
     def test_scalar_inner_product(self):
         net = DenseNet(
             weights=[np.array([[2.0]]), np.zeros((2, 1))], biases=[np.zeros(1), np.zeros(2)],
-            activations=["identity", "identity"],
         )
         ac = ActorCritic(
             net=net, critic_weights=np.array([3.0]),
             coeff_min=-2, coeff_max=2, mask_k=None, ball_radius=1e3, input_scale=1.0,
             sigma_min=1.0,
         )
-        assert critic_value(ac, np.array([1.0])) == 6.0
+        assert critic_value(ac, np.array([1.0])) == 3 * np.tanh(2.0)
 
     def test_lipschitz_in_weights(self):
         rng = np.random.default_rng(1)
@@ -520,7 +521,27 @@ class TestPolicySerialization:
         assert sha is None
         assert np.array_equal(back.actor_params(), ac.actor_params())
 
+    def test_file_bytes(self):
+        net = DenseNet(
+            weights=[np.array([[0.5, -0.25]]), np.array([[1.5], [-0.0]])],
+            biases=[np.array([0.1]), np.array([0.0, 5e-324])],
+        )
+        ac = ActorCritic(
+            net=net, critic_weights=np.array([-1e300]),
+            coeff_min=-2, coeff_max=3, mask_k=1, ball_radius=1e3, input_scale=4.0,
+            sigma_min=0.001,
+        )
+        text = (
+            "fiberwalk-policy v2\ncoeff_min=-2\ncoeff_max=3\nmask_k=1\nball_radius=1000.0\n"
+            "input_scale=4.0\nsigma_min=0.001\nbasis_sha256=none\nlayers=2,1,2\n"
+            # The parameter vector (layer by layer, weights then biases), then the critic.
+            "0.5\n-0.25\n0.1\n1.5\n-0.0\n0.0\n5e-324\n-1e+300\n"
+        )
+        assert serialize_policy(ac) == text
+        assert serialize_policy(*deserialize_policy(text)) == text
+
     def _policy_lines(self):
+        # Widths 4, 5, 4: 25 + 24 parameters and 5 critic weights on lines 10-63.
         return serialize_policy(_small_ac(seed=9), basis_sha256="ab" * 32).splitlines()
 
     def test_truncated_file_names_the_missing_line(self):
@@ -544,10 +565,53 @@ class TestPolicySerialization:
 
     def test_bad_number_in_a_parameter_block_names_its_line(self):
         lines = self._policy_lines()
-        first_param = lines.index(next(line for line in lines if line.startswith("params="))) + 1
-        lines[first_param] = "zero"
-        with pytest.raises(ValidationError, match=f"line {first_param + 1}: expected a number"):
+        assert lines[8] == "layers=4,5,4" and len(lines) == 63
+        lines[20] = "zero"
+        with pytest.raises(ValidationError, match="line 21: expected a number"):
             deserialize_policy("\n".join(lines))
+
+    def _edited(self, edit):
+        lines = self._policy_lines()
+        edit(lines)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ls: ls.__setitem__(0, "fiberwalk-policy v1"),
+             "line 1: a v1 policy file, which this version does not read; retrain"),
+            (lambda ls: ls.__setitem__(0, "fiberwalk-densenet v2"), "line 1: not a v2 policy"),
+            (lambda ls: ls.__setitem__(8, "layers=4,4"), "line 9: expected layers="),
+            (lambda ls: ls.__setitem__(8, "layers=4,x,4"), "line 9: expected layers="),
+            (lambda ls: ls.__setitem__(8, "layers=4,0,4"), "line 9: expected layers="),
+            (lambda ls: ls.__setitem__(8, "layer=4,5,4"), "line 9: expected layers="),
+            (lambda ls: ls.__setitem__(8, "layers=4,6,4"),
+             "line 64: expected a number; the layer widths fix 64 values"),
+            (lambda ls: ls.append("0.5"), "line 64: expected the end of the file"),
+            (lambda ls: ls.__setitem__(8, "layers=4,4,4"), "line 54: expected the end of the file"),
+            (lambda ls: ls.__setitem__(12, "0.5 0.25"), "line 13: expected a number"),
+            (lambda ls: ls.insert(12, ""), "line 13: expected a number"),
+            (lambda ls: ls.__setitem__(12, " 0.5"), "line 13: expected a number"),
+            (lambda ls: ls.__setitem__(62, "1.0\r"), "line 63: expected a number"),
+            # Two numbers on a line, a blank line and a missing line keep both counts right.
+            (lambda ls: (ls.__setitem__(12, "0.5 0.25"), ls.insert(20, ""), ls.pop()),
+             "line 13: expected a number"),
+        ],
+        ids=[
+            "v1-header", "other-header", "one-hidden-width-short", "width-not-a-number",
+            "zero-width", "layers-key-misspelt", "widths-promise-more",
+            "extra-value", "widths-promise-fewer", "two-numbers-on-a-line", "blank-line",
+            "leading-space", "carriage-return", "counts-that-balance",
+        ],
+    )
+    def test_malformed_file_names_its_line(self, edit, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            deserialize_policy(self._edited(edit))
+
+    def test_missing_final_newline_is_accepted(self):
+        ac = _small_ac(seed=9)
+        back, _ = deserialize_policy(serialize_policy(ac).rstrip("\n"))
+        assert np.array_equal(back.critic_weights, ac.critic_weights)
 
     @pytest.mark.parametrize("line", ["mask_k=0", "sigma_min=0.0", "input_scale=-1.0"])
     def test_out_of_range_setting_rejected(self, line):
@@ -559,15 +623,31 @@ class TestPolicySerialization:
 
     def test_short_critic_block_rejected(self):
         lines = self._policy_lines()[:-1]
-        with pytest.raises(ValidationError, match="shorter than its header promises"):
+        with pytest.raises(
+            ValidationError, match="line 63: expected a number; the layer widths fix 54 values"
+        ):
             deserialize_policy("\n".join(lines))
+
+    def test_read_peak_memory_is_near_the_text_size(self):
+        # One Python float and string per value took about 5.5 times the text.
+        ac = make_actor_critic(200, 100, hidden=(200,), seed=1)
+        assert ac.actor_params().size >= 50_000
+        text = serialize_policy(ac)
+        tracemalloc.start()
+        try:
+            back, _ = deserialize_policy(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.actor_params(), ac.actor_params())
+        assert peak < 2.5 * len(text)
 
 
 # Finite doubles with the awkward cases drawn often: signed zeros,
 # subnormals, the extremes of the range and values near 1e300.
 _PARAM = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
-                     1.7976931348623157e308]),
+                     1.7976931348623157e308, -1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _POSITIVE = st.one_of(
@@ -617,4 +697,5 @@ class TestPolicySerializationProperty:
         assert (back.coeff_min, back.coeff_max, back.mask_k) == (
             ac.coeff_min, ac.coeff_max, ac.mask_k
         )
-        assert back.net.layout() == ac.net.layout()
+        assert back.net.dims == ac.net.dims
+        assert text.splitlines()[8] == "layers=" + ",".join(map(str, ac.net.dims))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fiberwalk.cli import main
-from fiberwalk.lattice import in_kernel, load_basis
-from fiberwalk.models import build_design_matrix, beta_model
+from fiberwalk.lattice import compute_lattice_basis, in_kernel, load_basis, save_basis
+from fiberwalk.models import build_design_matrix, beta_model, independence
 
 
 def _write(path, text):
@@ -388,6 +388,47 @@ class TestSampleAndTest:
         )
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert "checksum" in capsys.readouterr().err
+
+    def _test_with_other_basis(self, tmp_path, trained, model, basis):
+        """Exit code of ``test`` with the trained policy, its checksum cleared,
+        on the ``model`` config lines and the basis ``basis``."""
+        policy = trained / "policy.txt"
+        policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
+        basis_path = tmp_path / "other_basis.txt"
+        save_basis(basis_path, basis)
+        cfg = _write(tmp_path / "other.cfg", "\n".join([
+            *model, f"policy.file={policy}", f"policy.basis={basis_path}",
+            "test.chains=1", "test.chain_length=1",
+        ]))
+        out = tmp_path / "other"
+        code = main(["test", "--config", cfg, "--out", str(out)])
+        assert not (out / "results.csv").exists()
+        return code
+
+    def test_policy_of_another_state_width_exit_2(self, tmp_path, train_cfg, capsys):
+        trained = self._trained(tmp_path, train_cfg)  # a 2x2 table: 4 cells
+        table = _write(tmp_path / "t33.csv", "dims=3x3\n4,1,2\n1,3,1\n2,2,5\n")
+        model = ["model.family=independence", "model.shape=3x3", f"data.table={table}"]
+        basis = compute_lattice_basis(build_design_matrix(independence(3, 3)))
+        assert self._test_with_other_basis(tmp_path, trained, model, basis) == 2
+        assert "policy reads 4 cells, the model has 9" in capsys.readouterr().err
+
+    def test_policy_of_another_basis_count_exit_2(self, tmp_path, capsys):
+        # Two 4-cliques: the lifted basis has 2 + 2 vectors, the full one 28 - 8 = 20.
+        edges = [f"{a} {b}" for g in (1, 5) for a in range(g, g + 4) for b in range(a + 1, g + 4)]
+        graph = _write(tmp_path / "g.txt", "\n".join(edges) + "\n")
+        model = ["model.family=beta_model", "model.nodes=8", f"data.graph={graph}"]
+        cfg = _write(tmp_path / "train.cfg", "\n".join(model + [
+            "decompose.strategy=connected_components",
+            "mdp.steps_per_episode=10", "train.episodes=1", "train.hidden=4",
+        ]))
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        assert load_basis(trained / "basis.txt").count == 4
+        basis = compute_lattice_basis(build_design_matrix(beta_model(8)))
+        assert basis.count == 20
+        assert self._test_with_other_basis(tmp_path, trained, model, basis) == 2
+        assert "policy emits 4 coefficients, the basis has 20 vectors" in capsys.readouterr().err
 
 
 class TestLift:
