@@ -18,20 +18,20 @@ Log-probabilities are always evaluated at the pre-rounding continuous
 sample: the policy density is a Gaussian, and rounding, clamping and
 masking belong to the environment's interpretation of the action.
 
-A policy file (version 2) is the settings, the layer widths and then
-one value per line: the network's parameter vector, then the critic
-weights.  The values are read in one NumPy call; a version 1 file is
-refused, and its policy must be trained again.
+A policy file (version 3) is the settings, the layer widths and one
+base64 line of the little-endian float64 values: the network's parameter
+vector, then the critic weights.  Version 1 and 2 files are refused, and
+their policies must be trained again.
 """
 
+import binascii
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ValidationError
-from .neuralnet import DenseNet, make_dense, project_to_ball
+from .neuralnet import DenseNet, dense_from_vector, make_dense, project_to_ball
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
@@ -463,20 +463,17 @@ def write_train_log(path, log):
 
 
 # ------------------------------------------------------------------
-# Policy file format (version 2): "fiberwalk-policy v2", the settings of
+# Policy file format (version 3): "fiberwalk-policy v3", the settings of
 # _POLICY_HEADER as key=value lines, "layers=<in>,<h1>,...,<out>", then one
-# repr float per line, the network's param_vector() followed by the critic
-# weights.  The layer widths fix how many values follow.
+# line of standard padded base64 (RFC 4648) of the little-endian float64
+# values: the network's param_vector() followed by the critic weights.
+# The layer widths fix how many values follow, and so the line's length.
 # ------------------------------------------------------------------
-
-# Values formatted at a time: only this many Python floats and strings
-# exist at once, whatever the policy's size.
-_WRITE_CHUNK = 1 << 16
 
 
 def serialize_policy(ac, basis_sha256=None):
-    lines = [
-        "fiberwalk-policy v2",
+    header = "\n".join([
+        "fiberwalk-policy v3",
         f"coeff_min={ac.coeff_min}",
         f"coeff_max={ac.coeff_max}",
         f"mask_k={'none' if ac.mask_k is None else ac.mask_k}",
@@ -485,12 +482,12 @@ def serialize_policy(ac, basis_sha256=None):
         f"sigma_min={repr(float(ac.sigma_min))}",
         f"basis_sha256={basis_sha256 or 'none'}",
         f"layers={','.join(map(str, ac.net.dims))}",
-    ]
-    values = np.concatenate([ac.actor_params(), ac.critic_weights])
-    parts = ["\n".join(lines) + "\n"]
-    for start in range(0, values.size, _WRITE_CHUNK):
-        parts.append("\n".join(map(repr, values[start:start + _WRITE_CHUNK].tolist())) + "\n")
-    return "".join(parts)
+    ])
+    values = np.concatenate([ac.actor_params(), ac.critic_weights]).astype("<f8", copy=False)
+    body = binascii.b2a_base64(values)  # ends in a line break
+    del values  # each whole-file copy is freed once the next one is made
+    body = body.decode("ascii")
+    return header + "\n" + body
 
 
 def _widths(value):
@@ -510,8 +507,7 @@ _POLICY_HEADER = (
     ("basis_sha256", lambda value: None if value == "none" else value),
     ("layers", _widths),
 )
-_BODY_START = len(_POLICY_HEADER) + 1  # 0-based index of the first value line
-_SPACES = " \t\r\v\f"  # whitespace other than the line break
+_BODY_LINE = len(_POLICY_HEADER) + 2  # 1-based number of the values line
 
 
 def line_field(lines, i, key, cast=int):
@@ -525,62 +521,42 @@ def line_field(lines, i, key, cast=int):
     raise ValidationError(f"line {i + 1}: expected {key}=...")
 
 
-def _one_per_line(text):
-    """The numbers in ``text`` as one array, or None unless each line holds
-    exactly one number and nothing else."""
-    with warnings.catch_warnings():
-        # NumPy 1.x stops at the first bad token with a warning instead of raising.
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(text, sep="\n")
-        except (ValueError, DeprecationWarning):
-            return None
-    n_lines = text.count("\n") + (not text.endswith("\n"))
-    if values.size != n_lines or any(space in text for space in _SPACES):
-        return None
-    return values
-
-
-def _body_values(body, count):
-    """The ``count`` numbers of a policy body, one per line, read in one call."""
-    values = _one_per_line(body)
-    if values is not None and values.size == count:
-        return values
-    # Only a malformed body gets here: name its first bad line.
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines):
-        lineno = _BODY_START + i + 1
-        if i == count:
-            raise ValidationError(
-                f"line {lineno}: expected the end of the file; the layer widths fix {count} values"
-            )
-        if _one_per_line(line) is None:
-            raise ValidationError(f"line {lineno}: expected a number")
-    raise ValidationError(
-        f"line {_BODY_START + len(lines) + 1}: expected a number; "
-        f"the layer widths fix {count} values"
-    )
-
-
 def deserialize_policy(text):
-    """Parse a v2 policy file; returns (ActorCritic, basis_sha256 or None)."""
-    lines = text.split("\n", _BODY_START)
-    if lines[0] == "fiberwalk-policy v1":
+    """Parse a v3 policy file; returns (ActorCritic, basis_sha256 or None)."""
+    lines = text.split("\n", _BODY_LINE - 1)
+    if lines[0] in ("fiberwalk-policy v1", "fiberwalk-policy v2"):
         raise ValidationError(
-            "line 1: a v1 policy file, which this version does not read; retrain the policy"
+            f"line 1: a {lines[0].split()[1]} policy file, which this version does not read; "
+            "retrain the policy"
         )
-    if lines[0] != "fiberwalk-policy v2":
-        raise ValidationError("line 1: not a v2 policy file")
+    if lines[0] != "fiberwalk-policy v3":
+        raise ValidationError("line 1: not a v3 policy file")
     header = {
         key: line_field(lines, i, key, cast)
         for i, (key, cast) in enumerate(_POLICY_HEADER, start=1)
     }
     sha, dims = header.pop("basis_sha256"), header.pop("layers")
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-    # The body is popped so that its text is freed once it is parsed.
-    values = _body_values(lines.pop() if len(lines) > _BODY_START else "", n_params + dims[-2])
-    net = make_dense(dims, np.random.default_rng(0))
-    net.set_param_vector(values[:n_params])
-    return ActorCritic(net, values[n_params:].copy(), **header), sha
+    count = n_params + dims[-2]
+    size = 4 * -(-8 * count // 3)  # base64 characters of 8 * count bytes
+    body = lines.pop() if len(lines) == _BODY_LINE else ""  # the rest of the file
+    width = body.find("\n") if "\n" in body else len(body)
+    if width != size:
+        raise ValidationError(
+            f"line {_BODY_LINE}: {width} characters, but the layer widths fix "
+            f"{count} values, which take {size}"
+        )
+    if len(body) > size + 1:
+        raise ValidationError(f"line {_BODY_LINE}: expected the end of the file after the values")
+    try:
+        raw = binascii.a2b_base64(body)  # skips the line break, which is not in the alphabet
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raw = b""
+    del body  # the text is freed before the values are copied out of the bytes
+    if len(raw) != 8 * count:
+        raise ValidationError(f"line {_BODY_LINE}: not the base64 of {count} float64 values")
+    values = np.frombuffer(raw, "<f8").astype(float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"line {_BODY_LINE}: a value is not finite")
+    net = dense_from_vector(dims, values[:n_params])
+    return ActorCritic(net, values[n_params:], **header), sha

@@ -34,6 +34,7 @@ from .errors import (
     FiberwalkError,
     IncompatiblePolicyError,
     ValidationError,
+    open_utf8,
 )
 from .fibermdp import FiberEnv, MdpConfig
 from .lattice import (
@@ -124,18 +125,17 @@ class RunConfig:
     def from_file(cls, path, seed=0, out_dir="out"):
         values = {}
         try:
-            fh = open(path)
+            with open_utf8(path) as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    if "=" not in line:
+                        raise ConfigError(f"{path}:{lineno}: expected key=value")
+                    key, value = line.split("=", 1)
+                    values[key.strip()] = value.strip()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        with fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
         return cls(values, seed=seed, out_dir=out_dir)
 
     def get(self, key, default=None, cast=str):
@@ -257,7 +257,7 @@ def _compute_moves(design, counts, decomposition):
 def _load_policy(cfg, design):
     policy_path = _existing(cfg.require("policy.file"))
     basis_path = _existing(cfg.require("policy.basis"))
-    with open(policy_path) as fh:
+    with open_utf8(policy_path) as fh:
         ac, want_sha = deserialize_policy(fh.read())
     if want_sha is not None and want_sha != _sha256_file(basis_path):
         raise IncompatiblePolicyError(

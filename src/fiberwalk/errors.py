@@ -4,6 +4,8 @@ Each class carries the process exit code used by the command-line
 driver (0 success, 2 validation, 3 numeric, 4 capacity).
 """
 
+from contextlib import contextmanager
+
 
 class FiberwalkError(Exception):
     """Base class for all package errors."""
@@ -15,6 +17,16 @@ class ValidationError(FiberwalkError):
     """Malformed input: bad file, bad config, violated precondition."""
 
     exit_code = 2
+
+
+@contextmanager
+def open_utf8(path, **kwargs):
+    """``open(path)`` as UTF-8 text; a file that is not UTF-8 raises a ValidationError naming it."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class ContractViolation(ValidationError):

@@ -27,6 +27,7 @@ from .errors import (
     DecompositionError,
     OracleTooLargeError,
     ValidationError,
+    open_utf8,
 )
 from .models import DesignMatrix, overshoot
 
@@ -316,7 +317,7 @@ def load_basis(path):
     ``dim`` entries per vector.  A malformed file raises
     :class:`ValidationError` naming its path and line.
     """
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         words = fh.readline().split()
         v2 = words[:2] == _V2_HEADER.split()
         try:

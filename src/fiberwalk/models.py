@@ -36,6 +36,7 @@ from .errors import (
     FitError,
     SizingError,
     ValidationError,
+    open_utf8,
 )
 
 INDEPENDENCE = "independence"
@@ -391,7 +392,7 @@ def read_table_csv(path):
     Cells are nonnegative integers in lexicographic (row-major) order,
     spread over any number of comma-separated lines.
     """
-    with open(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith("dims="):
             raise ValidationError(
@@ -424,7 +425,7 @@ def read_edge_list(path):
     """Read an edge list of 1-based ``i j`` pairs; returns 0-based edges."""
     edges = []
     max_id = 0
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or line.lstrip().startswith("#"):

@@ -94,19 +94,25 @@ class DenseNet:
         )
 
     def set_param_vector(self, vec):
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)  # a copy: the network owns its parameters
         if vec.shape != (self.n_params,):
             raise ContractViolation(
                 f"parameter vector has length {vec.size}, expected {self.n_params}"
             )
-        pos = 0
-        for i, w in enumerate(self.weights):
-            size = w.size
-            self.weights[i] = vec[pos:pos + size].reshape(w.shape).copy()
-            pos += size
-            size = self.biases[i].size
-            self.biases[i] = vec[pos:pos + size].copy()
-            pos += size
+        fresh = dense_from_vector(self.dims, vec)
+        self.weights[:], self.biases[:] = fresh.weights, fresh.biases
+
+
+def dense_from_vector(dims, vec):
+    """Network of layer widths ``dims`` whose layers are views of the flat
+    ``vec``, in :meth:`DenseNet.param_vector` order."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
+        pos += fan_in * fan_out
+        biases.append(vec[pos:pos + fan_out])
+        pos += fan_out
+    return DenseNet(weights=weights, biases=biases)
 
 
 def make_dense(dims, rng):

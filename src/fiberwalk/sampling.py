@@ -141,14 +141,16 @@ def _range_masses(lo, hi, mu, sigma, cmin, cmax):
 
     Rounding maps the range to ``(lo - 0.5, hi + 0.5)``; clamping moves
     an edge below ``cmin`` to -inf and one above ``cmax`` to +inf, so a
-    range outside the bounds has zero mass.  ``lo`` and ``hi`` are
-    arrays that broadcast against ``mu``.
+    range outside the bounds has zero mass.  ``lo <= hi`` are integer
+    arrays of one shape that broadcast against ``mu``.  A range above the
+    mean is measured as ``sf(lower) - sf(upper)``, so a far tail keeps its mass.
     """
-    edges = np.array([hi + 0.5, lo - 0.5])
-    edges[edges < cmin] = -np.inf
-    edges[edges > cmax] = np.inf
-    upper, lower = ndtr((edges - mu) / sigma)
-    return upper - lower
+    grid = np.arange(cmin - 0.5, cmax + 1)  # every cell edge, cmin - 0.5 .. cmax + 0.5
+    grid[0], grid[-1] = -np.inf, np.inf  # the clamped tails
+    z = (grid.take(np.array([hi + 1, lo]) - cmin, mode="clip") - mu) / sigma
+    np.negative(z, out=z, where=z[1] > 0)  # mirror a range above the mean
+    cdf = ndtr(z)
+    return np.abs(cdf[0] - cdf[1])  # a mirrored range has its two terms swapped
 
 
 def proposal_log_prob(ac, coeffs, mu, sigma):
@@ -194,8 +196,8 @@ def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
     log weight at the candidate minus that at the current state.
     ``-inf`` when the reverse move lies outside the clamp bounds.
     """
-    reverse = -coeffs
-    if np.any((reverse < ac.coeff_min) | (reverse > ac.coeff_max)):
+    reverse, cmin, cmax = -coeffs, ac.coeff_min, ac.coeff_max
+    if reverse.min(initial=cmin) < cmin or reverse.max(initial=cmax) > cmax:
         return -np.inf
     log_fwd = proposal_log_prob(ac, coeffs, *here)
     log_rev = proposal_log_prob(ac, reverse, *there)

@@ -1,7 +1,9 @@
 """Tests for the actor-critic learner: policy, GAE, updates, training."""
 
+import base64
 import copy
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -531,18 +533,33 @@ class TestPolicySerialization:
             coeff_min=-2, coeff_max=3, mask_k=1, ball_radius=1e3, input_scale=4.0,
             sigma_min=0.001,
         )
+        # The parameter vector (layer by layer, weights then biases), then the critic.
+        values = (0.5, -0.25, 0.1, 1.5, -0.0, 0.0, 5e-324, -1e300)
+        body = (
+            "AAAAAAAA4D8AAAAAAADQv5qZmZmZmbk/AAAAAAAA+D8"
+            "AAAAAAAAAgAAAAAAAAAAAAQAAAAAAAACcdQCIPOQ3/g=="
+        )
+        assert base64.b64decode(body, validate=True) == struct.pack("<8d", *values)
         text = (
-            "fiberwalk-policy v2\ncoeff_min=-2\ncoeff_max=3\nmask_k=1\nball_radius=1000.0\n"
-            "input_scale=4.0\nsigma_min=0.001\nbasis_sha256=none\nlayers=2,1,2\n"
-            # The parameter vector (layer by layer, weights then biases), then the critic.
-            "0.5\n-0.25\n0.1\n1.5\n-0.0\n0.0\n5e-324\n-1e+300\n"
+            "fiberwalk-policy v3\ncoeff_min=-2\ncoeff_max=3\nmask_k=1\nball_radius=1000.0\n"
+            "input_scale=4.0\nsigma_min=0.001\nbasis_sha256=none\nlayers=2,1,2\n" + body + "\n"
         )
         assert serialize_policy(ac) == text
         assert serialize_policy(*deserialize_policy(text)) == text
 
+    def test_read_draws_no_random_weights(self, monkeypatch):
+        text = serialize_policy(_small_ac(seed=9))
+        monkeypatch.setattr("fiberwalk.agent.make_dense", None)
+        back, _ = deserialize_policy(text)
+        assert back.net.dims == (4, 5, 4)
+
     def _policy_lines(self):
-        # Widths 4, 5, 4: 25 + 24 parameters and 5 critic weights on lines 10-63.
+        # Widths 4, 5, 4: 25 + 24 parameters and 5 critic weights, 432 bytes,
+        # so line 10 holds 576 base64 characters.
         return serialize_policy(_small_ac(seed=9), basis_sha256="ab" * 32).splitlines()
+
+    def _body(self, values):
+        return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
     def test_truncated_file_names_the_missing_line(self):
         text = "\n".join(self._policy_lines()[:3]) + "\n"
@@ -565,10 +582,12 @@ class TestPolicySerialization:
 
     def test_bad_number_in_a_parameter_block_names_its_line(self):
         lines = self._policy_lines()
-        assert lines[8] == "layers=4,5,4" and len(lines) == 63
-        lines[20] = "zero"
-        with pytest.raises(ValidationError, match="line 21: expected a number"):
-            deserialize_policy("\n".join(lines))
+        assert lines[8] == "layers=4,5,4" and len(lines) == 10 and len(lines[9]) == 576
+        values = np.frombuffer(base64.b64decode(lines[9]), "<f8")
+        for bad in (np.nan, np.inf, -np.inf):
+            lines[9] = self._body(np.where(np.arange(values.size) == 11, bad, values))
+            with pytest.raises(ValidationError, match="line 10: a value is not finite"):
+                deserialize_policy("\n".join(lines))
 
     def _edited(self, edit):
         lines = self._policy_lines()
@@ -580,28 +599,45 @@ class TestPolicySerialization:
         [
             (lambda ls: ls.__setitem__(0, "fiberwalk-policy v1"),
              "line 1: a v1 policy file, which this version does not read; retrain"),
-            (lambda ls: ls.__setitem__(0, "fiberwalk-densenet v2"), "line 1: not a v2 policy"),
+            (lambda ls: ls.__setitem__(0, "fiberwalk-policy v2"),
+             "line 1: a v2 policy file, which this version does not read; retrain"),
+            (lambda ls: ls.__setitem__(0, "fiberwalk-densenet v3"), "line 1: not a v3 policy"),
             (lambda ls: ls.__setitem__(8, "layers=4,4"), "line 9: expected layers="),
             (lambda ls: ls.__setitem__(8, "layers=4,x,4"), "line 9: expected layers="),
             (lambda ls: ls.__setitem__(8, "layers=4,0,4"), "line 9: expected layers="),
             (lambda ls: ls.__setitem__(8, "layer=4,5,4"), "line 9: expected layers="),
+            # 30 + 28 parameters and 6 critic weights: 512 bytes.
             (lambda ls: ls.__setitem__(8, "layers=4,6,4"),
-             "line 64: expected a number; the layer widths fix 64 values"),
-            (lambda ls: ls.append("0.5"), "line 64: expected the end of the file"),
-            (lambda ls: ls.__setitem__(8, "layers=4,4,4"), "line 54: expected the end of the file"),
-            (lambda ls: ls.__setitem__(12, "0.5 0.25"), "line 13: expected a number"),
-            (lambda ls: ls.insert(12, ""), "line 13: expected a number"),
-            (lambda ls: ls.__setitem__(12, " 0.5"), "line 13: expected a number"),
-            (lambda ls: ls.__setitem__(62, "1.0\r"), "line 63: expected a number"),
-            # Two numbers on a line, a blank line and a missing line keep both counts right.
-            (lambda ls: (ls.__setitem__(12, "0.5 0.25"), ls.insert(20, ""), ls.pop()),
-             "line 13: expected a number"),
+             "line 10: 576 characters, but the layer widths fix 64 values, which take 684"),
+            (lambda ls: ls.append("AAAA"),
+             "line 10: expected the end of the file after the values"),
+            (lambda ls: ls.append(""), "line 10: expected the end of the file after the values"),
+            # 20 + 20 parameters and 4 critic weights: 352 bytes.
+            (lambda ls: ls.__setitem__(8, "layers=4,4,4"),
+             "line 10: 576 characters, but the layer widths fix 44 values, which take 472"),
+            (lambda ls: ls.__setitem__(9, ls[9][:-4]),
+             "line 10: 572 characters, but the layer widths fix 54 values, which take 576"),
+            (lambda ls: ls.__setitem__(9, ls[9] + "AAAA"),
+             "line 10: 580 characters, but the layer widths fix 54 values, which take 576"),
+            (lambda ls: ls.__setitem__(9, ls[9][:288] + " " + ls[9][288:]),
+             "line 10: 577 characters"),
+            (lambda ls: ls.insert(9, ""), "line 10: 0 characters"),
+            (lambda ls: ls.__setitem__(9, " " + ls[9]), "line 10: 577 characters"),
+            (lambda ls: ls.__setitem__(9, ls[9] + "\r"), "line 10: 577 characters"),
+            # The length is right, but one character is outside the alphabet.
+            (lambda ls: ls.__setitem__(9, ls[9][:100] + "*" + ls[9][101:]),
+             "line 10: not the base64 of 54 float64 values"),
+            (lambda ls: ls.__setitem__(9, ls[9][:100] + "\u00e9" + ls[9][101:]),
+             "line 10: not the base64 of 54 float64 values"),
+            (lambda ls: ls.__setitem__(9, ls[9][:102] + "==" + ls[9][104:]),
+             "line 10: not the base64 of 54 float64 values"),
         ],
         ids=[
-            "v1-header", "other-header", "one-hidden-width-short", "width-not-a-number",
-            "zero-width", "layers-key-misspelt", "widths-promise-more",
-            "extra-value", "widths-promise-fewer", "two-numbers-on-a-line", "blank-line",
-            "leading-space", "carriage-return", "counts-that-balance",
+            "v1-header", "v2-header", "other-header", "one-hidden-width-short",
+            "width-not-a-number", "zero-width", "layers-key-misspelt", "widths-promise-more",
+            "extra-value", "blank-line-after-the-values", "widths-promise-fewer",
+            "short-body", "long-body", "two-numbers-on-a-line", "blank-line", "leading-space",
+            "carriage-return", "counts-that-balance", "non-ascii-character", "padding-inside",
         ],
     )
     def test_malformed_file_names_its_line(self, edit, message):
@@ -622,14 +658,17 @@ class TestPolicySerialization:
             deserialize_policy("\n".join(lines))
 
     def test_short_critic_block_rejected(self):
-        lines = self._policy_lines()[:-1]
+        lines = self._policy_lines()
+        lines[9] = self._body(np.frombuffer(base64.b64decode(lines[9]), "<f8")[:-1])
         with pytest.raises(
-            ValidationError, match="line 63: expected a number; the layer widths fix 54 values"
+            ValidationError,
+            match="line 10: 568 characters, but the layer widths fix 54 values, which take 576",
         ):
             deserialize_policy("\n".join(lines))
 
     def test_read_peak_memory_is_near_the_text_size(self):
-        # One Python float and string per value took about 5.5 times the text.
+        # The body line and its decoded bytes coexist once: 1.75 times the
+        # text.  One Python float and string per value took about 5.5 times.
         ac = make_actor_critic(200, 100, hidden=(200,), seed=1)
         assert ac.actor_params().size >= 50_000
         text = serialize_policy(ac)
@@ -640,7 +679,7 @@ class TestPolicySerialization:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.actor_params(), ac.actor_params())
-        assert peak < 2.5 * len(text)
+        assert peak < 2.0 * len(text)
 
 
 # Finite doubles with the awkward cases drawn often: signed zeros,

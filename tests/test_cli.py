@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver."""
 
+import base64
 import hashlib
 import json
 import re
@@ -139,6 +140,18 @@ class TestValidation:
         }[family])
         assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"{data}:{lineno}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["table", "graph"])
+    def test_data_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, family):
+        body = {"table": b"dims=2x2\n1,0\n0,1\n", "graph": b"1 2\n2 3\n"}[family]
+        data = tmp_path / "data.txt"
+        data.write_bytes(body + b"\xff\n")
+        cfg = _write(tmp_path / "c.cfg", {
+            "table": f"model.family=independence\nmodel.shape=2x2\ndata.table={data}\n",
+            "graph": f"model.family=beta_model\nmodel.nodes=3\ndata.graph={data}\n",
+        }[family])
+        assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{data}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, line",
@@ -292,6 +305,35 @@ class TestSampleAndTest:
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["config", "policy", "basis"])
+    def test_input_that_is_not_utf8_exits_2_naming_it(
+        self, tmp_path, train_cfg, table22, capsys, name
+    ):
+        trained = self._trained(tmp_path, train_cfg)
+        policy = trained / "policy.txt"
+        # No checksum, so that an edited basis file is read, not refused unread.
+        policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
+        cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
+        path = {"config": cfg, "policy": policy, "basis": trained / "basis.txt"}[name]
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_v2_policy_exits_2_asking_to_retrain(self, tmp_path, train_cfg, table22, capsys):
+        trained = self._trained(tmp_path, train_cfg)
+        policy = trained / "policy.txt"
+        lines = policy.read_text().splitlines()
+        values = np.frombuffer(base64.b64decode(lines[9]), "<f8").tolist()
+        v2 = ["fiberwalk-policy v2", *lines[1:9], *map(repr, values)]
+        policy.write_text("\n".join(v2) + "\n")
+        cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
+        assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert (
+            "line 1: a v2 policy file, which this version does not read; retrain the policy"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "command, line, output",

@@ -7,7 +7,7 @@ import pytest
 
 from fiberwalk.agent import ActorCritic, deserialize_policy, serialize_policy
 from fiberwalk.errors import ContractViolation, NumericError
-from fiberwalk.neuralnet import DenseNet, make_dense, project_to_ball
+from fiberwalk.neuralnet import DenseNet, dense_from_vector, make_dense, project_to_ball
 
 from .oracles import central_difference, relative_error
 
@@ -116,6 +116,21 @@ class TestParamVector:
         clone = copy.deepcopy(net)
         clone.set_param_vector(vec)
         assert np.array_equal(clone.param_vector(), vec)
+
+    def test_layers_are_views_of_the_vector_in_its_order(self):
+        vec = np.arange(17.0)  # widths 2, 3, 2: 6 + 3 + 6 + 2 parameters
+        net = dense_from_vector((2, 3, 2), vec)
+        assert net.dims == (2, 3, 2)
+        assert np.array_equal(net.param_vector(), vec)
+        assert all(np.shares_memory(part, vec) for part in net.weights + net.biases)
+        assert np.array_equal(net.weights[1], [[9.0, 10.0, 11.0], [12.0, 13.0, 14.0]])
+
+    def test_set_param_vector_copies(self):
+        net = make_dense((2, 3, 2), np.random.default_rng(0))
+        vec = np.arange(17.0)
+        net.set_param_vector(vec)
+        vec[:] = 0.0
+        assert np.array_equal(net.param_vector(), np.arange(17.0))
 
     def test_length_validated(self):
         net = make_dense((2, 2), np.random.default_rng(0))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from fiberwalk import sampling
@@ -278,6 +279,49 @@ class TestExactStationaryLaw:
         assert n_comp == 1
         # Detailed balance for the uniform law is a symmetric kernel.
         assert np.max(np.abs(trans - trans.T)) < 1e-9
+
+
+class TestUpperTailMass:
+    """A coefficient far above the policy's mean keeps its true mass."""
+
+    def _ac(self, mask_k):
+        return make_actor_critic(2, 2, hidden=(3,), seed=0, coeff_min=-2, coeff_max=2,
+                                 mask_k=mask_k)
+
+    def _log_prob(self, ac, coeffs):
+        return proposal_log_prob(ac, np.array(coeffs), np.full(2, -8.0), np.ones(2))
+
+    def test_unmasked_cells_match_the_normal_tail(self):
+        ac = self._ac(None)
+        # Under N(-8, 1) coefficient 1 is the cell (0.5, 1.5), and 2 is (1.5, inf).
+        cell1, cell2 = norm.sf(8.5) - norm.sf(9.5), norm.sf(9.5)
+        assert self._log_prob(ac, [1, 2]) == pytest.approx(np.log(cell1 * cell2), abs=1e-9)
+        assert self._log_prob(ac, [2, 2]) == pytest.approx(2 * np.log(cell2), abs=1e-9)
+
+    def test_masked_cells_match_the_normal_tail(self):
+        ac = self._ac(1)
+        # The second coordinate comes after the last tie, so it may round to
+        # any magnitude up to the kept one: -1..1 for a kept 1, -2..2 for a 2.
+        want = np.log(norm.sf(8.5) - norm.sf(9.5)) + np.log(norm.sf(6.5) - norm.sf(9.5))
+        assert self._log_prob(ac, [1, 0]) == pytest.approx(want, abs=1e-9)
+        assert self._log_prob(ac, [2, 0]) == pytest.approx(np.log(norm.sf(9.5)), abs=1e-9)
+
+    def test_ranges_at_or_below_the_mean_keep_their_bits(self):
+        rng = np.random.default_rng(4)
+        mu, sigma = rng.normal(scale=2.0, size=200), rng.uniform(0.01, 3.0, size=200)
+        lo = rng.integers(-4, 4, size=200)
+        hi = lo + rng.integers(0, 3, size=200)
+        edges = np.array([hi + 0.5, lo - 0.5])
+        edges[edges < -2] = -np.inf
+        edges[edges > 2] = np.inf
+        upper, lower = ndtr((edges - mu) / sigma)
+        got = sampling._range_masses(lo, hi, mu, sigma, -2, 2)
+        at_or_below = edges[1] <= mu
+        assert 50 < at_or_below.sum() < 200
+        assert np.array_equal(got[at_or_below], (upper - lower)[at_or_below])
+        above = ~at_or_below
+        want = norm.sf((edges[1] - mu) / sigma) - norm.sf((edges[0] - mu) / sigma)
+        assert np.allclose(got[above], want[above], rtol=1e-12, atol=0)
 
 
 class TestGoldenTraces:
