@@ -6,13 +6,13 @@ defining a diagonal Gaussian whose samples are rounded, clamped to the
 coefficient bounds and optionally masked down to the largest few
 entries.  The critic is the linear map ``features . omega`` on the
 network's last hidden layer, read from the same forward pass, so one
-pass evaluates both.  The actor ascends the
-GAE-weighted score direction averaged over a rollout window; the
-critic descends the squared n-step bootstrap error.  Both parameter
-vectors are projected back onto a large ball after every update,
-which keeps the iterates bounded, and the two step-size schedules
-decay at different rates so the coupled updates behave as a fast/slow
-pair.
+pass evaluates both.  The actor ascends the GAE-weighted score direction
+averaged over a rollout window, one batched backward pass over the
+window's stacked layer outputs; the critic descends the squared n-step
+bootstrap error.  Both parameter vectors are projected back onto a large
+ball after every update, which keeps the iterates bounded, and the two
+step-size schedules decay at different rates so the coupled updates
+behave as a fast/slow pair.
 
 Log-probabilities are always evaluated at the pre-rounding continuous
 sample: the policy density is a Gaussian, and rounding, clamping and
@@ -26,7 +26,7 @@ their policies must be trained again.
 
 import binascii
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,18 +142,28 @@ def make_actor_critic(
 
 
 def _forward(ac, state):
-    """One network pass at ``state``: ``(output, features, cache)``, where the
-    features are the last hidden layer, the critic's input."""
-    out, cache = ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)
-    return out, cache[-2], cache
+    """One network pass at ``state``: every layer's output, the input first.  The
+    head output is the last; the last hidden layer, the critic's input, precedes it."""
+    return ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)[1]
 
 
 @dataclass(frozen=True)
 class PolicySample:
     coeffs: np.ndarray
-    log_prob_grad: np.ndarray
     continuous: np.ndarray
-    features: np.ndarray
+    cache: list = None        # every layer's output at the state, the input first
+    score: np.ndarray = None  # d ln pi / d(head output): each dmu, then each dlog-sigma
+    net: DenseNet = None      # the layers at the draw: an update replaces arrays, never edits
+
+    @property
+    def features(self):
+        """The last hidden layer, the critic's input."""
+        return None if self.cache is None else self.cache[-2]
+
+    @property
+    def log_prob_grad(self):
+        """d ln pi / d(theta) at the draw: the backward pass of the one score."""
+        return None if self.score is None else self.net.backward(self.cache, self.score)[0]
 
 
 def mask_coefficients(coeffs, mask_k):
@@ -177,51 +187,43 @@ def _head_distribution(ac, head_out):
 
 def policy_distribution(ac, state):
     """Mean and stddev of the coefficient Gaussian at ``state``."""
-    mu, sigma, _ = _head_distribution(ac, _forward(ac, state)[0])
+    mu, sigma, _ = _head_distribution(ac, _forward(ac, state)[-1])
     return mu, sigma
 
 
 def policy_sample(ac, state, rng, dist=None):
-    """Draw a coefficient action, with its score gradient unless ``dist`` is given.
+    """Draw a coefficient action, with its head-space score unless ``dist`` is given.
 
-    The gradient is d/d(theta) of ln N(z; mu, sigma) at the continuous
-    draw ``z``, flowing back through every layer of the network; stddev
-    entries pinned by the clamp contribute zero.
+    The score is d/d(head output) of ln N(z; mu, sigma) at the continuous
+    draw ``z``; stddev entries pinned by the clamp contribute zero.  Its
+    backward pass is ``log_prob_grad``, which training never builds.
     ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``;
     passing it skips the network pass, so ``features`` and
     ``log_prob_grad`` are ``None``.
     """
-    if dist is None:
-        head_out, feats, cache = _forward(ac, state)
-        mu, sigma, sigma_raw = _head_distribution(ac, head_out)
-    else:
-        feats = None
+    if dist is not None:
         mu, sigma = dist
+    else:
+        cache = _forward(ac, state)
+        mu, sigma, sigma_raw = _head_distribution(ac, cache[-1])
     z = rng.normal(mu, sigma)
     rounded = np.clip(np.rint(z), ac.coeff_min, ac.coeff_max).astype(np.int64)
     coeffs = mask_coefficients(rounded, ac.mask_k)
-
-    grad = None
-    if dist is None:
-        dmu = (z - mu) / sigma**2
-        dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
-        unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
-        dlog = dsigma * np.where(unclamped, sigma_raw, 0.0)
-        grad, _ = ac.net.backward(cache, np.concatenate([dmu, dlog]))
-        if not np.all(np.isfinite(grad)):
-            raise NumericError("non-finite policy gradient")
-    return PolicySample(
-        coeffs=coeffs,
-        log_prob_grad=grad,
-        continuous=z,
-        features=feats,
-    )
+    if dist is not None:
+        return PolicySample(coeffs, z)
+    dmu = (z - mu) / sigma**2
+    dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
+    unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
+    score = np.concatenate([dmu, dsigma * np.where(unclamped, sigma_raw, 0.0)])
+    if not np.all(np.isfinite(score)):
+        raise NumericError("non-finite policy gradient")
+    return PolicySample(coeffs, z, cache, score, DenseNet(ac.net.weights[:], ac.net.biases[:]))
 
 
 def critic_value(ac, state, features=None):
     """State value: inner product of the last hidden layer with the critic weights."""
     if features is None:
-        features = _forward(ac, state)[1]
+        features = _forward(ac, state)[-2]
     return float(features @ ac.critic_weights)
 
 
@@ -250,22 +252,23 @@ def compute_gae(rewards, values, bootstrap, gamma, lam):
 class Trajectory:
     """One rollout window of length K plus the bootstrap state."""
 
-    features: np.ndarray        # (K+1, m), evaluated at collection time
-    rewards: np.ndarray         # (K,)
-    values: np.ndarray          # (K,)
+    layers: list            # (K+1, width) per layer, the input first: the K states, then the end
+    scores: np.ndarray      # (K, 2c), each step's PolicySample.score
+    rewards: np.ndarray     # (K,)
+    values: np.ndarray      # (K,)
     bootstrap_value: float
-    log_prob_grads: np.ndarray  # (K, n_actor_params)
 
     def __post_init__(self):
-        k = len(self.rewards)
-        if not (
-            len(self.features) == k + 1
-            and len(self.values) == k
-            and len(self.log_prob_grads) == k
-        ):
+        steps = {len(self.scores), len(self.values), *(len(rows) - 1 for rows in self.layers)}
+        if steps != {len(self.rewards)}:
             raise ContractViolation("trajectory arrays have inconsistent lengths")
         if np.any(np.asarray(self.rewards) > 0):
             raise ContractViolation("rewards cannot be positive in this MDP")
+
+    @property
+    def features(self):
+        """(K+1, m): the last hidden layer, the critic's input."""
+        return self.layers[-2]
 
 
 def _capped_step(step_size, direction, max_step):
@@ -284,9 +287,13 @@ def actor_update(ac, traj, step_size, gamma, lam, max_step=None):
     penalties scale with the problem dimension, and an uncapped first
     step on a large-reward fiber can throw the means past any
     feasible region before the critic has centered the advantages.
+    The backward pass is linear in its output gradient, so the direction
+    sum_k adv_k * grad ln pi_k / K is one backward pass over the window's
+    K steps, with output gradients adv_k * score_k / K.
     """
     adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
-    direction = traj.log_prob_grads.T @ adv / len(adv)
+    cache = [rows[:-1] for rows in traj.layers]  # the K steps, not the end state
+    direction, _ = ac.net.backward(cache, traj.scores * (adv / len(adv))[:, None])
     theta = ac.actor_params() + _capped_step(step_size, direction, max_step)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite actor parameters after update")
@@ -404,24 +411,24 @@ def train(env, ac, cfg, start=None):
         done = 0
         while done < steps_per_episode:
             k = min(cfg.window, steps_per_episode - done)
-            feats, rewards, values, grads = [], [], [], []
+            caches, scores, rewards, values = [], [], [], []
             feasible_count = 0
             for _ in range(k):
                 sample = policy_sample(ac, state, rng)
                 outcome = env.step(sample.coeffs)
-                feats.append(sample.features)
+                caches.append(sample.cache)
+                scores.append(sample.score)
                 values.append(critic_value(ac, state, features=sample.features))
                 rewards.append(outcome.reward)
-                grads.append(sample.log_prob_grad)
                 feasible_count += outcome.feasible
                 state = outcome.next
-            end_feats = _forward(ac, state)[1]
+            end_cache = _forward(ac, state)
             traj = Trajectory(
-                features=np.array(feats + [end_feats]),
+                layers=[np.array(rows) for rows in zip(*caches, end_cache)],
+                scores=np.array(scores),
                 rewards=np.array(rewards),
                 values=np.array(values),
-                bootstrap_value=critic_value(ac, state, features=end_feats),
-                log_prob_grads=np.array(grads),
+                bootstrap_value=critic_value(ac, state, features=end_cache[-2]),
             )
             n_updates += 1
             alpha = actor_sched(n_updates)
@@ -443,23 +450,11 @@ def train(env, ac, cfg, start=None):
 
 
 def write_train_log(path, log):
-    """Training log CSV: one row per update window."""
+    """Training log CSV: one row of :class:`WindowStats` per update window."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["window", "mean_reward", "feasible_fraction", "discovered_count", "alpha", "beta"]
-        )
-        for row in log:
-            writer.writerow(
-                [
-                    row.window,
-                    repr(row.mean_reward),
-                    repr(row.feasible_fraction),
-                    row.discovered_count,
-                    repr(row.alpha),
-                    repr(row.beta),
-                ]
-            )
+        writer.writerow(field.name for field in fields(WindowStats))
+        writer.writerows(vars(row).values() for row in log)  # a float is written as its repr
 
 
 # ------------------------------------------------------------------

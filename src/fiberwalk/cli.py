@@ -258,7 +258,12 @@ def _load_policy(cfg, design):
     policy_path = _existing(cfg.require("policy.file"))
     basis_path = _existing(cfg.require("policy.basis"))
     with open_utf8(policy_path) as fh:
-        ac, want_sha = deserialize_policy(fh.read())
+        text = fh.read()
+    try:
+        ac, want_sha = deserialize_policy(text)
+    except ValidationError as exc:  # "line N: why" becomes "<path>:N: why"
+        where = str(exc)[len("line "):] if str(exc).startswith("line ") else f" {exc}"
+        raise ValidationError(f"{policy_path}:{where}") from None
     if want_sha is not None and want_sha != _sha256_file(basis_path):
         raise IncompatiblePolicyError(
             "policy was trained against a different basis (checksum mismatch)"

@@ -3,8 +3,8 @@
 Small enough to audit: affine layers, tanh on every layer but the
 last, which is linear; a cached forward pass, and a backward pass
 returning the exact gradient of ``<output_grad, output>`` with respect
-to every parameter and to the input.  A network is its layer widths
-and one flat parameter vector, which round-trips losslessly.
+to every parameter and to the input, summed over a batch.  A network
+is its layer widths and one flat parameter vector, which round-trips losslessly.
 """
 
 from dataclasses import dataclass
@@ -67,26 +67,26 @@ class DenseNet:
         """Gradient of <output_grad, output> w.r.t. params and input.
 
         Returns ``(param_grad, input_grad)`` with ``param_grad`` flat
-        in the same order as :meth:`param_vector`.
+        in the same order as :meth:`param_vector`.  A (K, out) batch over
+        (K, width) layer outputs sums its K parameter gradients, one
+        ``(out, K) @ (K, in)`` product per layer, and returns (K, in)
+        input gradients; an (out,) gradient is the batch of one.
         """
-        outputs = cache
-        g = np.asarray(output_grad, dtype=float)
-        if g.shape != (self.output_dim,):
+        g = np.atleast_2d(np.asarray(output_grad, dtype=float))
+        if np.ndim(output_grad) not in (1, 2) or g.shape[-1] != self.output_dim:
             raise ContractViolation(
-                f"output_grad has shape {g.shape}, expected ({self.output_dim},)"
+                f"output_grad has shape {np.shape(output_grad)}, expected ([K,] {self.output_dim})"
             )
+        outputs = [np.atleast_2d(z) for z in cache]
+        flat = np.empty(self.n_params)
+        grad = dense_from_vector(self.dims, flat)  # each layer's gradient, a view of flat
         last = len(self.weights) - 1
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
         for i in range(last, -1, -1):
             da = g if i == last else g * (1.0 - outputs[i + 1] * outputs[i + 1])
-            grads_w[i] = np.outer(da, outputs[i])
-            grads_b[i] = da
-            g = self.weights[i].T @ da
-        flat = np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)]
-        )
-        return flat, g
+            np.matmul(da.T, outputs[i], out=grad.weights[i])
+            da.sum(axis=0, out=grad.biases[i])
+            g = da @ self.weights[i]
+        return flat, g[0] if np.ndim(output_grad) == 1 else g
 
     def param_vector(self):
         return np.concatenate(

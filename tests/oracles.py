@@ -132,6 +132,12 @@ def gae_double_sum(rewards, values, bootstrap, gamma, lam):
     )
 
 
+def window_direction_oracle(samples, adv):
+    """The actor's window direction as the GAE-weighted average of each step's
+    flat score gradient, one full backward pass per step."""
+    return np.array([s.log_prob_grad for s in samples]).T @ adv / len(adv)
+
+
 def relative_error(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

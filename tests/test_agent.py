@@ -41,6 +41,7 @@ from .oracles import (
     gaussian_log_density,
     policy_log_density,
     relative_error,
+    window_direction_oracle,
 )
 
 
@@ -58,26 +59,20 @@ def _features(ac, state):
 
 
 def _manual_window(ac, states, rng, rewards=None):
-    """Roll the policy over fixed states, collecting a Trajectory."""
+    """Roll the policy over fixed states, collecting a Trajectory and its samples."""
     k = len(states) - 1
-    feats, values, grads, continuous = [], [], [], []
-    for s in states[:-1]:
-        sample = policy_sample(ac, s, rng)
-        feats.append(sample.features)
-        values.append(critic_value(ac, s, features=sample.features))
-        grads.append(sample.log_prob_grad)
-        continuous.append(sample.continuous)
-    end_feats = _features(ac, states[-1])
+    samples = [policy_sample(ac, s, rng) for s in states[:-1]]
+    end_cache = ac.net.forward_cached(np.asarray(states[-1], dtype=float))[1]
     if rewards is None:
         rewards = -np.abs(np.random.default_rng(5).normal(size=k))
     traj = Trajectory(
-        features=np.array(feats + [end_feats]),
+        layers=[np.array(rows) for rows in zip(*(x.cache for x in samples), end_cache)],
+        scores=np.array([x.score for x in samples]),
         rewards=np.asarray(rewards, dtype=float),
-        values=np.array(values),
-        bootstrap_value=float(end_feats @ ac.critic_weights),
-        log_prob_grads=np.array(grads),
+        values=np.array([critic_value(ac, s, x.features) for s, x in zip(states, samples)]),
+        bootstrap_value=float(end_cache[-2] @ ac.critic_weights),
     )
-    return traj, continuous
+    return traj, samples
 
 
 class TestPolicySample:
@@ -154,17 +149,20 @@ class TestOneNetworkPass:
         policy_distribution(ac, state)
         assert calls == {"forward_cached": 1, "backward": 0}
         sample = policy_sample(ac, state, np.random.default_rng(0))
+        assert calls == {"forward_cached": 2, "backward": 0}
+        assert sample.log_prob_grad is not None
         assert calls == {"forward_cached": 2, "backward": 1}
         assert critic_value(ac, state, features=sample.features) == critic_value(ac, state)
 
-    def test_training_step_is_one_forward_and_one_backward_pass(self, calls):
+    def test_one_forward_per_step_and_one_backward_per_window(self, calls):
         dm = build_design_matrix(independence(2, 2))
         env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
         ac = make_actor_critic(4, 1, hidden=(6, 3), seed=0)
         log = train(env, ac, TrainConfig(episodes=1, window=8))
         steps = env.config.steps_per_episode
-        # One pass per step, plus one at each window's end for the bootstrap value.
-        assert calls == {"forward_cached": steps + len(log), "backward": steps}
+        # One forward pass per step, plus one at each window's end for the bootstrap
+        # value; one backward pass per window, over all of its steps at once.
+        assert calls == {"forward_cached": steps + len(log), "backward": len(log)}
 
 
 class TestMasking:
@@ -289,20 +287,20 @@ class TestActorUpdate:
         ac = _small_ac(seed=3)
         rng = np.random.default_rng(3)
         states = [np.array([2, 0, 1, 1]), np.array([1, 1, 0, 2])]
-        traj, _ = _manual_window(ac, states, rng, rewards=[-1.5])
+        traj, samples = _manual_window(ac, states, rng, rewards=[-1.5])
         gamma, lam, step = 0.99, 0.95, 0.01
         delta = traj.rewards[0] + gamma * traj.bootstrap_value - traj.values[0]
         before = ac.actor_params()
         actor_update(ac, traj, step, gamma, lam)
         np.testing.assert_allclose(
-            ac.actor_params() - before, step * delta * traj.log_prob_grads[0], atol=1e-12
+            ac.actor_params() - before, step * delta * samples[0].log_prob_grad, atol=1e-12
         )
 
     def test_direction_matches_surrogate_finite_differences(self):
         ac = _small_ac(seed=9)
         rng = np.random.default_rng(9)
         states = [np.array([1, 1, 0, 0]), np.array([0, 1, 1, 0]), np.array([1, 0, 1, 0])]
-        traj, continuous = _manual_window(ac, states, rng, rewards=[-0.5, -1.0])
+        traj, samples = _manual_window(ac, states, rng, rewards=[-0.5, -1.0])
         gamma, lam = 0.9, 0.8
         adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
         theta0 = ac.actor_params()
@@ -312,7 +310,7 @@ class TestActorUpdate:
             probe.set_actor_params(theta)
             total = 0.0
             for k, s in enumerate(states[:-1]):
-                total += adv[k] * policy_log_density(probe, s, continuous[k])
+                total += adv[k] * policy_log_density(probe, s, samples[k].continuous)
             return total / len(adv)
 
         fd = central_difference(surrogate, theta0)
@@ -320,6 +318,26 @@ class TestActorUpdate:
         actor_update(probe, traj, 1.0, gamma, lam)
         direction = probe.actor_params() - theta0  # step size 1, inside the ball
         assert relative_error(direction, fd) < 1e-4
+
+    @pytest.mark.parametrize("case", ["unmasked", "mask_k=2", "clamped-sigma"])
+    def test_direction_is_the_average_of_per_step_score_gradients(self, case):
+        # A window of 8 steps at 3x3 independence sizes: 9 cells, 4 basis coefficients.
+        mask_k = 2 if case == "mask_k=2" else None
+        ac = _small_ac(seed=4, state_dim=9, n_coeffs=4, hidden=(6, 5), mask_k=mask_k,
+                       sigma_min=1e-3)
+        if case == "clamped-sigma":
+            ac.net.biases[-1][4:6] = 20.0  # sigma above SIGMA_MAX: pinned by the clamp
+        rng = np.random.default_rng(8)
+        states = [rng.integers(0, 6, size=9) for _ in range(9)]
+        traj, samples = _manual_window(ac, states, rng)
+        if case == "clamped-sigma":
+            assert not traj.scores[:, 4:6].any() and traj.scores[:, 6:].any()
+        gamma, lam = 0.9, 0.7
+        adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
+        want = window_direction_oracle(samples, adv)
+        theta0 = ac.actor_params()
+        actor_update(ac, traj, 1.0, gamma, lam)  # step size 1, inside the ball
+        assert relative_error(ac.actor_params() - theta0, want) < 1e-12
 
     def test_projection_keeps_parameters_in_ball(self):
         ac = _small_ac(ball_radius=1.0)
@@ -390,21 +408,21 @@ class TestTrajectory:
     def test_positive_rewards_rejected(self):
         with pytest.raises(ContractViolation):
             Trajectory(
-                features=np.zeros((2, 4)),
+                layers=[np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 6))],
+                scores=np.zeros((1, 6)),
                 rewards=np.array([1.0]),
                 values=np.zeros(1),
                 bootstrap_value=0.0,
-                log_prob_grads=np.zeros((1, 5)),
             )
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ContractViolation):
             Trajectory(
-                features=np.zeros((3, 4)),
+                layers=[np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((2, 6))],
+                scores=np.zeros((1, 6)),
                 rewards=np.array([-1.0]),
                 values=np.zeros(1),
                 bootstrap_value=0.0,
-                log_prob_grads=np.zeros((1, 5)),
             )
 
 

@@ -304,7 +304,17 @@ class TestSampleAndTest:
         policy.write_text("\n".join(policy.read_text().splitlines()[:3]) + "\n")
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
-        assert "line 4" in capsys.readouterr().err
+        assert f"{policy}:4: expected mask_k=..." in capsys.readouterr().err
+
+    def test_policy_cut_after_its_header_exits_2_naming_its_path(
+        self, tmp_path, train_cfg, table22, capsys
+    ):
+        trained = self._trained(tmp_path, train_cfg)
+        policy = trained / "policy.txt"
+        policy.write_text("\n".join(policy.read_text().splitlines()[:9]) + "\n")
+        cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
+        assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert f"{policy}:10: 0 characters, but the layer widths fix" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["config", "policy", "basis"])
     def test_input_that_is_not_utf8_exits_2_naming_it(
@@ -331,7 +341,7 @@ class TestSampleAndTest:
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert (
-            "line 1: a v2 policy file, which this version does not read; retrain the policy"
+            f"{policy}:1: a v2 policy file, which this version does not read; retrain the policy"
             in capsys.readouterr().err
         )
 

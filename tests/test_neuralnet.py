@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberwalk.agent import ActorCritic, deserialize_policy, serialize_policy
 from fiberwalk.errors import ContractViolation, NumericError
@@ -106,6 +108,36 @@ class TestBackward:
 
             fd_in = central_difference(lambda v: float(g @ _forward(net, v)), x)
             assert relative_error(input_grad, fd_in) < 1e-4
+
+
+class TestBatchedBackward:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_is_the_sum_of_its_rows(self, dims, k, seed):
+        rng = np.random.default_rng(seed)
+        net = _random_net(rng, dims)
+        gs = rng.normal(size=(k, net.output_dim))
+        caches = [net.forward_cached(x)[1] for x in rng.normal(size=(k, net.input_dim))]
+        flat, input_grads = net.backward([np.array(rows) for rows in zip(*caches)], gs)
+        rows = [net.backward(cache, g) for cache, g in zip(caches, gs)]
+        assert relative_error(flat, np.sum([r[0] for r in rows], axis=0)) < 1e-12
+        assert input_grads.shape == (k, net.input_dim)
+        assert relative_error(input_grads, [r[1] for r in rows]) < 1e-12
+        # A batch of one is the 1-D call, bit for bit.
+        one, one_input = net.backward([z[None] for z in caches[0]], gs[:1])
+        assert one.tobytes() == rows[0][0].tobytes()
+        assert one_input[0].tobytes() == rows[0][1].tobytes()
+
+    def test_output_grad_of_the_wrong_shape_rejected(self):
+        net = make_dense((3, 2), np.random.default_rng(0))
+        cache = net.forward_cached(np.zeros(3))[1]
+        for shape in [(3,), (1, 3), (1, 1, 2)]:
+            with pytest.raises(ContractViolation):
+                net.backward(cache, np.zeros(shape))
 
 
 class TestParamVector:
