@@ -9,8 +9,8 @@ network's last hidden layer, read from the same forward pass, so one
 pass evaluates both.  The actor ascends the GAE-weighted score direction
 averaged over a rollout window, one batched backward pass over the
 window's stacked layer outputs; the critic descends the squared n-step
-bootstrap error.  Both parameter vectors are projected back onto a large
-ball after every update, which keeps the iterates bounded, and the two
+bootstrap error.  Each step is added in place to its parameter vector, which is then
+projected back onto a large ball, keeping the iterates bounded; the two
 step-size schedules decay at different rates so the coupled updates
 behave as a fast/slow pair.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ValidationError
-from .neuralnet import DenseNet, dense_from_vector, make_dense, project_to_ball
+from .neuralnet import DenseNet, dense_from_vector, make_dense
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
@@ -153,7 +153,7 @@ class PolicySample:
     continuous: np.ndarray
     cache: list = None        # every layer's output at the state, the input first
     score: np.ndarray = None  # d ln pi / d(head output): each dmu, then each dlog-sigma
-    net: DenseNet = None      # the layers at the draw: an update replaces arrays, never edits
+    net: DenseNet = None      # the live network, which later updates change in place
 
     @property
     def features(self):
@@ -162,7 +162,7 @@ class PolicySample:
 
     @property
     def log_prob_grad(self):
-        """d ln pi / d(theta) at the draw: the backward pass of the one score."""
+        """d ln pi / d(theta): the score's backward pass through the current parameters."""
         return None if self.score is None else self.net.backward(self.cache, self.score)[0]
 
 
@@ -217,7 +217,7 @@ def policy_sample(ac, state, rng, dist=None):
     score = np.concatenate([dmu, dsigma * np.where(unclamped, sigma_raw, 0.0)])
     if not np.all(np.isfinite(score)):
         raise NumericError("non-finite policy gradient")
-    return PolicySample(coeffs, z, cache, score, DenseNet(ac.net.weights[:], ac.net.biases[:]))
+    return PolicySample(coeffs, z, cache, score, ac.net)
 
 
 def critic_value(ac, state, features=None):
@@ -271,13 +271,20 @@ class Trajectory:
         return self.layers[-2]
 
 
-def _capped_step(step_size, direction, max_step):
-    step = step_size * direction
-    if max_step is not None:
-        norm = float(np.linalg.norm(step))
-        if norm > max_step:
-            step = step * (max_step / norm)
-    return step
+def _apply_step(params, direction, step_size, max_step, radius, name):
+    """``params += step_size * direction`` capped at length ``max_step``, then projected onto
+    the ball of ``radius``.  Both arrays are changed in place, ``direction`` into the step;
+    a non-finite step raises before ``params`` changes."""
+    direction *= step_size
+    norm = float(np.linalg.norm(direction))
+    if max_step is not None and norm > max_step:
+        direction *= max_step / norm
+    if not np.isfinite(direction).all():
+        raise NumericError(f"non-finite {name} after update")
+    params += direction
+    norm = float(np.linalg.norm(params))
+    if norm > radius:
+        params *= radius / norm
 
 
 def actor_update(ac, traj, step_size, gamma, lam, max_step=None):
@@ -289,15 +296,13 @@ def actor_update(ac, traj, step_size, gamma, lam, max_step=None):
     feasible region before the critic has centered the advantages.
     The backward pass is linear in its output gradient, so the direction
     sum_k adv_k * grad ln pi_k / K is one backward pass over the window's
-    K steps, with output gradients adv_k * score_k / K.
+    K steps, with output gradients adv_k * score_k / K; the step is scaled in that
+    gradient, the one parameter-sized array made, and added to the network's vector.
     """
     adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
     cache = [rows[:-1] for rows in traj.layers]  # the K steps, not the end state
     direction, _ = ac.net.backward(cache, traj.scores * (adv / len(adv))[:, None])
-    theta = ac.actor_params() + _capped_step(step_size, direction, max_step)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite actor parameters after update")
-    ac.set_actor_params(project_to_ball(theta, ac.ball_radius))
+    _apply_step(ac.net.params, direction, step_size, max_step, ac.ball_radius, "actor parameters")
     return ac
 
 
@@ -320,10 +325,7 @@ def critic_update(ac, traj, step_size, gamma, max_step=None):
     residuals = feats[:k] @ omega - targets
     decay = gamma ** (k - np.arange(k))
     direction = (feats[:k] - np.outer(decay, feats[k])).T @ residuals
-    omega = omega - _capped_step(step_size, direction, max_step)
-    if not np.all(np.isfinite(omega)):
-        raise NumericError("non-finite critic weights after update")
-    ac.critic_weights = project_to_ball(omega, ac.ball_radius)
+    _apply_step(omega, direction, -step_size, max_step, ac.ball_radius, "critic weights")
     return ac
 
 
@@ -478,7 +480,7 @@ def serialize_policy(ac, basis_sha256=None):
         f"basis_sha256={basis_sha256 or 'none'}",
         f"layers={','.join(map(str, ac.net.dims))}",
     ])
-    values = np.concatenate([ac.actor_params(), ac.critic_weights]).astype("<f8", copy=False)
+    values = np.concatenate([ac.net.params, ac.critic_weights]).astype("<f8", copy=False)
     body = binascii.b2a_base64(values)  # ends in a line break
     del values  # each whole-file copy is freed once the next one is made
     body = body.decode("ascii")

@@ -4,46 +4,52 @@ Small enough to audit: affine layers, tanh on every layer but the
 last, which is linear; a cached forward pass, and a backward pass
 returning the exact gradient of ``<output_grad, output>`` with respect
 to every parameter and to the input, summed over a batch.  A network
-is its layer widths and one flat parameter vector, which round-trips losslessly.
+is its layer widths and one flat parameter vector, which it owns, which
+every layer is a view of, and which round-trips losslessly.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError
 
 
-@dataclass
 class DenseNet:
-    """Stack of affine layers; ``weights[i]`` has shape (out, in)."""
+    """Stack of affine layers of widths ``dims`` (the input, each hidden layer, the output).
 
-    weights: list
-    biases: list
+    ``weights[i]``, of shape (out, in), and ``biases[i]`` are views of ``params``,
+    the one flat vector, in :meth:`param_vector` order; a copy gets its own vector.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ContractViolation("layer lists must have equal length")
-        for i in range(1, len(self.weights)):
-            if self.weights[i].shape[1] != self.weights[i - 1].shape[0]:
-                raise ContractViolation(f"layer {i} does not chain with layer {i - 1}")
+    def __init__(self, weights, biases):  # packs the given layers, once, into its own vector
+        dims = (np.shape(weights[0])[1], *(np.shape(w)[0] for w in weights))
+        shapes = [np.shape(a) for a in (*weights, *biases)]
+        if shapes != [*zip(dims[1:], dims), *zip(dims[1:])]:  # each (out, in), then each (out,)
+            raise ContractViolation(f"layers of shapes {shapes} do not chain")
+        packed = [np.ravel(a) for layer in zip(weights, biases) for a in layer]
+        self._wrap(dims, np.concatenate(packed, dtype=float))
+
+    def _wrap(self, dims, vec):
+        self.dims, self.params, self.weights, self.biases, pos = tuple(dims), vec, [], [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            self.weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
+            pos += fan_in * fan_out
+            self.biases.append(vec[pos:pos + fan_out])
+            pos += fan_out
+
+    def __reduce__(self):  # a copy or pickle rebuilds the views over its own vector
+        return dense_from_vector, (self.dims, self.params)
 
     @property
     def input_dim(self):
-        return self.weights[0].shape[1]
+        return self.dims[0]
 
     @property
     def output_dim(self):
-        return self.weights[-1].shape[0]
-
-    @property
-    def dims(self):
-        """Layer widths: the input, each hidden layer, the output."""
-        return (self.input_dim, *(w.shape[0] for w in self.weights))
+        return self.dims[-1]
 
     @property
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def forward_cached(self, x):
         """Forward pass; the cache is every layer's output, the input first."""
@@ -58,9 +64,11 @@ class DenseNet:
             z = w @ z + b
             if i < last:
                 z = np.tanh(z)
-            if not np.all(np.isfinite(z)):
-                raise NumericError(f"non-finite value at layer {i}")
             outputs.append(z)
+        # tanh maps +/-inf to +/-1: a hidden layer is non-finite only as NaN, which reaches the head
+        if not np.all(np.isfinite(z)):
+            bad = next(i for i, out in enumerate(outputs[1:]) if not np.all(np.isfinite(out)))
+            raise NumericError(f"non-finite value at layer {bad}")
         return z, outputs
 
     def backward(self, cache, output_grad):
@@ -89,41 +97,31 @@ class DenseNet:
         return flat, g[0] if np.ndim(output_grad) == 1 else g
 
     def param_vector(self):
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
+        return self.params.copy()
 
     def set_param_vector(self, vec):
-        vec = np.array(vec, dtype=float)  # a copy: the network owns its parameters
+        vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.n_params,):
-            raise ContractViolation(
-                f"parameter vector has length {vec.size}, expected {self.n_params}"
-            )
-        fresh = dense_from_vector(self.dims, vec)
-        self.weights[:], self.biases[:] = fresh.weights, fresh.biases
+            raise ContractViolation(f"{vec.size} parameters given, expected {self.n_params}")
+        self.params[:] = vec  # a copy: the network owns its parameters
 
 
 def dense_from_vector(dims, vec):
     """Network of layer widths ``dims`` whose layers are views of the flat
-    ``vec``, in :meth:`DenseNet.param_vector` order."""
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
-        pos += fan_in * fan_out
-        biases.append(vec[pos:pos + fan_out])
-        pos += fan_out
-    return DenseNet(weights=weights, biases=biases)
+    ``vec``, in :meth:`DenseNet.param_vector` order; ``vec`` is not copied."""
+    net = DenseNet.__new__(DenseNet)
+    net._wrap(dims, vec)
+    return net
 
 
 def make_dense(dims, rng):
     """Fresh network of layer widths ``dims``: weights uniform in
     +/-1/sqrt(fan_in), biases zero."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(weights=weights, biases=biases)
+    net = dense_from_vector(dims, np.zeros(sum((m + 1) * n for m, n in zip(dims, dims[1:]))))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def project_to_ball(vec, radius):

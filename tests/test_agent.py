@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -29,7 +30,7 @@ from fiberwalk.agent import (
     train,
     write_train_log,
 )
-from fiberwalk.errors import ContractViolation, ValidationError
+from fiberwalk.errors import ContractViolation, NumericError, ValidationError
 from fiberwalk.fibermdp import FiberEnv
 from fiberwalk.lattice import compute_lattice_basis
 from fiberwalk.models import build_design_matrix, independence
@@ -291,9 +292,10 @@ class TestActorUpdate:
         gamma, lam, step = 0.99, 0.95, 0.01
         delta = traj.rewards[0] + gamma * traj.bootstrap_value - traj.values[0]
         before = ac.actor_params()
+        log_prob_grad = samples[0].log_prob_grad  # read before the update changes the network
         actor_update(ac, traj, step, gamma, lam)
         np.testing.assert_allclose(
-            ac.actor_params() - before, step * delta * samples[0].log_prob_grad, atol=1e-12
+            ac.actor_params() - before, step * delta * log_prob_grad, atol=1e-12
         )
 
     def test_direction_matches_surrogate_finite_differences(self):
@@ -346,6 +348,74 @@ class TestActorUpdate:
         traj, _ = _manual_window(ac, states, rng, rewards=[-3.0, -4.0])
         actor_update(ac, traj, 100.0, 0.99, 0.95)
         assert np.linalg.norm(ac.actor_params()) <= 1.0 + 1e-9
+
+    def test_long_step_is_capped_to_max_step_along_its_direction(self):
+        ac = _small_ac(seed=5)
+        rng = np.random.default_rng(5)
+        states = [np.array([2, 1, 0, 1]), np.array([0, 1, 2, 1]), np.array([1, 1, 1, 1])]
+        traj, _ = _manual_window(ac, states, rng, rewards=[-2.0, -3.0])
+        theta0 = ac.actor_params()
+        free = copy.deepcopy(ac)
+        actor_update(free, traj, 1.0, 0.9, 0.8)
+        raw = free.actor_params() - theta0
+        max_step = 0.25 * np.linalg.norm(raw)
+        actor_update(ac, traj, 1.0, 0.9, 0.8, max_step=max_step)
+        applied = ac.actor_params() - theta0
+        assert np.linalg.norm(applied) == pytest.approx(max_step, abs=1e-12)
+        np.testing.assert_allclose(
+            applied / max_step, raw / np.linalg.norm(raw), rtol=0, atol=1e-12
+        )
+
+    def test_nonfinite_step_raises_and_leaves_parameters_unchanged(self):
+        ac = _small_ac(seed=6)
+        rng = np.random.default_rng(6)
+        states = [np.array([1, 0, 2, 1])] * 4
+        traj, _ = _manual_window(ac, states, rng)
+        scores = traj.scores.copy()
+        scores[1, 0] = np.nan
+        before = ac.actor_params()
+        with pytest.raises(NumericError, match="non-finite actor parameters"):
+            actor_update(ac, dataclasses.replace(traj, scores=scores), 0.1, 0.9, 0.8,
+                         max_step=0.1)
+        assert ac.actor_params().tobytes() == before.tobytes()
+
+    def test_update_peak_memory_is_near_one_parameter_vector(self):
+        # The backward pass's gradient is the one parameter-sized array an update
+        # makes; building the step by copies took about 4 times the parameters.
+        ac = make_actor_critic(400, 200, hidden=(64, 64), seed=2)
+        rng = np.random.default_rng(2)
+        states = [rng.integers(0, 4, size=400) for _ in range(9)]
+        traj, _ = _manual_window(ac, states, rng)
+        actor_update(ac, traj, 0.05, 0.9, 0.8, max_step=0.1)
+        tracemalloc.start()
+        try:
+            actor_update(ac, traj, 0.05, 0.9, 0.8, max_step=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ac.net.params.nbytes
+
+
+class TestDeepCopy:
+    @pytest.mark.parametrize("change", ["actor_update", "set_actor_params"])
+    def test_a_copy_changes_only_its_own_vector(self, change):
+        ac = _small_ac(seed=7, hidden=(5, 4))
+        rng = np.random.default_rng(7)
+        states = [np.array([1, 2, 0, 1]), np.array([0, 2, 1, 1]), np.array([1, 1, 1, 1])]
+        traj, _ = _manual_window(ac, states, rng, rewards=[-1.0, -2.0])
+        x = np.array([1.0, 0.0, 2.0, 1.0])
+        theta, out = ac.actor_params(), ac.net.forward_cached(x)[0]
+        probe = copy.deepcopy(ac)
+        if change == "actor_update":
+            actor_update(probe, traj, 0.5, 0.9, 0.8)
+        else:
+            probe.set_actor_params(theta + 0.25)
+        assert not np.array_equal(probe.net.forward_cached(x)[0], out)
+        for part in probe.net.weights + probe.net.biases:
+            assert np.shares_memory(part, probe.net.params)
+            assert not np.shares_memory(part, ac.net.params)
+        assert ac.actor_params().tobytes() == theta.tobytes()
+        assert ac.net.forward_cached(x)[0].tobytes() == out.tobytes()
 
 
 class TestCriticUpdate:

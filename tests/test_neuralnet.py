@@ -59,6 +59,15 @@ class TestForward:
         with pytest.raises(NumericError, match="layer 0"):
             _forward(net, np.array([1.0]))
 
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_nonfinite_hidden_layer_is_named(self, layer, part):
+        # The NaN reaches the head; the error still names the layer it arose in.
+        net = _random_net(np.random.default_rng(layer), dims=(2, 3, 3, 3, 2))
+        getattr(net, part)[layer].flat[0] = np.nan
+        with pytest.raises(NumericError, match=f"layer {layer}$"):
+            _forward(net, np.array([0.5, -1.0]))
+
     def test_layer_chain_validated(self):
         with pytest.raises(ContractViolation):
             DenseNet(
@@ -156,6 +165,13 @@ class TestParamVector:
         assert np.array_equal(net.param_vector(), vec)
         assert all(np.shares_memory(part, vec) for part in net.weights + net.biases)
         assert np.array_equal(net.weights[1], [[9.0, 10.0, 11.0], [12.0, 13.0, 14.0]])
+
+    def test_constructed_layers_are_views_of_an_owned_vector(self):
+        weights, biases = [np.ones((3, 2)), np.full((2, 3), 2.0)], [np.zeros(3), np.ones(2)]
+        net = DenseNet(weights, biases)
+        assert np.array_equal(net.param_vector(), [1.0] * 6 + [0.0] * 3 + [2.0] * 6 + [1.0] * 2)
+        for part, given in zip(net.weights + net.biases, weights + biases):
+            assert np.shares_memory(part, net.params) and not np.shares_memory(part, given)
 
     def test_set_param_vector_copies(self):
         net = make_dense((2, 3, 2), np.random.default_rng(0))
