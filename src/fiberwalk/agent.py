@@ -181,7 +181,7 @@ def _head_distribution(ac, head_out):
     c = ac.n_coeffs
     mu = head_out[:c]
     sigma_raw = np.exp(head_out[c:])
-    sigma = np.clip(sigma_raw, ac.sigma_min, SIGMA_MAX)
+    sigma = sigma_raw.clip(ac.sigma_min, SIGMA_MAX)
     return mu, sigma, sigma_raw
 
 
@@ -197,17 +197,19 @@ def policy_sample(ac, state, rng, dist=None):
     The score is d/d(head output) of ln N(z; mu, sigma) at the continuous
     draw ``z``; stddev entries pinned by the clamp contribute zero.  Its
     backward pass is ``log_prob_grad``, which training never builds.
-    ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``;
-    passing it skips the network pass, so ``features`` and
-    ``log_prob_grad`` are ``None``.
+    ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``, as a
+    walk keeps it for its current state; passing it skips the network
+    pass, so ``features`` and ``log_prob_grad`` are ``None``.  The draw
+    ``mu + sigma * standard_normal`` has the bits of ``rng.normal(mu, sigma)``
+    at a fraction of its cost.
     """
     if dist is not None:
         mu, sigma = dist
     else:
         cache = _forward(ac, state)
         mu, sigma, sigma_raw = _head_distribution(ac, cache[-1])
-    z = rng.normal(mu, sigma)
-    rounded = np.clip(np.rint(z), ac.coeff_min, ac.coeff_max).astype(np.int64)
+    z = mu + sigma * rng.standard_normal(len(mu))
+    rounded = np.rint(z).clip(ac.coeff_min, ac.coeff_max).astype(np.int64)
     coeffs = mask_coefficients(rounded, ac.mask_k)
     if dist is not None:
         return PolicySample(coeffs, z)

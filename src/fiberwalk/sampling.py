@@ -24,13 +24,18 @@ The Metropolis correction needs the probability that the policy
 proposes a given integer coefficient vector.  The continuous Gaussian
 density is integrated over the unit cell that rounds to each
 coefficient, with everything beyond the clamp bounds folded into the
-boundary cells.  Under ``mask_k`` a draw with fewer than ``mask_k``
-nonzeros is the rounded draw itself; a draw with exactly ``mask_k``
-nonzeros on support ``S`` also collects every rounded draw whose
-masked-away entries all rank below ``S`` (smaller magnitude, or equal
-magnitude at a higher index), which factorizes over the coordinates.
-All of it is kept in log space so very wide coefficient vectors cannot
-underflow.
+boundary cells.  Each state's law is priced once, by a table of the
+normal CDF and survival function at every cell edge (:class:`ProposalLaw`),
+so every mass is a lookup; a range whose lower edge lies above the mean
+is measured on the survival function, so a far tail keeps its mass.  A
+walk prices a state when a feasible proposal first leaves or reaches
+it, and keeps the table while it stays there.  Under ``mask_k`` a draw
+with fewer than ``mask_k`` nonzeros is the rounded draw itself; a draw
+with exactly ``mask_k`` nonzeros on support ``S`` also collects every
+rounded draw whose masked-away entries all rank below ``S`` (smaller
+magnitude, or equal magnitude at a higher index), which factorizes over
+the coordinates.  All of it is kept in log space so very wide
+coefficient vectors cannot underflow.
 """
 
 from dataclasses import dataclass
@@ -86,8 +91,8 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
     A proposal outside ``0..upper`` is rejected in place; a feasible one is
     taken, under ``metropolis`` only if it passes the Metropolis test.
     The policy is evaluated once per feasible proposal: the candidate's
-    ``(mu, sigma)`` gives the reverse mass and, after an accept, the
-    next proposal.
+    :class:`ProposalLaw` gives the reverse mass and, after an accept, the
+    next proposal, so its mass table is built once for both.
     """
     if steps < 0:
         raise ContractViolation(f"step count cannot be negative, got {steps}")
@@ -100,17 +105,17 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
     stuck = False
     consecutive = 0
     limit = STUCK_FACTOR * basis.dim
-    here = policy_distribution(ac, state)
+    here = ProposalLaw(*policy_distribution(ac, state))
     weight = log_weight(state) if log_weight else 0.0
     for _ in range(steps):
-        coeffs = policy_sample(ac, state, rng, dist=here).coeffs
+        coeffs = policy_sample(ac, state, rng, dist=(here.mu, here.sigma)).coeffs
         candidate = state + combine_moves(coeffs, basis).delta
         if overshoot(candidate, upper):
             consecutive += 1
             stuck = stuck or consecutive >= limit
         else:
             consecutive = 0
-            there = policy_distribution(ac, candidate)
+            there = ProposalLaw(*policy_distribution(ac, candidate))
             cand_weight = log_weight(candidate) if log_weight else 0.0
             accept = True
             if metropolis:
@@ -136,35 +141,52 @@ def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, up
     return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False, None, upper)
 
 
-def _range_masses(lo, hi, mu, sigma, cmin, cmax):
-    """Probability that N(mu, sigma) rounds and clamps into the integers lo..hi.
+class ProposalLaw:
+    """The policy's proposal at one state: N(mu, sigma), rounded and clamped.
 
-    Rounding maps the range to ``(lo - 0.5, hi + 0.5)``; clamping moves
-    an edge below ``cmin`` to -inf and one above ``cmax`` to +inf, so a
-    range outside the bounds has zero mass.  ``lo <= hi`` are integer
-    arrays of one shape that broadcast against ``mu``.  A range above the
-    mean is measured as ``sf(lower) - sf(upper)``, so a far tail keeps its mass.
+    :meth:`price` fills the table: ``cdf`` and ``sf`` are ``ndtr(z)`` and
+    ``ndtr(-z)`` at each cell edge ``cmin - 0.5 .. cmax + 0.5`` (a row;
+    the end edges are the clamped tails) and coefficient (a column).
+    ``log_cells[j, v - cmin]`` is the log of the mass of ``v`` at
+    coefficient ``j``, floored at 1e-300; its flat index is ``origin[j] + v``.
     """
-    grid = np.arange(cmin - 0.5, cmax + 1)  # every cell edge, cmin - 0.5 .. cmax + 0.5
-    grid[0], grid[-1] = -np.inf, np.inf  # the clamped tails
-    z = (grid.take(np.array([hi + 1, lo]) - cmin, mode="clip") - mu) / sigma
-    np.negative(z, out=z, where=z[1] > 0)  # mirror a range above the mean
-    cdf = ndtr(z)
-    return np.abs(cdf[0] - cdf[1])  # a mirrored range has its two terms swapped
+
+    __slots__ = ("mu", "sigma", "cmin", "above", "cdf", "sf", "log_cells", "origin")
+
+    def __init__(self, mu, sigma):
+        self.mu, self.sigma, self.cdf = mu, sigma, None
+
+    def price(self, cmin, cmax):
+        edges = np.arange(cmin - 0.5, cmax + 1)
+        edges[0], edges[-1] = -np.inf, np.inf
+        z = (edges[:, None] - self.mu) / self.sigma
+        above, cdf, sf = z > 0, ndtr(z), ndtr(-z)
+        self.cmin, self.above, self.cdf, self.sf = cmin, above, cdf, sf
+        cells = np.abs(np.where(above[:-1], sf[1:] - sf[:-1], cdf[1:] - cdf[:-1]))
+        self.log_cells = np.log(np.maximum(cells, 1e-300)).T.copy()
+        self.origin = np.arange(-cmin, cells.size - cmin, len(cells))
+
+    def ranges(self, lo, hi):
+        """Mass of the integers ``lo..hi`` at each coefficient, none outside the
+        bounds; ``lo <= hi`` broadcast against the coefficients."""
+        cols, last = np.arange(self.cdf.shape[1]), len(self.cdf) - 1
+        a, b = np.clip(lo - self.cmin, 0, last), np.clip(hi + 1 - self.cmin, 0, last)
+        sf, cdf, mirrored = self.sf, self.cdf, self.above[a, cols]
+        return np.abs(np.where(mirrored, sf[b, cols] - sf[a, cols], cdf[b, cols] - cdf[a, cols]))
 
 
-def proposal_log_prob(ac, coeffs, mu, sigma):
-    """Log-mass that the policy's draw from N(mu, sigma) becomes ``coeffs``.
+def proposal_log_prob(ac, coeffs, law):
+    """Log-mass that the policy's draw from ``law`` becomes ``coeffs``.
 
     Exact under rounding, clamping and ``mask_k`` (see the module
-    docstring); ``-inf`` for a draw the mask cannot produce.
+    docstring); ``-inf`` for a draw the mask cannot produce.  ``coeffs``
+    lie within the clamp bounds.  The first call at a state prices ``law``.
     """
-    coeffs = np.asarray(coeffs)
-    cmin, cmax = ac.coeff_min, ac.coeff_max
-    cells = np.log(np.maximum(_range_masses(coeffs, coeffs, mu, sigma, cmin, cmax), 1e-300))
-    k = ac.mask_k
+    coeffs, k = np.asarray(coeffs), ac.mask_k
+    if law.cdf is None:
+        law.price(ac.coeff_min, ac.coeff_max)
     if k is None or np.count_nonzero(coeffs) < k:
-        return float(cells.sum())
+        return float(law.log_cells.take(coeffs + law.origin).sum())
     support = np.flatnonzero(coeffs)
     if len(support) > k:
         return -np.inf
@@ -174,13 +196,14 @@ def proposal_log_prob(ac, coeffs, mu, sigma):
     # Rows: |c| < least, then the ties c = least and c = -least.
     lo = np.array([[1 - least], [least], [-least]])
     hi = np.array([[least - 1], [least], [-least]])
-    below, tie_pos, tie_neg = _range_masses(lo, hi, mu, sigma, cmin, cmax)
+    below, tie_pos, tie_neg = law.ranges(lo, hi)
     tie = tie_pos + tie_neg
     rest = np.ones(len(coeffs), dtype=bool)
     rest[support] = False
     after = np.arange(len(coeffs)) > last_tie
     mass = np.where(after, below + tie, below)[rest]
-    return float(cells[support].sum() + np.log(np.maximum(mass, 1e-300)).sum())
+    cells = law.log_cells.take(coeffs[support] + law.origin[support])
+    return float(cells.sum() + np.log(np.maximum(mass, 1e-300)).sum())
 
 
 def null_log_weight(counts):
@@ -191,30 +214,22 @@ def null_log_weight(counts):
 def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
     """ln of the Metropolis-Hastings ratio for moving by ``coeffs``.
 
-    ``here`` and ``there`` are the policy's ``(mu, sigma)`` at the
+    ``here`` and ``there`` are the policy's :class:`ProposalLaw` at the
     current state and at the candidate; ``weight_gain`` is the target's
     log weight at the candidate minus that at the current state.
     ``-inf`` when the reverse move lies outside the clamp bounds.
     """
     reverse, cmin, cmax = -coeffs, ac.coeff_min, ac.coeff_max
-    if reverse.min(initial=cmin) < cmin or reverse.max(initial=cmax) > cmax:
+    # A draw lies within the bounds, so its reverse can leave only bounds that are uneven.
+    if cmin != -cmax and (reverse.min(initial=cmin) < cmin or reverse.max(initial=cmax) > cmax):
         return -np.inf
-    log_fwd = proposal_log_prob(ac, coeffs, *here)
-    log_rev = proposal_log_prob(ac, reverse, *there)
+    log_fwd = proposal_log_prob(ac, coeffs, here)
+    log_rev = proposal_log_prob(ac, reverse, there)
     return log_rev - log_fwd + weight_gain
 
 
 def mh_uniform(
-    ac,
-    basis,
-    start,
-    steps,
-    rng,
-    expected=None,
-    chain_id=0,
-    seed=-1,
-    log_weight=None,
-    upper=None,
+    ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, log_weight=None, upper=None
 ):
     """Metropolis chain targeting a law on the fiber, uniform by default.
 
@@ -234,16 +249,7 @@ def rank_p_value(sampled_statistics, observed_statistic):
     return (1 + int(np.sum(sampled >= observed_statistic))) / (len(sampled) + 1)
 
 
-def besag_clifford_pvalues(
-    ac,
-    basis,
-    spec,
-    data,
-    chains,
-    chain_length,
-    seed,
-    chain_steps=None,
-):
+def besag_clifford_pvalues(ac, basis, spec, data, chains, chain_length, seed, chain_steps=None):
     """One exact test per independent chain through the observed data.
 
     Each chain targets the null law :func:`null_log_weight` on the
@@ -280,16 +286,8 @@ def besag_clifford_pvalues(
         stuck = False
         for strides in (split, chain_length - split):
             sample, _ = mh_uniform(
-                ac,
-                basis,
-                data.counts,
-                strides * stride,
-                rng,
-                expected=expected,
-                chain_id=cid,
-                seed=chain_seed,
-                log_weight=null_log_weight,
-                upper=spec.cell_bound,
+                ac, basis, data.counts, strides * stride, rng, expected=expected, chain_id=cid,
+                seed=chain_seed, log_weight=null_log_weight, upper=spec.cell_bound,
             )
             stats.append(sample.statistics[stride::stride])
             stuck = stuck or sample.stuck

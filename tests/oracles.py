@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import ndtr
 
 from fiberwalk.agent import policy_distribution
 
@@ -103,6 +104,25 @@ def gaussian_log_density(z, mu, sigma):
     return float(
         np.sum(-0.5 * math.log(2 * math.pi) - np.log(sigma) - (z - mu) ** 2 / (2 * sigma**2))
     )
+
+
+def range_masses(lo, hi, mu, sigma, cmin, cmax):
+    """Probability that N(mu, sigma) rounds and clamps into the integers lo..hi.
+
+    One range at a time from its own edge grid, where the package prices
+    every range of a state from one table.  Rounding maps the range to
+    ``(lo - 0.5, hi + 0.5)``; clamping moves an edge below ``cmin`` to
+    -inf and one above ``cmax`` to +inf, so a range outside the bounds
+    has zero mass.  ``lo <= hi`` are integer arrays of one shape that
+    broadcast against ``mu``.  A range above the mean is measured as
+    ``sf(lower) - sf(upper)``, so a far tail keeps its mass.
+    """
+    grid = np.arange(cmin - 0.5, cmax + 1)  # every cell edge, cmin - 0.5 .. cmax + 0.5
+    grid[0], grid[-1] = -np.inf, np.inf  # the clamped tails
+    z = (grid.take(np.array([hi + 1, lo]) - cmin, mode="clip") - mu) / sigma
+    np.negative(z, out=z, where=z[1] > 0)  # mirror a range above the mean
+    cdf = ndtr(z)
+    return np.abs(cdf[0] - cdf[1])  # a mirrored range has its two terms swapped
 
 
 def policy_log_density(ac, state, continuous):

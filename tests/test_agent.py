@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberwalk.agent import (
+    SIGMA_MAX,
+    SIGMA_MIN,
     ActorCritic,
     Trajectory,
     TrainConfig,
@@ -100,6 +102,18 @@ class TestPolicySample:
         ac.net.biases[-1][:2] = 50.0
         sample = policy_sample(ac, np.array([0, 0, 0, 0]), np.random.default_rng(0))
         assert np.all(sample.coeffs == ac.coeff_max)
+
+    def test_standard_normal_draw_has_the_bits_of_normal(self):
+        # The draw is mu + sigma * standard_normal; every pinned digest assumes
+        # it equals rng.normal(mu, sigma) bit for bit.
+        mu = np.linspace(-40.0, 40.0, 60)
+        sigma = np.tile([SIGMA_MIN, 1.0, SIGMA_MAX, 0.37], 15)
+        want = np.random.default_rng(2024).normal(mu, sigma)
+        shifted = mu + sigma * np.random.default_rng(2024).standard_normal(len(mu))
+        assert np.array_equal(shifted, want)
+        ac = make_actor_critic(4, len(mu), hidden=(5,), coeff_min=-50, coeff_max=50)
+        drawn = policy_sample(ac, None, np.random.default_rng(2024), dist=(mu, sigma))
+        assert np.array_equal(drawn.continuous, want)
 
     def test_given_distribution_skips_the_network(self):
         ac = _small_ac(n_coeffs=5, mask_k=2)

@@ -6,12 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 from scipy.stats import norm
 
 from fiberwalk import sampling
-from fiberwalk.agent import make_actor_critic, mask_coefficients, policy_distribution
+from fiberwalk.agent import (
+    SIGMA_MAX,
+    SIGMA_MIN,
+    make_actor_critic,
+    mask_coefficients,
+    policy_distribution,
+)
 from fiberwalk.errors import ContractViolation
 from fiberwalk.lattice import compute_lattice_basis, enumerate_fiber
 from fiberwalk.models import (
@@ -26,6 +34,7 @@ from fiberwalk.models import (
 from fiberwalk.sampling import (
     FiberSample,
     GofTestResult,
+    ProposalLaw,
     besag_clifford_pvalues,
     explore,
     log_accept_ratio,
@@ -38,6 +47,8 @@ from fiberwalk.sampling import (
     write_results_csv,
     write_sample_csv,
 )
+
+from .oracles import range_masses
 
 
 def _setup22(start=(1, 0, 0, 1)):
@@ -114,8 +125,8 @@ class TestMhUniform:
         other = np.array([0, 1, 1, 0], dtype=np.int64)
         for coeffs in ([1], [-1], [2]):
             c = np.array(coeffs)
-            fwd = proposal_log_prob(ac, c, *policy_distribution(ac, start))
-            rev = proposal_log_prob(ac, -c, *policy_distribution(ac, other))
+            fwd = proposal_log_prob(ac, c, ProposalLaw(*policy_distribution(ac, start)))
+            rev = proposal_log_prob(ac, -c, ProposalLaw(*policy_distribution(ac, other)))
             assert fwd == pytest.approx(rev)
 
     def test_never_leaves_fiber(self):
@@ -190,12 +201,12 @@ def _draw_law(ac, mu, sigma):
 def _transition_matrix(ac, basis, fiber, log_weight, upper=np.inf):
     """Exact Metropolis kernel on ``fiber``; candidates outside ``0..upper`` stay put."""
     index = {p: i for i, p in enumerate(fiber)}
-    dist = {p: policy_distribution(ac, np.array(p)) for p in fiber}
+    dist = {p: ProposalLaw(*policy_distribution(ac, np.array(p))) for p in fiber}
     weight = log_weight or (lambda x: 0.0)
     trans = np.zeros((len(fiber), len(fiber)))
     for p in fiber:
         i = index[p]
-        keys, probs = _draw_law(ac, *dist[p])
+        keys, probs = _draw_law(ac, dist[p].mu, dist[p].sigma)
         cands = np.array(p) + keys @ basis.vectors
         inside = (cands.min(axis=1) >= 0) & (cands.max(axis=1) <= upper)
         trans[i, i] += probs[~inside].sum()
@@ -234,8 +245,9 @@ class TestExactStationaryLaw:
             mu, sigma = policy_distribution(ac, np.array(p))
             keys, probs = _draw_law(ac, mu, sigma)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+            law = ProposalLaw(mu, sigma)
             for coeffs, prob in zip(keys, probs):
-                got = math.exp(proposal_log_prob(ac, coeffs, mu, sigma))
+                got = math.exp(proposal_log_prob(ac, coeffs, law))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("mask_k", [1, 2])
@@ -245,8 +257,9 @@ class TestExactStationaryLaw:
         ac.coeff_min = -1
         for p in fiber[:5]:
             mu, sigma = policy_distribution(ac, np.array(p))
+            law = ProposalLaw(mu, sigma)
             for coeffs, prob in zip(*_draw_law(ac, mu, sigma)):
-                got = math.exp(proposal_log_prob(ac, coeffs, mu, sigma))
+                got = math.exp(proposal_log_prob(ac, coeffs, law))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -281,6 +294,26 @@ class TestExactStationaryLaw:
         assert np.max(np.abs(trans - trans.T)) < 1e-9
 
 
+class TestUnevenBounds:
+    """With bounds -1..2 a move by +2 has no reverse, so the chain must refuse it."""
+
+    def test_a_move_without_a_reverse_is_refused(self):
+        _, fiber, ac = _oracle_setup(None)
+        ac.coeff_min = -1
+        law = ProposalLaw(*policy_distribution(ac, np.array(fiber[0])))
+        assert log_accept_ratio(ac, np.array([2, 0, 0, 0]), law, law) == -np.inf
+        assert log_accept_ratio(ac, np.array([1, -1, 0, 1]), law, law) > -np.inf
+
+    def test_stationary_law_is_the_target(self):
+        basis, fiber, ac = _oracle_setup(None)
+        ac.coeff_min = -1
+        trans = _transition_matrix(ac, basis, fiber, null_log_weight)
+        stationary = np.linalg.matrix_power(trans.T, 4096)[:, 0]
+        logw = np.array([null_log_weight(np.array(p)) for p in fiber])
+        target = np.exp(logw - logw.max())
+        assert np.max(np.abs(stationary - target / target.sum())) < 1e-9
+
+
 class TestUpperTailMass:
     """A coefficient far above the policy's mean keeps its true mass."""
 
@@ -289,7 +322,7 @@ class TestUpperTailMass:
                                  mask_k=mask_k)
 
     def _log_prob(self, ac, coeffs):
-        return proposal_log_prob(ac, np.array(coeffs), np.full(2, -8.0), np.ones(2))
+        return proposal_log_prob(ac, np.array(coeffs), ProposalLaw(np.full(2, -8.0), np.ones(2)))
 
     def test_unmasked_cells_match_the_normal_tail(self):
         ac = self._ac(None)
@@ -315,13 +348,104 @@ class TestUpperTailMass:
         edges[edges < -2] = -np.inf
         edges[edges > 2] = np.inf
         upper, lower = ndtr((edges - mu) / sigma)
-        got = sampling._range_masses(lo, hi, mu, sigma, -2, 2)
+        law = ProposalLaw(mu, sigma)
+        law.price(-2, 2)
+        got = law.ranges(lo, hi)
         at_or_below = edges[1] <= mu
         assert 50 < at_or_below.sum() < 200
         assert np.array_equal(got[at_or_below], (upper - lower)[at_or_below])
         above = ~at_or_below
         want = norm.sf((edges[1] - mu) / sigma) - norm.sf((edges[0] - mu) / sigma)
         assert np.allclose(got[above], want[above], rtol=1e-12, atol=0)
+
+
+class TestProposalLawTable:
+    """A state's table prices every mass with the bits of the one-range-at-a-time oracle."""
+
+    @pytest.mark.parametrize("cmin, cmax", [(-2, 2), (-1, 2), (-1, 1)])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-40.0, 40.0, allow_nan=False),
+                st.sampled_from([SIGMA_MIN, 1.0, SIGMA_MAX]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_masses_have_the_oracle_bits(self, cmin, cmax, coords):
+        mu, sigma = (np.array(v) for v in zip(*coords))
+        law = ProposalLaw(mu, sigma)
+        law.price(cmin, cmax)
+        values = np.arange(cmin, cmax + 1)[:, None]
+        cells = range_masses(values, values, mu, sigma, cmin, cmax)
+        assert np.array_equal(law.ranges(values, values), cells)
+        assert np.array_equal(law.log_cells, np.log(np.maximum(cells, 1e-300)).T)
+        for least in range(1, max(-cmin, cmax) + 1):
+            # The masked ranges: |c| < least, then the ties c = least and c = -least.
+            lo = np.array([[1 - least], [least], [-least]])
+            hi = np.array([[least - 1], [least], [-least]])
+            want = range_masses(lo, hi, mu, sigma, cmin, cmax)
+            assert np.array_equal(law.ranges(lo, hi), want)
+        assert np.allclose(np.exp(law.log_cells).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestOneTablePerState:
+    """A walk prices a state once, and only a state that a feasible proposal leaves or reaches."""
+
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        laws = []
+        price = ProposalLaw.price
+
+        def counting(law, cmin, cmax):
+            laws.append(law)
+            price(law, cmin, cmax)
+
+        monkeypatch.setattr(ProposalLaw, "price", counting)
+        return laws
+
+    def test_start_and_each_feasible_proposal(self, priced, monkeypatch):
+        dm, basis, ac, start = _setup22((2, 1, 1, 2))
+        drawn = []
+        draw = sampling.policy_sample
+
+        def recording(*args, **kwargs):
+            sample = draw(*args, **kwargs)
+            drawn.append(sample.coeffs)
+            return sample
+
+        monkeypatch.setattr(sampling, "policy_sample", recording)
+        sample, _ = mh_uniform(
+            ac, basis, start, 400, np.random.default_rng(9), log_weight=null_log_weight
+        )
+        points = sample.points
+        candidates = points[:-1] + np.array(drawn) @ basis.vectors
+        feasible = candidates.min(axis=1) >= 0
+        stays = (points[1:] == points[:-1]).all(axis=1)
+        moved = (candidates != points[:-1]).any(axis=1)
+        rejected = feasible & moved & stays
+        assert 0 < feasible.sum() < 400
+        assert (rejected[1:] & rejected[:-1]).any()  # a state rejects two feasible proposals
+        assert len(priced) == 1 + feasible.sum()
+        assert len({id(law) for law in priced}) == len(priced)
+
+    def test_no_feasible_proposal_no_table(self, priced):
+        dm, basis, ac, _ = _setup22()
+        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.sigma_min = SIGMA_MIN
+        ac.net.biases[-1][0] = 2.0     # every draw is +2, which leaves the box
+        ac.net.biases[-1][1] = -20.0
+        start = np.array([1, 1, 0, 0], dtype=np.int64)
+        sample, _ = mh_uniform(ac, basis, start, 100, np.random.default_rng(5))
+        assert len(np.unique(sample.points, axis=0)) == 1
+        assert priced == []
+
+    def test_explore_prices_nothing(self, priced):
+        dm, basis, ac, start = _setup22((2, 1, 1, 2))
+        explore(ac, basis, start, 200, np.random.default_rng(4))
+        assert priced == []
 
 
 class TestGoldenTraces:
