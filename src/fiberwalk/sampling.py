@@ -160,9 +160,8 @@ class ProposalLaw:
         edges = np.arange(cmin - 0.5, cmax + 1)
         edges[0], edges[-1] = -np.inf, np.inf
         z = (edges[:, None] - self.mu) / self.sigma
-        above, cdf, sf = z > 0, ndtr(z), ndtr(-z)
-        self.cmin, self.above, self.cdf, self.sf = cmin, above, cdf, sf
-        cells = np.abs(np.where(above[:-1], sf[1:] - sf[:-1], cdf[1:] - cdf[:-1]))
+        self.cmin, self.above, self.cdf, self.sf = cmin, z > 0, ndtr(z), ndtr(-z)
+        cells = self._between(np.s_[:-1], np.s_[1:])
         self.log_cells = np.log(np.maximum(cells, 1e-300)).T.copy()
         self.origin = np.arange(-cmin, cells.size - cmin, len(cells))
 
@@ -170,9 +169,14 @@ class ProposalLaw:
         """Mass of the integers ``lo..hi`` at each coefficient, none outside the
         bounds; ``lo <= hi`` broadcast against the coefficients."""
         cols, last = np.arange(self.cdf.shape[1]), len(self.cdf) - 1
-        a, b = np.clip(lo - self.cmin, 0, last), np.clip(hi + 1 - self.cmin, 0, last)
-        sf, cdf, mirrored = self.sf, self.cdf, self.above[a, cols]
-        return np.abs(np.where(mirrored, sf[b, cols] - sf[a, cols], cdf[b, cols] - cdf[a, cols]))
+        a, b = (lo - self.cmin).clip(0, last), (hi + 1 - self.cmin).clip(0, last)
+        return self._between((a, cols), (b, cols))
+
+    def _between(self, a, b):
+        """Mass between edges ``a`` and ``b`` (indices into the table), measured
+        on ``sf`` where edge ``a`` lies above the mean."""
+        sf, cdf = self.sf, self.cdf
+        return np.abs(np.where(self.above[a], sf[b] - sf[a], cdf[b] - cdf[a]))
 
 
 def proposal_log_prob(ac, coeffs, law):
@@ -180,7 +184,8 @@ def proposal_log_prob(ac, coeffs, law):
 
     Exact under rounding, clamping and ``mask_k`` (see the module
     docstring); ``-inf`` for a draw the mask cannot produce.  ``coeffs``
-    lie within the clamp bounds.  The first call at a state prices ``law``.
+    must lie within the clamp bounds, as every draw does (:func:`log_accept_ratio`
+    checks a reverse move first).  The first call at a state prices ``law``.
     """
     coeffs, k = np.asarray(coeffs), ac.mask_k
     if law.cdf is None:
@@ -220,8 +225,7 @@ def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
     ``-inf`` when the reverse move lies outside the clamp bounds.
     """
     reverse, cmin, cmax = -coeffs, ac.coeff_min, ac.coeff_max
-    # A draw lies within the bounds, so its reverse can leave only bounds that are uneven.
-    if cmin != -cmax and (reverse.min(initial=cmin) < cmin or reverse.max(initial=cmax) > cmax):
+    if reverse.min(initial=cmin) < cmin or reverse.max(initial=cmax) > cmax:
         return -np.inf
     log_fwd = proposal_log_prob(ac, coeffs, here)
     log_rev = proposal_log_prob(ac, reverse, there)
@@ -229,7 +233,16 @@ def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
 
 
 def mh_uniform(
-    ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, log_weight=None, upper=None
+    ac,
+    basis,
+    start,
+    steps,
+    rng,
+    expected=None,
+    chain_id=0,
+    seed=-1,
+    log_weight=None,
+    upper=None,
 ):
     """Metropolis chain targeting a law on the fiber, uniform by default.
 
@@ -249,7 +262,16 @@ def rank_p_value(sampled_statistics, observed_statistic):
     return (1 + int(np.sum(sampled >= observed_statistic))) / (len(sampled) + 1)
 
 
-def besag_clifford_pvalues(ac, basis, spec, data, chains, chain_length, seed, chain_steps=None):
+def besag_clifford_pvalues(
+    ac,
+    basis,
+    spec,
+    data,
+    chains,
+    chain_length,
+    seed,
+    chain_steps=None,
+):
     """One exact test per independent chain through the observed data.
 
     Each chain targets the null law :func:`null_log_weight` on the
@@ -286,8 +308,16 @@ def besag_clifford_pvalues(ac, basis, spec, data, chains, chain_length, seed, ch
         stuck = False
         for strides in (split, chain_length - split):
             sample, _ = mh_uniform(
-                ac, basis, data.counts, strides * stride, rng, expected=expected, chain_id=cid,
-                seed=chain_seed, log_weight=null_log_weight, upper=spec.cell_bound,
+                ac,
+                basis,
+                data.counts,
+                strides * stride,
+                rng,
+                expected=expected,
+                chain_id=cid,
+                seed=chain_seed,
+                log_weight=null_log_weight,
+                upper=spec.cell_bound,
             )
             stats.append(sample.statistics[stride::stride])
             stuck = stuck or sample.stuck
