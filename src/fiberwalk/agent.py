@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ValidationError
-from .neuralnet import DenseNet, dense_from_vector, make_dense
+from .neuralnet import DenseNet, make_dense, param_count
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
@@ -93,9 +93,6 @@ class ActorCritic:
     def actor_params(self):
         return self.net.param_vector()
 
-    def set_actor_params(self, vec):
-        self.net.set_param_vector(vec)
-
 
 def make_actor_critic(
     state_dim,
@@ -153,17 +150,11 @@ class PolicySample:
     continuous: np.ndarray
     cache: list = None        # every layer's output at the state, the input first
     score: np.ndarray = None  # d ln pi / d(head output): each dmu, then each dlog-sigma
-    net: DenseNet = None      # the live network, which later updates change in place
 
     @property
     def features(self):
         """The last hidden layer, the critic's input."""
         return None if self.cache is None else self.cache[-2]
-
-    @property
-    def log_prob_grad(self):
-        """d ln pi / d(theta): the score's backward pass through the current parameters."""
-        return None if self.score is None else self.net.backward(self.cache, self.score)[0]
 
 
 def mask_coefficients(coeffs, mask_k):
@@ -195,11 +186,10 @@ def policy_sample(ac, state, rng, dist=None):
     """Draw a coefficient action, with its head-space score unless ``dist`` is given.
 
     The score is d/d(head output) of ln N(z; mu, sigma) at the continuous
-    draw ``z``; stddev entries pinned by the clamp contribute zero.  Its
-    backward pass is ``log_prob_grad``, which training never builds.
+    draw ``z``; stddev entries pinned by the clamp contribute zero.
     ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``, as a
     walk keeps it for its current state; passing it skips the network
-    pass, so ``features`` and ``log_prob_grad`` are ``None``.  The draw
+    pass, so ``cache``, ``score`` and ``features`` are ``None``.  The draw
     ``mu + sigma * standard_normal`` has the bits of ``rng.normal(mu, sigma)``
     at a fraction of its cost.
     """
@@ -217,9 +207,9 @@ def policy_sample(ac, state, rng, dist=None):
     dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
     unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
     score = np.concatenate([dmu, dsigma * np.where(unclamped, sigma_raw, 0.0)])
-    if not np.all(np.isfinite(score)):
+    if not np.isfinite(score).all():
         raise NumericError("non-finite policy gradient")
-    return PolicySample(coeffs, z, cache, score, ac.net)
+    return PolicySample(coeffs, z, cache, score)
 
 
 def critic_value(ac, state, features=None):
@@ -535,7 +525,7 @@ def deserialize_policy(text):
         for i, (key, cast) in enumerate(_POLICY_HEADER, start=1)
     }
     sha, dims = header.pop("basis_sha256"), header.pop("layers")
-    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    n_params = param_count(dims)
     count = n_params + dims[-2]
     size = 4 * -(-8 * count // 3)  # base64 characters of 8 * count bytes
     body = lines.pop() if len(lines) == _BODY_LINE else ""  # the rest of the file
@@ -557,5 +547,5 @@ def deserialize_policy(text):
     values = np.frombuffer(raw, "<f8").astype(float)
     if not np.isfinite(values).all():
         raise ValidationError(f"line {_BODY_LINE}: a value is not finite")
-    net = dense_from_vector(dims, values[:n_params])
+    net = DenseNet(dims, values[:n_params])
     return ActorCritic(net, values[n_params:], **header), sha

@@ -311,33 +311,30 @@ def save_basis(path, basis):
 
 
 def load_basis(path):
-    """Read a basis file of version 2, or of version 1.
+    """Read a version 2 basis file, as :func:`save_basis` writes it.
 
-    Version 1 has a ``c=<count> d=<dim>`` header, then one line of all
-    ``dim`` entries per vector.  A malformed file raises
-    :class:`ValidationError` naming its path and line.
+    A malformed file, or a first line that is not a version 2 header,
+    raises :class:`ValidationError` naming its path and line.
     """
     with open_utf8(path) as fh:
         words = fh.readline().split()
-        v2 = words[:2] == _V2_HEADER.split()
         try:
-            (c_key, count), (d_key, dim) = (w.split("=") for w in words[2 * v2:])
+            (c_key, count), (d_key, dim) = (w.split("=") for w in words[2:])
             count, dim = int(count), int(dim)
-            if (c_key, d_key) != ("c", "d") or count < 0 or dim < 0:
+            header = [*words[:2], c_key, d_key]
+            if header != [*_V2_HEADER.split(), "c", "d"] or min(count, dim) < 0:
                 raise ValueError
         except ValueError:
             raise ValidationError(
-                f"{path}:1: basis file must start with "
-                f"'{_V2_HEADER} c=<count> d=<dim>' or 'c=<count> d=<dim>'"
+                f"{path}:1: basis file must start with '{_V2_HEADER} c=<count> d=<dim>' "
+                "(other versions are not read; run train or lift again)"
             ) from None
-        read_line = _v2_nonzeros if v2 else _v1_nonzeros
         parts, lineno = [], 1
         for lineno, line in enumerate(fh, start=2):
             where = f"{path}:{lineno}"
-            if v2 or line.strip():
-                if len(parts) == count:
-                    raise ValidationError(f"{where}: more vectors than the header's c={count}")
-                parts.append(read_line(where, line, dim))
+            if len(parts) == count:
+                raise ValidationError(f"{where}: more vectors than the header's c={count}")
+            parts.append(_nonzeros(where, line, dim))
     if len(parts) != count:
         raise ValidationError(
             f"{path}:{lineno + 1}: "
@@ -348,20 +345,8 @@ def load_basis(path):
     return LatticeBasis(shape=(count, dim), nonzeros=(rows, cols, vals))
 
 
-def _v1_nonzeros(where, line, dim):
-    """The ``(2, k)`` columns and values of a v1 line, every one of the ``dim`` entries written out."""
-    try:
-        row = np.array(line.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise ValidationError(f"{where}: basis entries must be integers in int64 range") from None
-    if row.shape != (dim,):
-        raise ValidationError(f"{where}: {row.size} entries, but the header says d={dim}")
-    cols = np.flatnonzero(row)
-    return np.stack([cols, row[cols]])
-
-
-def _v2_nonzeros(where, line, dim):
-    """The ``(2, k)`` columns and values of a v2 line of ``column:value`` pairs."""
+def _nonzeros(where, line, dim):
+    """The ``(2, k)`` columns and values of a line of ``column:value`` pairs."""
     cols, vals = [], []
     try:
         for pair in line.split():

@@ -4,8 +4,8 @@ Small enough to audit: affine layers, tanh on every layer but the
 last, which is linear; a cached forward pass, and a backward pass
 returning the exact gradient of ``<output_grad, output>`` with respect
 to every parameter and to the input, summed over a batch.  A network
-is its layer widths and one flat parameter vector, which it owns, which
-every layer is a view of, and which round-trips losslessly.
+is its layer widths and one flat parameter vector, which every layer is
+a view of, and which round-trips losslessly.
 """
 
 import numpy as np
@@ -17,18 +17,12 @@ class DenseNet:
     """Stack of affine layers of widths ``dims`` (the input, each hidden layer, the output).
 
     ``weights[i]``, of shape (out, in), and ``biases[i]`` are views of ``params``,
-    the one flat vector, in :meth:`param_vector` order; a copy gets its own vector.
+    the flat ``vec`` given, in :meth:`param_vector` order; a copy gets its own vector.
     """
 
-    def __init__(self, weights, biases):  # packs the given layers, once, into its own vector
-        dims = (np.shape(weights[0])[1], *(np.shape(w)[0] for w in weights))
-        shapes = [np.shape(a) for a in (*weights, *biases)]
-        if shapes != [*zip(dims[1:], dims), *zip(dims[1:])]:  # each (out, in), then each (out,)
-            raise ContractViolation(f"layers of shapes {shapes} do not chain")
-        packed = [np.ravel(a) for layer in zip(weights, biases) for a in layer]
-        self._wrap(dims, np.concatenate(packed, dtype=float))
-
-    def _wrap(self, dims, vec):
+    def __init__(self, dims, vec):  # the layers are views of vec, which is not copied
+        if np.shape(vec) != (param_count(dims),):
+            raise ContractViolation(f"{np.size(vec)} parameters do not fill layer widths {dims}")
         self.dims, self.params, self.weights, self.biases, pos = tuple(dims), vec, [], [], 0
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             self.weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
@@ -37,7 +31,7 @@ class DenseNet:
             pos += fan_out
 
     def __reduce__(self):  # a copy or pickle rebuilds the views over its own vector
-        return dense_from_vector, (self.dims, self.params)
+        return DenseNet, (self.dims, self.params)
 
     @property
     def input_dim(self):
@@ -66,8 +60,8 @@ class DenseNet:
                 z = np.tanh(z)
             outputs.append(z)
         # tanh maps +/-inf to +/-1: a hidden layer is non-finite only as NaN, which reaches the head
-        if not np.all(np.isfinite(z)):
-            bad = next(i for i, out in enumerate(outputs[1:]) if not np.all(np.isfinite(out)))
+        if not np.isfinite(z).all():
+            bad = next(i for i, out in enumerate(outputs[1:]) if not np.isfinite(out).all())
             raise NumericError(f"non-finite value at layer {bad}")
         return z, outputs
 
@@ -87,7 +81,7 @@ class DenseNet:
             )
         outputs = [np.atleast_2d(z) for z in cache]
         flat = np.empty(self.n_params)
-        grad = dense_from_vector(self.dims, flat)  # each layer's gradient, a view of flat
+        grad = DenseNet(self.dims, flat)  # each layer's gradient, a view of flat
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             da = g if i == last else g * (1.0 - outputs[i + 1] * outputs[i + 1])
@@ -99,34 +93,17 @@ class DenseNet:
     def param_vector(self):
         return self.params.copy()
 
-    def set_param_vector(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_params,):
-            raise ContractViolation(f"{vec.size} parameters given, expected {self.n_params}")
-        self.params[:] = vec  # a copy: the network owns its parameters
 
-
-def dense_from_vector(dims, vec):
-    """Network of layer widths ``dims`` whose layers are views of the flat
-    ``vec``, in :meth:`DenseNet.param_vector` order; ``vec`` is not copied."""
-    net = DenseNet.__new__(DenseNet)
-    net._wrap(dims, vec)
-    return net
+def param_count(dims):
+    """Length of the flat parameter vector of a network of layer widths ``dims``."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
 def make_dense(dims, rng):
     """Fresh network of layer widths ``dims``: weights uniform in
     +/-1/sqrt(fan_in), biases zero."""
-    net = dense_from_vector(dims, np.zeros(sum((m + 1) * n for m, n in zip(dims, dims[1:]))))
+    net = DenseNet(dims, np.zeros(param_count(dims)))
     for w in net.weights:
         bound = 1.0 / np.sqrt(w.shape[1])
         w[:] = rng.uniform(-bound, bound, size=w.shape)
     return net
-
-
-def project_to_ball(vec, radius):
-    """Euclidean projection onto the origin-centered ball."""
-    norm = float(np.linalg.norm(vec))
-    if norm <= radius or norm == 0.0:
-        return vec
-    return vec * (radius / norm)

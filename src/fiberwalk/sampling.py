@@ -101,7 +101,7 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
         raise ContractViolation("start point lies outside the box")
     discovered = DiscoveredSet()
     discovered.add(state)
-    trace = [state.copy()]
+    trace = [state]  # an accept rebinds state, never changes it: one copy, at the end
     stuck = False
     consecutive = 0
     limit = STUCK_FACTOR * basis.dim
@@ -124,7 +124,7 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
             if accept:
                 state, here, weight = candidate, there, cand_weight
                 discovered.add(state)
-        trace.append(state.copy())
+        trace.append(state)
     points = np.array(trace, dtype=np.int64)
     stats = chi_square_many(points, expected) if expected is not None else None
     return FiberSample(points, stats, chain_id, seed, stuck), discovered

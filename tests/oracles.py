@@ -152,10 +152,16 @@ def gae_double_sum(rewards, values, bootstrap, gamma, lam):
     )
 
 
-def window_direction_oracle(samples, adv):
+def score_gradient(net, sample):
+    """d ln pi / d(theta) of one policy sample: its score passed backward through
+    ``net``, which must still hold the parameters the sample was drawn with."""
+    return net.backward(sample.cache, sample.score)[0]
+
+
+def window_direction_oracle(net, samples, adv):
     """The actor's window direction as the GAE-weighted average of each step's
     flat score gradient, one full backward pass per step."""
-    return np.array([s.log_prob_grad for s in samples]).T @ adv / len(adv)
+    return np.array([score_gradient(net, s) for s in samples]).T @ adv / len(adv)
 
 
 def relative_error(a, b):

@@ -44,6 +44,7 @@ from .oracles import (
     gaussian_log_density,
     policy_log_density,
     relative_error,
+    score_gradient,
     window_direction_oracle,
 )
 
@@ -51,7 +52,7 @@ from .oracles import (
 def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):
     ac = make_actor_critic(state_dim, n_coeffs, hidden=hidden, seed=seed, **kw)
     rng = np.random.default_rng(seed + 100)
-    ac.set_actor_params(rng.normal(scale=0.4, size=ac.actor_params().size))
+    ac.net.params[:] = rng.normal(scale=0.4, size=ac.net.n_params)
     ac.critic_weights = rng.normal(scale=0.4, size=len(ac.critic_weights))
     return ac
 
@@ -81,7 +82,7 @@ def _manual_window(ac, states, rng, rewards=None):
 class TestPolicySample:
     def test_zero_parameters_give_standard_normal(self):
         ac = make_actor_critic(4, 3, hidden=(5,), seed=0)
-        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.net.params[:] = 0.0
         mu, sigma = policy_distribution(ac, np.array([1, 2, 0, 4]))
         assert np.array_equal(mu, np.zeros(3))
         assert np.array_equal(sigma, np.ones(3))
@@ -124,7 +125,7 @@ class TestPolicySample:
         assert np.array_equal(full.continuous, reused.continuous)
         assert np.array_equal(full.coeffs, reused.coeffs)
         assert reused.features is None
-        assert full.log_prob_grad is not None and reused.log_prob_grad is None
+        assert full.score is not None and reused.score is None and reused.cache is None
 
     def test_log_prob_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -136,11 +137,11 @@ class TestPolicySample:
 
             def logpi(theta):
                 probe = copy.deepcopy(ac)
-                probe.set_actor_params(theta)
+                probe.net.params[:] = theta
                 return policy_log_density(probe, state, sample.continuous)
 
             fd = central_difference(logpi, theta0)
-            assert relative_error(sample.log_prob_grad, fd) < 1e-4
+            assert relative_error(score_gradient(ac.net, sample), fd) < 1e-4
 
 
 class TestOneNetworkPass:
@@ -165,8 +166,7 @@ class TestOneNetworkPass:
         assert calls == {"forward_cached": 1, "backward": 0}
         sample = policy_sample(ac, state, np.random.default_rng(0))
         assert calls == {"forward_cached": 2, "backward": 0}
-        assert sample.log_prob_grad is not None
-        assert calls == {"forward_cached": 2, "backward": 1}
+        assert not [v for v in vars(sample).values() if isinstance(v, DenseNet)]
         assert critic_value(ac, state, features=sample.features) == critic_value(ac, state)
 
     def test_one_forward_per_step_and_one_backward_per_window(self, calls):
@@ -215,9 +215,7 @@ class TestCriticValue:
         assert critic_value(ac, np.array([1, 2, 3, 4])) == 0.0
 
     def test_scalar_inner_product(self):
-        net = DenseNet(
-            weights=[np.array([[2.0]]), np.zeros((2, 1))], biases=[np.zeros(1), np.zeros(2)],
-        )
+        net = DenseNet((1, 1, 2), np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
         ac = ActorCritic(
             net=net, critic_weights=np.array([3.0]),
             coeff_min=-2, coeff_max=2, mask_k=None, ball_radius=1e3, input_scale=1.0,
@@ -306,7 +304,7 @@ class TestActorUpdate:
         gamma, lam, step = 0.99, 0.95, 0.01
         delta = traj.rewards[0] + gamma * traj.bootstrap_value - traj.values[0]
         before = ac.actor_params()
-        log_prob_grad = samples[0].log_prob_grad  # read before the update changes the network
+        log_prob_grad = score_gradient(ac.net, samples[0])  # before the update changes the network
         actor_update(ac, traj, step, gamma, lam)
         np.testing.assert_allclose(
             ac.actor_params() - before, step * delta * log_prob_grad, atol=1e-12
@@ -323,7 +321,7 @@ class TestActorUpdate:
 
         def surrogate(theta):
             probe = copy.deepcopy(ac)
-            probe.set_actor_params(theta)
+            probe.net.params[:] = theta
             total = 0.0
             for k, s in enumerate(states[:-1]):
                 total += adv[k] * policy_log_density(probe, s, samples[k].continuous)
@@ -350,7 +348,7 @@ class TestActorUpdate:
             assert not traj.scores[:, 4:6].any() and traj.scores[:, 6:].any()
         gamma, lam = 0.9, 0.7
         adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
-        want = window_direction_oracle(samples, adv)
+        want = window_direction_oracle(ac.net, samples, adv)
         theta0 = ac.actor_params()
         actor_update(ac, traj, 1.0, gamma, lam)  # step size 1, inside the ball
         assert relative_error(ac.actor_params() - theta0, want) < 1e-12
@@ -411,7 +409,7 @@ class TestActorUpdate:
 
 
 class TestDeepCopy:
-    @pytest.mark.parametrize("change", ["actor_update", "set_actor_params"])
+    @pytest.mark.parametrize("change", ["actor_update", "params_write"])
     def test_a_copy_changes_only_its_own_vector(self, change):
         ac = _small_ac(seed=7, hidden=(5, 4))
         rng = np.random.default_rng(7)
@@ -423,7 +421,7 @@ class TestDeepCopy:
         if change == "actor_update":
             actor_update(probe, traj, 0.5, 0.9, 0.8)
         else:
-            probe.set_actor_params(theta + 0.25)
+            probe.net.params[:] = theta + 0.25
         assert not np.array_equal(probe.net.forward_cached(x)[0], out)
         for part in probe.net.weights + probe.net.biases:
             assert np.shares_memory(part, probe.net.params)
@@ -626,10 +624,7 @@ class TestPolicySerialization:
         assert np.array_equal(back.actor_params(), ac.actor_params())
 
     def test_file_bytes(self):
-        net = DenseNet(
-            weights=[np.array([[0.5, -0.25]]), np.array([[1.5], [-0.0]])],
-            biases=[np.array([0.1]), np.array([0.0, 5e-324])],
-        )
+        net = DenseNet((2, 1, 2), np.array([0.5, -0.25, 0.1, 1.5, -0.0, 0.0, 5e-324]))
         ac = ActorCritic(
             net=net, critic_weights=np.array([-1e300]),
             coeff_min=-2, coeff_max=3, mask_k=1, ball_radius=1e3, input_scale=4.0,
@@ -817,7 +812,7 @@ class TestPolicySerializationProperty:
             sigma_min=data.draw(_POSITIVE),
         )
         size = ac.actor_params().size
-        ac.set_actor_params(np.array(data.draw(st.lists(_PARAM, min_size=size, max_size=size))))
+        ac.net.params[:] = data.draw(st.lists(_PARAM, min_size=size, max_size=size))
         width = len(ac.critic_weights)
         ac.critic_weights = np.array(data.draw(st.lists(_PARAM, min_size=width, max_size=width)))
         sha = data.draw(st.one_of(st.none(), st.just("ab" * 32)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -525,11 +526,14 @@ class TestBasisFile:
         vectors = np.array([[1, -1, 0], [0, 0, 0], [0, 12, -12]])
         save_basis(path, LatticeBasis(vectors=vectors))
         assert path.read_bytes() == b"fiberwalk-basis v2 c=3 d=3\n0:1 1:-1\n\n1:12 2:-12\n"
-        # Version 1 files, every entry written out, still load.
-        path.write_bytes(b"c=3 d=3\n1 -1 0\n0 0 0\n0 12 -12\n")
         assert np.array_equal(load_basis(path).vectors, vectors)
-        path.write_bytes(b"c=2 d=3\n1 -1 0\n0 12 -12\n")
-        assert np.array_equal(load_basis(path).vectors, vectors[[0, 2]])
+
+    def test_version_1_file_refused_naming_line_1(self, tmp_path):
+        # Version 1 wrote every entry of each vector after a "c=<count> d=<dim>" header.
+        path = tmp_path / "basis.txt"
+        path.write_bytes(b"c=3 d=3\n1 -1 0\n0 0 0\n0 12 -12\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1: .*run train or lift"):
+            load_basis(path)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         dm = build_design_matrix(all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]))
@@ -573,12 +577,18 @@ class TestBasisFile:
 
     def test_body_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
-        path.write_text("c=2 d=3\n1 0 -1\n")
+        path.write_text("fiberwalk-basis v2 c=2 d=3\n0:1 2:-1\n")
         with pytest.raises(ValidationError):
             load_basis(path)
 
     @pytest.mark.parametrize(
-        "text", ["c=1 d=3\n1 0 -1\n0 1 -1\n", "c=1 d=3\n1 -1\n", "c=1 d=3\n5\n"]
+        "text",
+        [
+            "fiberwalk-basis v2 c=1 d=3\n0:1 2:-1\n1:1 2:-1\n",
+            "fiberwalk-basis v2 c=1 d=3\n0:1 3:-1\n",
+            "fiberwalk-basis v2 c=1 d=3\n5\n",
+        ],
+        ids=["extra-row", "column-past-width", "not-a-pair"],
     )
     def test_extra_row_or_wrong_width_rejected(self, tmp_path, text):
         path = tmp_path / "bad.txt"

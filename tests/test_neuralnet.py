@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fiberwalk.agent import ActorCritic, deserialize_policy, serialize_policy
 from fiberwalk.errors import ContractViolation, NumericError
-from fiberwalk.neuralnet import DenseNet, dense_from_vector, make_dense, project_to_ball
+from fiberwalk.neuralnet import DenseNet, make_dense
 
 from .oracles import central_difference, relative_error
 
@@ -20,7 +20,7 @@ def _random_net(rng, dims=None):
         dims = [int(rng.integers(1, 6)) for _ in range(depth + 1)]
     net = make_dense(dims, rng)
     # Nonzero biases exercise every parameter slot.
-    net.set_param_vector(rng.normal(scale=0.7, size=net.n_params))
+    net.params[:] = rng.normal(scale=0.7, size=net.n_params)
     return net
 
 
@@ -31,20 +31,24 @@ def _forward(net, x):
 class TestForward:
     def test_zero_tanh_net_outputs_zero(self):
         net = make_dense((3, 4, 2), np.random.default_rng(0))
-        net.set_param_vector(np.zeros(net.n_params))
+        net.params[:] = 0.0
         assert np.array_equal(_forward(net, np.array([1.0, -2.0, 3.0])), [0.0, 0.0])
 
     def test_scalar_affine(self):
-        net = DenseNet(weights=[np.array([[2.0]])], biases=[np.array([1.0])])
+        net = DenseNet((1, 1), np.array([2.0, 1.0]))  # weight 2, bias 1
         assert _forward(net, np.array([3.0]))[0] == 7.0
 
     def test_tanh_on_every_layer_but_the_last(self):
-        net = DenseNet(
-            weights=[np.array([[2.0]]), np.array([[3.0]])], biases=[np.zeros(1), np.ones(1)]
-        )
+        net = DenseNet((1, 1, 1), np.array([2.0, 0.0, 3.0, 1.0]))
         out, cache = net.forward_cached(np.array([1.0]))
         assert cache[1][0] == np.tanh(2.0)
         assert out[0] == 3.0 * np.tanh(2.0) + 1.0
+
+    def test_layer_chain_validated(self):
+        # Parameters for a 3->2 layer then a 4->1 layer, whose fan-in breaks
+        # the chain: widths (3, 2, 1) take 11 parameters, not these 13.
+        with pytest.raises(ContractViolation, match="do not fill layer widths"):
+            DenseNet((3, 2, 1), np.zeros(6 + 2 + 4 + 1))
 
     def test_shape_mismatch_rejected(self):
         net = make_dense((3, 2), np.random.default_rng(0))
@@ -52,10 +56,7 @@ class TestForward:
             _forward(net, np.zeros(4))
 
     def test_nonfinite_reported_with_layer(self):
-        net = DenseNet(
-            weights=[np.array([[np.nan]]), np.array([[1.0]])],
-            biases=[np.zeros(1), np.zeros(1)],
-        )
+        net = DenseNet((1, 1, 1), np.array([np.nan, 0.0, 1.0, 0.0]))
         with pytest.raises(NumericError, match="layer 0"):
             _forward(net, np.array([1.0]))
 
@@ -68,17 +69,10 @@ class TestForward:
         with pytest.raises(NumericError, match=f"layer {layer}$"):
             _forward(net, np.array([0.5, -1.0]))
 
-    def test_layer_chain_validated(self):
-        with pytest.raises(ContractViolation):
-            DenseNet(
-                weights=[np.zeros((2, 3)), np.zeros((1, 4))],
-                biases=[np.zeros(2), np.zeros(1)],
-            )
-
 
 class TestBackward:
     def test_linear_gradient_is_outer_product(self):
-        net = DenseNet(weights=[np.array([[1.0, 2.0], [3.0, 4.0]])], biases=[np.zeros(2)])
+        net = DenseNet((2, 2), np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0]))
         x = np.array([5.0, -1.0])
         g = np.array([2.0, 3.0])
         _, cache = net.forward_cached(x)
@@ -109,7 +103,7 @@ class TestBackward:
 
             def param_scalar(theta):
                 probe = copy.deepcopy(net)
-                probe.set_param_vector(theta)
+                probe.params[:] = theta
                 return float(g @ _forward(probe, x))
 
             fd = central_difference(param_scalar, theta0)
@@ -155,53 +149,34 @@ class TestParamVector:
         net = _random_net(rng)
         vec = net.param_vector()
         clone = copy.deepcopy(net)
-        clone.set_param_vector(vec)
+        clone.params[:] = vec
         assert np.array_equal(clone.param_vector(), vec)
 
     def test_layers_are_views_of_the_vector_in_its_order(self):
         vec = np.arange(17.0)  # widths 2, 3, 2: 6 + 3 + 6 + 2 parameters
-        net = dense_from_vector((2, 3, 2), vec)
+        net = DenseNet((2, 3, 2), vec)
         assert net.dims == (2, 3, 2)
         assert np.array_equal(net.param_vector(), vec)
         assert all(np.shares_memory(part, vec) for part in net.weights + net.biases)
         assert np.array_equal(net.weights[1], [[9.0, 10.0, 11.0], [12.0, 13.0, 14.0]])
 
     def test_constructed_layers_are_views_of_an_owned_vector(self):
-        weights, biases = [np.ones((3, 2)), np.full((2, 3), 2.0)], [np.zeros(3), np.ones(2)]
-        net = DenseNet(weights, biases)
-        assert np.array_equal(net.param_vector(), [1.0] * 6 + [0.0] * 3 + [2.0] * 6 + [1.0] * 2)
-        for part, given in zip(net.weights + net.biases, weights + biases):
-            assert np.shares_memory(part, net.params) and not np.shares_memory(part, given)
-
-    def test_set_param_vector_copies(self):
         net = make_dense((2, 3, 2), np.random.default_rng(0))
-        vec = np.arange(17.0)
-        net.set_param_vector(vec)
-        vec[:] = 0.0
-        assert np.array_equal(net.param_vector(), np.arange(17.0))
+        assert net.params.base is None and net.params.shape == (17,)
+        assert all(np.shares_memory(part, net.params) for part in net.weights + net.biases)
+        net.params[:] = np.arange(17.0)
+        assert np.array_equal(net.biases[1], [15.0, 16.0])
 
     def test_length_validated(self):
-        net = make_dense((2, 2), np.random.default_rng(0))
-        with pytest.raises(ContractViolation):
-            net.set_param_vector(np.zeros(net.n_params + 1))
+        for size in (16, 18):  # the widths take 17
+            with pytest.raises(ContractViolation, match="do not fill layer widths"):
+                DenseNet((2, 3, 2), np.zeros(size))
 
     def test_init_ranges(self):
         net = make_dense((16, 8), np.random.default_rng(4))
         bound = 1.0 / 4.0
         assert np.all(np.abs(net.weights[0]) <= bound)
         assert not net.biases[0].any()
-
-
-class TestProjection:
-    def test_inside_ball_untouched(self):
-        v = np.array([1.0, 2.0])
-        assert project_to_ball(v, 10.0) is v
-
-    def test_outside_ball_scaled(self):
-        v = np.array([3.0, 4.0])
-        out = project_to_ball(v, 1.0)
-        assert np.isclose(np.linalg.norm(out), 1.0)
-        assert np.allclose(out, v / 5.0)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ class TestExplore:
             )
             assert discovered.count == len(np.unique(sample.points, axis=0))
 
+    def test_a_walk_that_never_moves_keeps_one_copy_of_its_trace(self):
+        # The start is the only point of this graph's fiber that the untrained policy
+        # reaches; its trace repeats it 4,001 times, copied once, into the trace array.
+        rng = np.random.default_rng(10)
+        edges = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.1]
+        spec = beta_model(30)
+        design = build_design_matrix(spec)
+        data = observe_graph(spec, design, edges)
+        basis = compute_lattice_basis(design)
+        ac = make_actor_critic(design.n_cols, basis.count, seed=0)
+        tracemalloc.start()
+        try:
+            sample, discovered = explore(ac, basis, data.counts, 4000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert discovered.count == 1 and sample.points.shape == (4001, design.n_cols)
+        assert peak <= 1.25 * sample.points.nbytes
+
     def test_negative_start_rejected(self):
         dm, basis, ac, _ = _setup22()
         with pytest.raises(ContractViolation):
@@ -109,7 +129,7 @@ class TestExplore:
         dm, basis, ac, _ = _setup22()
         # Single-point fiber; force the policy to always propose +2 with
         # a tiny stddev, so every proposal is infeasible.
-        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.net.params[:] = 0.0
         ac.net.biases[-1][0] = 2.0     # mean
         ac.net.biases[-1][1] = -20.0   # log sigma, clamps to 1e-3
         start = np.array([1, 1, 0, 0], dtype=np.int64)
@@ -121,7 +141,7 @@ class TestExplore:
 class TestMhUniform:
     def test_symmetric_proposals_for_zero_policy(self):
         dm, basis, ac, start = _setup22()
-        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.net.params[:] = 0.0
         other = np.array([0, 1, 1, 0], dtype=np.int64)
         for coeffs in ([1], [-1], [2]):
             c = np.array(coeffs)
@@ -179,7 +199,7 @@ def _oracle_setup(mask_k):
     ac = make_actor_critic(9, basis.count, hidden=(8,), seed=3, input_scale=3.0, mask_k=mask_k)
     # Random parameters make (mu, sigma) vary with the state; the unit
     # sigma floor gives every cell, clamp cells included, real mass.
-    ac.set_actor_params(np.random.default_rng(3).normal(scale=0.5, size=ac.actor_params().size))
+    ac.net.params[:] = np.random.default_rng(3).normal(scale=0.5, size=ac.net.n_params)
     return basis, fiber, ac
 
 
@@ -233,7 +253,7 @@ def _graph_oracle_setup():
     data = observe_graph(spec, dm, _CYCLE6)
     basis = compute_lattice_basis(dm)
     ac = make_actor_critic(dm.n_cols, basis.count, hidden=(8,), seed=3, coeff_min=-1, coeff_max=1)
-    ac.set_actor_params(np.random.default_rng(3).normal(scale=0.5, size=ac.actor_params().size))
+    ac.net.params[:] = np.random.default_rng(3).normal(scale=0.5, size=ac.net.n_params)
     return spec, dm, data, basis, ac
 
 
@@ -433,7 +453,7 @@ class TestOneTablePerState:
 
     def test_no_feasible_proposal_no_table(self, priced):
         dm, basis, ac, _ = _setup22()
-        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.net.params[:] = 0.0
         ac.sigma_min = SIGMA_MIN
         ac.net.biases[-1][0] = 2.0     # every draw is +2, which leaves the box
         ac.net.biases[-1][1] = -20.0
@@ -546,7 +566,7 @@ class TestBesagClifford:
         table = np.random.default_rng(1).multinomial(total, np.full(side * side, 1 / side**2))
         data = observe_table(spec, dm, table)
         ac = make_actor_critic(dm.n_cols, basis.count, hidden=(4,), seed=0, sigma_min=1e-3)
-        ac.set_actor_params(np.zeros(ac.actor_params().size))
+        ac.net.params[:] = 0.0
         ac.net.biases[-1][basis.count:] = -20.0  # log sigma, clamps to 1e-3
         results = besag_clifford_pvalues(
             ac, basis, spec, data, chains=10, chain_length=10, seed=0, chain_steps=10
