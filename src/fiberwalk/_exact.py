@@ -5,24 +5,10 @@ no intermediate result can overflow or pick up rounding error.  The
 public entry points are ``integer_rank`` and ``integer_kernel_basis``;
 both run the same fraction-free column elimination on a row count and
 sparse columns, each a dict ``{row: value}`` of its nonzero entries,
-read from a design's margin-rows table or a plain matrix's
-``sparse_columns``.  Design matrices and their kernel vectors are
-mostly zeros, so an update costs the pivot column's nonzeros rather
-than the column's full height.
+read from a design's margin-rows table.  Design matrices and their
+kernel vectors are mostly zeros, so an update costs the pivot column's
+nonzeros rather than the column's full height.
 """
-
-import numpy as np
-
-
-def sparse_columns(mat):
-    """Return (n_rows, columns) of a 2-D matrix, each column a dict of its nonzero entries."""
-    arr = np.asarray(mat)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return arr.shape[0], [
-        {r: v for r, v in enumerate(map(int, column)) if v}
-        for column in arr.T.tolist()
-    ]
 
 
 def integer_rank(n_rows, cols):

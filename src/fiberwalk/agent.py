@@ -78,9 +78,12 @@ class ActorCritic:
             raise ContractViolation("mask_k must lie between 1 and the coefficient count")
         if self.coeff_min >= self.coeff_max:
             raise ContractViolation("coeff_min must be below coeff_max")
-        for name in ("sigma_min", "ball_radius", "input_scale"):
-            if not getattr(self, name) > 0:
-                raise ContractViolation(f"{name} must be positive")
+        if not self.ball_radius > 0:
+            raise ContractViolation("ball_radius must be positive")
+        if not 0 < self.input_scale < np.inf:
+            raise ContractViolation("input_scale must be positive and finite")
+        if not 0 < self.sigma_min < SIGMA_MAX:  # the head clips every stddev to SIGMA_MAX
+            raise ContractViolation(f"sigma_min must lie strictly between 0 and {SIGMA_MAX:g}")
 
     @property
     def n_coeffs(self):
@@ -212,11 +215,19 @@ def policy_sample(ac, state, rng, dist=None):
     return PolicySample(coeffs, z, cache, score)
 
 
-def critic_value(ac, state, features=None):
-    """State value: inner product of the last hidden layer with the critic weights."""
-    if features is None:
-        features = _forward(ac, state)[-2]
+def critic_value(ac, features):
+    """State value: inner product of the state's last hidden layer with the critic weights."""
     return float(features @ ac.critic_weights)
+
+
+def _discounted_sums(values, factor, tail):
+    """``out[t] = values[t] + factor * out[t + 1]`` from the last t down; ``out[len] = tail``."""
+    out = np.empty(len(values))
+    acc = tail
+    for t in range(len(values) - 1, -1, -1):
+        acc = values[t] + factor * acc
+        out[t] = acc
+    return out
 
 
 def compute_gae(rewards, values, bootstrap, gamma, lam):
@@ -232,12 +243,7 @@ def compute_gae(rewards, values, bootstrap, gamma, lam):
         raise ContractViolation("rewards and values must have equal length")
     next_values = np.append(values[1:], bootstrap)
     deltas = rewards + gamma * next_values - values
-    adv = np.empty_like(deltas)
-    acc = 0.0
-    for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * acc
-        adv[t] = acc
-    return adv
+    return _discounted_sums(deltas, gamma * lam, 0.0)
 
 
 @dataclass(frozen=True)
@@ -308,12 +314,7 @@ def critic_update(ac, traj, step_size, gamma, max_step=None):
     k = len(traj.rewards)
     feats = traj.features
     omega = ac.critic_weights
-    end_value = float(feats[k] @ omega)
-    targets = np.empty(k)
-    acc = end_value
-    for t in range(k - 1, -1, -1):
-        acc = traj.rewards[t] + gamma * acc
-        targets[t] = acc
+    targets = _discounted_sums(traj.rewards, gamma, float(feats[k] @ omega))
     residuals = feats[:k] @ omega - targets
     decay = gamma ** (k - np.arange(k))
     direction = (feats[:k] - np.outer(decay, feats[k])).T @ residuals
@@ -375,13 +376,13 @@ class WindowStats:
     beta: float
 
 
-def train(env, ac, cfg, start=None):
+def train(env, ac, cfg, start):
     """Run episodic rollouts, updating after every window.
 
-    Each episode restarts from ``start`` (default: the environment's
-    current point) while the discovered set keeps accumulating.  The
-    schedule argument is the update counter, i.e. the iterate index of
-    the two stochastic approximation sequences.  Reproducible: all
+    Each episode restarts from the fiber point ``start`` while the
+    discovered set keeps accumulating.  The schedule argument is the
+    update counter, i.e. the iterate index of the two stochastic
+    approximation sequences.  Reproducible: all
     randomness flows from ``cfg.seed``.
     """
     if env.basis.count == 0:
@@ -392,8 +393,6 @@ def train(env, ac, cfg, start=None):
         )
     rng = np.random.default_rng(cfg.seed)
     actor_sched, critic_sched = cfg.schedules()
-    if start is None:
-        start = env.current
     start = np.asarray(start, dtype=np.int64)
 
     log = []
@@ -412,7 +411,7 @@ def train(env, ac, cfg, start=None):
                 outcome = env.step(sample.coeffs)
                 caches.append(sample.cache)
                 scores.append(sample.score)
-                values.append(critic_value(ac, state, features=sample.features))
+                values.append(critic_value(ac, sample.features))
                 rewards.append(outcome.reward)
                 feasible_count += outcome.feasible
                 state = outcome.next
@@ -422,7 +421,7 @@ def train(env, ac, cfg, start=None):
                 scores=np.array(scores),
                 rewards=np.array(rewards),
                 values=np.array(values),
-                bootstrap_value=critic_value(ac, state, features=end_cache[-2]),
+                bootstrap_value=critic_value(ac, end_cache[-2]),
             )
             n_updates += 1
             alpha = actor_sched(n_updates)
@@ -460,7 +459,8 @@ def write_train_log(path, log):
 # ------------------------------------------------------------------
 
 
-def serialize_policy(ac, basis_sha256=None):
+def serialize_policy(ac, basis_sha256):
+    """The v3 policy file text of ``ac``, pinned to the sha256 hex digest of its basis file."""
     header = "\n".join([
         "fiberwalk-policy v3",
         f"coeff_min={ac.coeff_min}",
@@ -469,7 +469,7 @@ def serialize_policy(ac, basis_sha256=None):
         f"ball_radius={repr(float(ac.ball_radius))}",
         f"input_scale={repr(float(ac.input_scale))}",
         f"sigma_min={repr(float(ac.sigma_min))}",
-        f"basis_sha256={basis_sha256 or 'none'}",
+        f"basis_sha256={basis_sha256}",
         f"layers={','.join(map(str, ac.net.dims))}",
     ])
     values = np.concatenate([ac.net.params, ac.critic_weights]).astype("<f8", copy=False)
@@ -493,7 +493,7 @@ _POLICY_HEADER = (
     ("ball_radius", float),
     ("input_scale", float),
     ("sigma_min", float),
-    ("basis_sha256", lambda value: None if value == "none" else value),
+    ("basis_sha256", str),
     ("layers", _widths),
 )
 _BODY_LINE = len(_POLICY_HEADER) + 2  # 1-based number of the values line
@@ -511,7 +511,7 @@ def line_field(lines, i, key, cast=int):
 
 
 def deserialize_policy(text):
-    """Parse a v3 policy file; returns (ActorCritic, basis_sha256 or None)."""
+    """Parse a v3 policy file; returns (ActorCritic, the basis_sha256 text)."""
     lines = text.split("\n", _BODY_LINE - 1)
     if lines[0] in ("fiberwalk-policy v1", "fiberwalk-policy v2"):
         raise ValidationError(

@@ -264,7 +264,7 @@ def _load_policy(cfg, design):
     except ValidationError as exc:  # "line N: why" becomes "<path>:N: why"
         where = str(exc)[len("line "):] if str(exc).startswith("line ") else f" {exc}"
         raise ValidationError(f"{policy_path}:{where}") from None
-    if want_sha is not None and want_sha != _sha256_file(basis_path):
+    if want_sha != _sha256_file(basis_path):
         raise IncompatiblePolicyError(
             "policy was trained against a different basis (checksum mismatch)"
         )

@@ -21,7 +21,7 @@ from functools import cached_property
 import networkx as nx
 import numpy as np
 
-from ._exact import integer_kernel_basis, sparse_columns
+from ._exact import integer_kernel_basis
 from .errors import (
     ContractViolation,
     DecompositionError,
@@ -112,17 +112,14 @@ class SubProblem:
 
 
 def compute_lattice_basis(design):
-    """Primitive integer kernel basis of a design matrix.
+    """Primitive integer kernel basis of a :class:`DesignMatrix`.
 
     The elimination is exact (Python integers), so membership in the
     kernel holds with no tolerance.  Vectors are primitive (entry gcd
     1) and sign-normalized (first nonzero entry positive), making the
-    result deterministic across platforms.  ``design`` may also be a
-    plain 2-D integer matrix.
+    result deterministic across platforms.
     """
-    n, cols = (
-        design.sparse_columns() if isinstance(design, DesignMatrix) else sparse_columns(design)
-    )
+    n, cols = design.sparse_columns()
     if not n or not cols:
         raise ContractViolation("design matrix is empty")
     shape, nonzeros = integer_kernel_basis(n, cols)

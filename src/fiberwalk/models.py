@@ -394,18 +394,16 @@ def read_table_csv(path):
     """
     with open_utf8(path, newline="") as fh:
         header = fh.readline().strip()
-        if not header.startswith("dims="):
-            raise ValidationError(
-                "table CSV must start with a header line 'dims=d1xd2[xd3]'"
-            )
         try:
+            if not header.startswith("dims="):
+                raise ValueError
             dims = tuple(int(p) for p in header[len("dims="):].split("x"))
         except ValueError:
             raise ValidationError(
-                "table CSV must start with a header line 'dims=d1xd2[xd3]'"
+                f"{path}:1: table CSV must start with a header line 'dims=d1xd2[xd3]'"
             ) from None
         if len(dims) not in (2, 3) or any(s < 2 for s in dims):
-            raise ValidationError(f"unsupported table dimensions {dims}")
+            raise ValidationError(f"{path}:1: unsupported table dimensions {dims}")
         cells = []
         reader = csv.reader(fh)
         for row in reader:
@@ -415,7 +413,8 @@ def read_table_csv(path):
                     raise ValidationError(f"{where}: table cell {text!r} is not in 0..2**63-1")
                 cells.append(int(text))
     if len(cells) != int(np.prod(dims)):
-        raise ValidationError(
+        raise ValidationError(  # line_num counts the lines after the header: name the next
+            f"{path}:{reader.line_num + 2}: "
             f"table body has {len(cells)} cells, header promises {int(np.prod(dims))}"
         )
     return dims, np.array(cells, dtype=np.int64)

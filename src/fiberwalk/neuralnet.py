@@ -66,29 +66,27 @@ class DenseNet:
         return z, outputs
 
     def backward(self, cache, output_grad):
-        """Gradient of <output_grad, output> w.r.t. params and input.
+        """Gradient of <output_grad, output> w.r.t. params and input, over a batch.
 
-        Returns ``(param_grad, input_grad)`` with ``param_grad`` flat
-        in the same order as :meth:`param_vector`.  A (K, out) batch over
-        (K, width) layer outputs sums its K parameter gradients, one
-        ``(out, K) @ (K, in)`` product per layer, and returns (K, in)
-        input gradients; an (out,) gradient is the batch of one.
+        ``output_grad`` is a (K, out) batch and ``cache`` the (K, width) layer
+        outputs.  Returns ``(param_grad, input_grad)``: ``param_grad`` flat in
+        :meth:`param_vector` order, the sum of the K parameter gradients, one
+        ``(out, K) @ (K, in)`` product per layer, and the (K, in) input gradients.
         """
-        g = np.atleast_2d(np.asarray(output_grad, dtype=float))
-        if np.ndim(output_grad) not in (1, 2) or g.shape[-1] != self.output_dim:
+        g = np.asarray(output_grad, dtype=float)
+        if g.ndim != 2 or g.shape[1] != self.output_dim:
             raise ContractViolation(
-                f"output_grad has shape {np.shape(output_grad)}, expected ([K,] {self.output_dim})"
+                f"output_grad has shape {g.shape}, expected (K, {self.output_dim})"
             )
-        outputs = [np.atleast_2d(z) for z in cache]
         flat = np.empty(self.n_params)
         grad = DenseNet(self.dims, flat)  # each layer's gradient, a view of flat
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
-            da = g if i == last else g * (1.0 - outputs[i + 1] * outputs[i + 1])
-            np.matmul(da.T, outputs[i], out=grad.weights[i])
+            da = g if i == last else g * (1.0 - cache[i + 1] * cache[i + 1])
+            np.matmul(da.T, cache[i], out=grad.weights[i])
             da.sum(axis=0, out=grad.biases[i])
             g = da @ self.weights[i]
-        return flat, g[0] if np.ndim(output_grad) == 1 else g
+        return flat, g
 
     def param_vector(self):
         return self.params.copy()

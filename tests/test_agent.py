@@ -3,6 +3,7 @@
 import base64
 import copy
 import dataclasses
+import hashlib
 import re
 import struct
 import tracemalloc
@@ -73,7 +74,7 @@ def _manual_window(ac, states, rng, rewards=None):
         layers=[np.array(rows) for rows in zip(*(x.cache for x in samples), end_cache)],
         scores=np.array([x.score for x in samples]),
         rewards=np.asarray(rewards, dtype=float),
-        values=np.array([critic_value(ac, s, x.features) for s, x in zip(states, samples)]),
+        values=np.array([critic_value(ac, x.features) for x in samples]),
         bootstrap_value=float(end_cache[-2] @ ac.critic_weights),
     )
     return traj, samples
@@ -167,13 +168,13 @@ class TestOneNetworkPass:
         sample = policy_sample(ac, state, np.random.default_rng(0))
         assert calls == {"forward_cached": 2, "backward": 0}
         assert not [v for v in vars(sample).values() if isinstance(v, DenseNet)]
-        assert critic_value(ac, state, features=sample.features) == critic_value(ac, state)
+        assert critic_value(ac, sample.features) == critic_value(ac, _features(ac, state))
 
     def test_one_forward_per_step_and_one_backward_per_window(self, calls):
         dm = build_design_matrix(independence(2, 2))
         env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
         ac = make_actor_critic(4, 1, hidden=(6, 3), seed=0)
-        log = train(env, ac, TrainConfig(episodes=1, window=8))
+        log = train(env, ac, TrainConfig(episodes=1, window=8), start=env.current)
         steps = env.config.steps_per_episode
         # One forward pass per step, plus one at each window's end for the bootstrap
         # value; one backward pass per window, over all of its steps at once.
@@ -212,7 +213,7 @@ class TestCriticValue:
     def test_zero_weights(self):
         ac = _small_ac()
         ac.critic_weights = np.zeros(len(ac.critic_weights))
-        assert critic_value(ac, np.array([1, 2, 3, 4])) == 0.0
+        assert critic_value(ac, _features(ac, np.array([1, 2, 3, 4]))) == 0.0
 
     def test_scalar_inner_product(self):
         net = DenseNet((1, 1, 2), np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
@@ -221,7 +222,7 @@ class TestCriticValue:
             coeff_min=-2, coeff_max=2, mask_k=None, ball_radius=1e3, input_scale=1.0,
             sigma_min=1.0,
         )
-        assert critic_value(ac, np.array([1.0])) == 3 * np.tanh(2.0)
+        assert critic_value(ac, _features(ac, np.array([1.0]))) == 3 * np.tanh(2.0)
 
     def test_lipschitz_in_weights(self):
         rng = np.random.default_rng(1)
@@ -230,10 +231,10 @@ class TestCriticValue:
         phi = _features(ac, state)
         for _ in range(20):
             bump = rng.normal(scale=0.1, size=len(ac.critic_weights))
-            before = critic_value(ac, state)
+            before = critic_value(ac, phi)
             ac2 = copy.deepcopy(ac)
             ac2.critic_weights = ac.critic_weights + bump
-            after = critic_value(ac2, state)
+            after = critic_value(ac2, phi)
             assert abs(after - before) <= np.linalg.norm(bump) * np.linalg.norm(phi) + 1e-12
 
 
@@ -518,7 +519,7 @@ class TestTrain:
         env = self._env()
         ac = make_actor_critic(4, 1, hidden=(6,), seed=0)
         before = ac.actor_params()
-        log = train(env, ac, TrainConfig(episodes=0))
+        log = train(env, ac, TrainConfig(episodes=0), start=env.current)
         assert log == []
         assert np.array_equal(ac.actor_params(), before)
 
@@ -527,14 +528,14 @@ class TestTrain:
         for _ in range(2):
             env = self._env()
             ac = make_actor_critic(4, 1, hidden=(6,), seed=1)
-            logs.append(train(env, ac, TrainConfig(episodes=3, seed=7)))
+            logs.append(train(env, ac, TrainConfig(episodes=3, seed=7), start=env.current))
         assert logs[0] == logs[1]
 
     def test_log_shape_and_bounds(self):
         env = self._env()
         ac = make_actor_critic(4, 1, hidden=(6,), seed=2)
         cfg = TrainConfig(episodes=2, window=8, seed=3)
-        log = train(env, ac, cfg)
+        log = train(env, ac, cfg, start=env.current)
         # 100 steps per episode in windows of 8: 13 windows per episode.
         assert len(log) == 2 * 13
         for row in log:
@@ -553,12 +554,12 @@ class TestTrain:
         env = FiberEnv(dm, basis, np.array([1, 0, 0, 1]))
         ac = make_actor_critic(4, 0, hidden=(6,), seed=0)
         with pytest.raises(ValidationError):
-            train(env, ac, TrainConfig(episodes=1))
+            train(env, ac, TrainConfig(episodes=1), start=env.current)
 
     def test_write_train_log(self, tmp_path):
         env = self._env()
         ac = make_actor_critic(4, 1, hidden=(6,), seed=2)
-        log = train(env, ac, TrainConfig(episodes=1, seed=3))
+        log = train(env, ac, TrainConfig(episodes=1, seed=3), start=env.current)
         path = tmp_path / "log.csv"
         write_train_log(path, log)
         lines = path.read_text().splitlines()
@@ -594,6 +595,26 @@ class TestSchedulesAndConfig:
             TrainConfig(**scales)
 
 
+class TestPolicySettings:
+    @pytest.mark.parametrize(
+        "setting",
+        [{"sigma_min": SIGMA_MAX}, {"sigma_min": 1e6}, {"sigma_min": np.inf},
+         {"sigma_min": np.nan}, {"input_scale": np.inf}, {"input_scale": np.nan}],
+        ids=["sigma_min=SIGMA_MAX", "sigma_min=1e6", "sigma_min=inf", "sigma_min=nan",
+             "input_scale=inf", "input_scale=nan"],
+    )
+    def test_setting_that_would_do_something_else_rejected(self, setting):
+        # The head clips every stddev to SIGMA_MAX, so a floor there or above would pin
+        # sigma with a zero score; an infinite scale would map every state to one input.
+        with pytest.raises(ContractViolation, match=next(iter(setting))):
+            make_actor_critic(4, 2, hidden=(5,), **setting)
+
+    def test_floor_just_below_the_ceiling_accepted(self):
+        ac = make_actor_critic(4, 2, hidden=(5,), sigma_min=float(np.nextafter(SIGMA_MAX, 0)))
+        _, sigma = policy_distribution(ac, np.array([1, 0, 2, 3]))
+        assert np.all((sigma >= ac.sigma_min) & (sigma <= SIGMA_MAX))
+
+
 class TestGaussianDensity:
     def test_matches_scipy(self):
         from scipy.stats import norm
@@ -617,11 +638,11 @@ class TestPolicySerialization:
         assert np.array_equal(back.actor_params(), ac.actor_params())
         assert np.array_equal(back.critic_weights, ac.critic_weights)
 
-    def test_round_trip_without_checksum(self):
-        ac = _small_ac(seed=9)
-        back, sha = deserialize_policy(serialize_policy(ac))
-        assert sha is None
-        assert np.array_equal(back.actor_params(), ac.actor_params())
+    def test_pin_is_read_as_text(self):
+        # "none" is no pin-free form: it is read as text, which no basis file's sha256 equals.
+        text = serialize_policy(_small_ac(seed=9), "none")
+        assert "\nbasis_sha256=none\n" in text
+        assert deserialize_policy(text)[1] == "none"
 
     def test_file_bytes(self):
         net = DenseNet((2, 1, 2), np.array([0.5, -0.25, 0.1, 1.5, -0.0, 0.0, 5e-324]))
@@ -639,13 +660,15 @@ class TestPolicySerialization:
         assert base64.b64decode(body, validate=True) == struct.pack("<8d", *values)
         text = (
             "fiberwalk-policy v3\ncoeff_min=-2\ncoeff_max=3\nmask_k=1\nball_radius=1000.0\n"
-            "input_scale=4.0\nsigma_min=0.001\nbasis_sha256=none\nlayers=2,1,2\n" + body + "\n"
+            "input_scale=4.0\nsigma_min=0.001\n"
+            "basis_sha256=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855\n"
+            "layers=2,1,2\n" + body + "\n"
         )
-        assert serialize_policy(ac) == text
+        assert serialize_policy(ac, hashlib.sha256(b"").hexdigest()) == text
         assert serialize_policy(*deserialize_policy(text)) == text
 
     def test_read_draws_no_random_weights(self, monkeypatch):
-        text = serialize_policy(_small_ac(seed=9))
+        text = serialize_policy(_small_ac(seed=9), "ab" * 32)
         monkeypatch.setattr("fiberwalk.agent.make_dense", None)
         back, _ = deserialize_policy(text)
         assert back.net.dims == (4, 5, 4)
@@ -743,10 +766,14 @@ class TestPolicySerialization:
 
     def test_missing_final_newline_is_accepted(self):
         ac = _small_ac(seed=9)
-        back, _ = deserialize_policy(serialize_policy(ac).rstrip("\n"))
+        back, _ = deserialize_policy(serialize_policy(ac, "ab" * 32).rstrip("\n"))
         assert np.array_equal(back.critic_weights, ac.critic_weights)
 
-    @pytest.mark.parametrize("line", ["mask_k=0", "sigma_min=0.0", "input_scale=-1.0"])
+    @pytest.mark.parametrize(
+        "line",
+        ["mask_k=0", "sigma_min=0.0", "input_scale=-1.0",
+         "sigma_min=1000.0", "sigma_min=inf", "input_scale=inf"],
+    )
     def test_out_of_range_setting_rejected(self, line):
         lines = self._policy_lines()
         key = line.split("=")[0]
@@ -768,7 +795,7 @@ class TestPolicySerialization:
         # text.  One Python float and string per value took about 5.5 times.
         ac = make_actor_critic(200, 100, hidden=(200,), seed=1)
         assert ac.actor_params().size >= 50_000
-        text = serialize_policy(ac)
+        text = serialize_policy(ac, "ab" * 32)
         tracemalloc.start()
         try:
             back, _ = deserialize_policy(text)
@@ -790,6 +817,11 @@ _POSITIVE = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
     st.floats(min_value=5e-324, max_value=1e300),
 )
+# A stddev floor lies below SIGMA_MAX, the ceiling the head clips every stddev to.
+_SIGMA_MIN = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, float(np.nextafter(SIGMA_MAX, 0))]),
+    st.floats(min_value=5e-324, max_value=SIGMA_MAX, exclude_max=True),
+)
 
 
 class TestPolicySerializationProperty:
@@ -809,13 +841,13 @@ class TestPolicySerializationProperty:
             mask_k=data.draw(st.one_of(st.none(), st.integers(1, n_coeffs))),
             ball_radius=data.draw(_POSITIVE),
             input_scale=data.draw(_POSITIVE),
-            sigma_min=data.draw(_POSITIVE),
+            sigma_min=data.draw(_SIGMA_MIN),
         )
         size = ac.actor_params().size
         ac.net.params[:] = data.draw(st.lists(_PARAM, min_size=size, max_size=size))
         width = len(ac.critic_weights)
         ac.critic_weights = np.array(data.draw(st.lists(_PARAM, min_size=width, max_size=width)))
-        sha = data.draw(st.one_of(st.none(), st.just("ab" * 32)))
+        sha = data.draw(st.binary(min_size=32, max_size=32)).hex()
 
         text = serialize_policy(ac, basis_sha256=sha)
         back, back_sha = deserialize_policy(text)

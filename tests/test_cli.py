@@ -18,6 +18,13 @@ def _write(path, text):
     return str(path)
 
 
+def _pin(policy, basis):
+    """Pin the policy file ``policy`` to the basis file ``basis`` as it is now, so that
+    an edited or other basis file is read rather than refused unread."""
+    sha = hashlib.sha256(basis.read_bytes()).hexdigest()
+    policy.write_text(re.sub(r"basis_sha256=\w+", f"basis_sha256={sha}", policy.read_text()))
+
+
 @pytest.fixture
 def table22(tmp_path):
     return _write(tmp_path / "table.csv", "dims=2x2\n3,1\n1,3\n")
@@ -126,9 +133,19 @@ class TestValidation:
             ("table", "dims=2x2\n1,0\n0,x\n", 3),
             ("table", "dims=2x2\n1,99999999999999999999\n0,1\n", 2),
             ("table", "dims=2x2\n1,-1\n0,1\n", 2),
+            ("table", "1,0\n0,1\n", 1),
+            ("table", "dims=2x\n1,0\n0,1\n", 1),
+            ("table", "dims=1x2\n1,0\n", 1),
+            ("table", "dims=2x2\n", 2),
+            ("table", "dims=2x2\n1,0\n0\n", 4),
+            ("table", "dims=2x2\n1,0\n0,1\n5\n", 5),
             ("graph", "1 2\n2 a\n", 2),
         ],
-        ids=["table-letter", "table-overflow", "table-negative", "graph-letter"],
+        ids=[
+            "table-letter", "table-overflow", "table-negative", "table-no-header",
+            "table-dims-not-a-number", "table-unsupported-dims", "table-no-cells",
+            "table-too-few-cells", "table-too-many-cells", "graph-letter",
+        ],
     )
     def test_malformed_data_file_exits_2_naming_its_line(
         self, tmp_path, capsys, family, body, lineno
@@ -200,7 +217,8 @@ class TestTrain:
         [
             "mdp.gamma=1.0", "mdp.c1=3", "train.mask_k=2", "train.hidden=a", "train.hidden=0",
             "train.a0=0", "train.mask_k=-1", "train.mask_k=0", "train.ball_radius=-1",
-            "train.sigma_min=0", "train.input_scale=0",
+            "train.sigma_min=0", "train.input_scale=0", "train.sigma_min=1000",
+            "train.sigma_min=inf", "train.input_scale=inf",
         ],
     )
     def test_bad_setting_exits_2_and_writes_nothing(self, tmp_path, train_cfg, line):
@@ -290,9 +308,8 @@ class TestSampleAndTest:
         self, tmp_path, train_cfg, table22, capsys, text, line
     ):
         trained = self._trained(tmp_path, train_cfg)
-        policy = trained / "policy.txt"
-        policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
         (trained / "basis.txt").write_text(text)
+        _pin(trained / "policy.txt", trained / "basis.txt")
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert f"{trained / 'basis.txt'}:{line}:" in capsys.readouterr().err
@@ -321,12 +338,12 @@ class TestSampleAndTest:
     ):
         trained = self._trained(tmp_path, train_cfg)
         policy = trained / "policy.txt"
-        # No checksum, so that an edited basis file is read, not refused unread.
-        policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
         cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
         path = {"config": cfg, "policy": policy, "basis": trained / "basis.txt"}[name]
         with open(path, "ab") as fh:
             fh.write(b"\xff")
+        if name == "basis":
+            _pin(policy, path)
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
@@ -440,13 +457,24 @@ class TestSampleAndTest:
         assert main(["test", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
         assert "checksum" in capsys.readouterr().err
 
-    def _test_with_other_basis(self, tmp_path, trained, model, basis):
-        """Exit code of ``test`` with the trained policy, its checksum cleared,
-        on the ``model`` config lines and the basis ``basis``."""
+    def test_policy_pinned_to_none_exit_2(self, tmp_path, train_cfg, table22, capsys):
+        # A policy always pins its basis: "none" is read as a pin that no file matches.
+        trained = self._trained(tmp_path, train_cfg)
         policy = trained / "policy.txt"
         policy.write_text(re.sub(r"basis_sha256=\w+", "basis_sha256=none", policy.read_text()))
+        cfg = self._policy_cfg(tmp_path, table22, trained, "test.chains=1", "test.chain_length=1")
+        out = tmp_path / "t"
+        assert main(["test", "--config", cfg, "--out", str(out)]) == 2
+        assert "trained against a different basis" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def _test_with_other_basis(self, tmp_path, trained, model, basis):
+        """Exit code of ``test`` with the trained policy, pinned to the basis ``basis``,
+        on the ``model`` config lines."""
+        policy = trained / "policy.txt"
         basis_path = tmp_path / "other_basis.txt"
         save_basis(basis_path, basis)
+        _pin(policy, basis_path)
         cfg = _write(tmp_path / "other.cfg", "\n".join([
             *model, f"policy.file={policy}", f"policy.basis={basis_path}",
             "test.chains=1", "test.chain_length=1",

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fiberwalk._exact import integer_rank, sparse_columns
+from fiberwalk._exact import integer_rank
 from fiberwalk.errors import (
     ContractViolation,
     DecompositionError,
@@ -45,17 +45,24 @@ from fiberwalk.models import (
     verify_marginals,
 )
 
-from .oracles import box_fiber, box_sides, exact_matvec, rational_rank
+from .oracles import (
+    box_fiber,
+    box_sides,
+    exact_matvec,
+    kernel_basis,
+    rational_rank,
+    sparse_columns,
+)
 
 
 class TestComputeLatticeBasis:
     def test_single_row(self):
-        basis = compute_lattice_basis(np.array([[1, 1]]))
+        basis = kernel_basis(np.array([[1, 1]]))
         assert basis.count == 1
         assert np.array_equal(basis.vectors[0], [1, -1])
 
     def test_identity_has_trivial_kernel(self):
-        basis = compute_lattice_basis(np.eye(2, dtype=np.int64))
+        basis = kernel_basis(np.eye(2, dtype=np.int64))
         assert basis.count == 0
 
     def test_independence_2x2(self):
@@ -65,7 +72,7 @@ class TestComputeLatticeBasis:
         assert np.array_equal(basis.vectors[0], [1, -1, -1, 1])
 
     def test_vectors_are_primitive_and_sign_normalized(self):
-        basis = compute_lattice_basis(np.array([[2, 4], [1, 2]]))
+        basis = kernel_basis(np.array([[2, 4], [1, 2]]))
         assert basis.count == 1
         vec = basis.vectors[0]
         assert vec[np.nonzero(vec)[0][0]] > 0
@@ -77,7 +84,7 @@ class TestComputeLatticeBasis:
             n = rng.integers(1, 9)
             d = rng.integers(n, 21)
             mat = rng.integers(0, 2, size=(n, d))
-            basis = compute_lattice_basis(mat)
+            basis = kernel_basis(mat)
             assert basis.count == d - rational_rank(mat)
             for vec in basis.vectors:
                 assert all(v == 0 for v in exact_matvec(mat, vec))
@@ -86,7 +93,9 @@ class TestComputeLatticeBasis:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContractViolation):
-            compute_lattice_basis(np.zeros((0, 0), dtype=np.int64))
+            compute_lattice_basis(
+                DesignMatrix(rows=np.zeros((0, 1), dtype=np.int64), n_rows=0, column_labels=())
+            )
 
     def test_integer_rank_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -137,7 +146,7 @@ class TestEliminationProperties:
     @given(small_matrices)
     def test_kernel_basis_is_exact_full_rank_primitive_normalized(self, mat):
         d = mat.shape[1]
-        basis = compute_lattice_basis(mat)
+        basis = kernel_basis(mat)
         assert basis.vectors.shape == (d - rational_rank(mat), d)
         assert basis.vectors.dtype == np.int64
         if not basis.count:
@@ -153,7 +162,7 @@ class TestEliminationProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_matrices, st.data())
     def test_combine_moves_equals_dense_product(self, mat, data):
-        kernel = compute_lattice_basis(mat)
+        kernel = kernel_basis(mat)
         # A random sparse basis (zero rows and c = 0 included), and it lifted
         # onto increasing columns of a wider space.
         sparse = LatticeBasis(vectors=data.draw(hnp.arrays(
@@ -202,7 +211,7 @@ class TestCombineMoves:
     def test_combination_stays_in_kernel(self):
         rng = np.random.default_rng(9)
         mat = rng.integers(0, 2, size=(4, 9))
-        basis = compute_lattice_basis(mat)
+        basis = kernel_basis(mat)
         for _ in range(25):
             coeffs = rng.integers(-2, 3, size=basis.count)
             assert not any(exact_matvec(mat, combine_moves(coeffs, basis).delta))

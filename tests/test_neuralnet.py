@@ -11,7 +11,7 @@ from fiberwalk.agent import ActorCritic, deserialize_policy, serialize_policy
 from fiberwalk.errors import ContractViolation, NumericError
 from fiberwalk.neuralnet import DenseNet, make_dense
 
-from .oracles import central_difference, relative_error
+from .oracles import backward_one, central_difference, relative_error
 
 
 def _random_net(rng, dims=None):
@@ -76,7 +76,7 @@ class TestBackward:
         x = np.array([5.0, -1.0])
         g = np.array([2.0, 3.0])
         _, cache = net.forward_cached(x)
-        flat, input_grad = net.backward(cache, g)
+        flat, input_grad = backward_one(net, cache, g)
         expect_w = np.outer(g, x)
         assert np.allclose(flat[:4], expect_w.ravel())
         assert np.allclose(flat[4:], g)
@@ -87,7 +87,7 @@ class TestBackward:
         net = _random_net(rng)
         x = rng.normal(size=net.input_dim)
         _, cache = net.forward_cached(x)
-        flat, input_grad = net.backward(cache, np.zeros(net.output_dim))
+        flat, input_grad = backward_one(net, cache, np.zeros(net.output_dim))
         assert not flat.any() and not input_grad.any()
 
     def test_gradients_match_finite_differences(self):
@@ -97,7 +97,7 @@ class TestBackward:
             x = rng.normal(size=net.input_dim)
             g = rng.normal(size=net.output_dim)
             _, cache = net.forward_cached(x)
-            flat, input_grad = net.backward(cache, g)
+            flat, input_grad = backward_one(net, cache, g)
 
             theta0 = net.param_vector()
 
@@ -126,14 +126,10 @@ class TestBatchedBackward:
         gs = rng.normal(size=(k, net.output_dim))
         caches = [net.forward_cached(x)[1] for x in rng.normal(size=(k, net.input_dim))]
         flat, input_grads = net.backward([np.array(rows) for rows in zip(*caches)], gs)
-        rows = [net.backward(cache, g) for cache, g in zip(caches, gs)]
+        rows = [backward_one(net, cache, g) for cache, g in zip(caches, gs)]
         assert relative_error(flat, np.sum([r[0] for r in rows], axis=0)) < 1e-12
         assert input_grads.shape == (k, net.input_dim)
         assert relative_error(input_grads, [r[1] for r in rows]) < 1e-12
-        # A batch of one is the 1-D call, bit for bit.
-        one, one_input = net.backward([z[None] for z in caches[0]], gs[:1])
-        assert one.tobytes() == rows[0][0].tobytes()
-        assert one_input[0].tobytes() == rows[0][1].tobytes()
 
     def test_output_grad_of_the_wrong_shape_rejected(self):
         net = make_dense((3, 2), np.random.default_rng(0))
@@ -141,6 +137,15 @@ class TestBatchedBackward:
         for shape in [(3,), (1, 3), (1, 1, 2)]:
             with pytest.raises(ContractViolation):
                 net.backward(cache, np.zeros(shape))
+
+    def test_one_dimensional_output_grad_rejected(self):
+        # Only the (K, out) batch form is taken; one state is the batch of one.
+        net = make_dense((3, 2), np.random.default_rng(0))
+        cache = net.forward_cached(np.zeros(3))[1]
+        with pytest.raises(ContractViolation, match=r"expected \(K, 2\)"):
+            net.backward(cache, np.zeros(2))
+        flat, input_grad = net.backward([z[None] for z in cache], np.zeros((1, 2)))
+        assert flat.shape == (net.n_params,) and input_grad.shape == (1, 3)
 
 
 class TestParamVector:
@@ -197,6 +202,6 @@ class TestSerialization:
                 input_scale=1.0,
                 sigma_min=0.5,
             )
-            back = deserialize_policy(serialize_policy(ac))[0].net
+            back = deserialize_policy(serialize_policy(ac, "ab" * 32))[0].net
             assert back.dims == net.dims
             assert back.param_vector().tobytes() == net.param_vector().tobytes()
