@@ -28,8 +28,14 @@ boundary cells.  Each state's law is priced once, by a table of the
 normal CDF and survival function at every cell edge (:class:`ProposalLaw`),
 so every mass is a lookup; a range whose lower edge lies above the mean
 is measured on the survival function, so a far tail keeps its mass.  A
-walk prices a state when a feasible proposal first leaves or reaches
-it, and keeps the table while it stays there.  Under ``mask_k`` a draw
+law is priced when a feasible proposal first leaves or reaches its state,
+and a :class:`StateTable` keeps it with the state's target log weight:
+a walk makes its own table, and all walks of one test share one.  One
+table serves one policy and one ``log_weight``; it stops adding states
+once its bytes reach the constant ``TABLE_BYTES``, and always keeps the
+first (the start).  Laws and weights are deterministic and pricing is
+idempotent, so no result depends on which walk evaluated a state first.
+Under ``mask_k`` a draw
 with fewer than ``mask_k`` nonzeros is the rounded draw itself; a draw
 with exactly ``mask_k`` nonzeros on support ``S`` also collects every
 rounded draw whose masked-away entries all rank below ``S`` (smaller
@@ -39,6 +45,7 @@ coefficient vectors cannot underflow.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -50,6 +57,7 @@ from .lattice import combine_moves
 from .models import chi_square_many, chi_square_statistic, fit_expected_counts, overshoot
 
 STUCK_FACTOR = 10  # consecutive infeasible proposals per dimension before warning
+TABLE_BYTES = 1 << 20  # budget of a StateTable's counted bytes; its first state may exceed it
 
 
 @dataclass(frozen=True)
@@ -85,14 +93,14 @@ class GofTestResult:
             raise ContractViolation("p-value is not of the form k/(n+1)")
 
 
-def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, log_weight, upper):
+def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, table, upper):
     """The walk loop of :func:`explore` and :func:`mh_uniform`.
 
     A proposal outside ``0..upper`` is rejected in place; a feasible one is
     taken, under ``metropolis`` only if it passes the Metropolis test.
-    The policy is evaluated once per feasible proposal: the candidate's
-    :class:`ProposalLaw` gives the reverse mass and, after an accept, the
-    next proposal, so its mass table is built once for both.
+    Each state's law and weight come from ``table``, which evaluates a
+    state it does not hold: the candidate's :class:`ProposalLaw` gives
+    the reverse mass and, after an accept, the next proposal.
     """
     if steps < 0:
         raise ContractViolation(f"step count cannot be negative, got {steps}")
@@ -105,8 +113,7 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
     stuck = False
     consecutive = 0
     limit = STUCK_FACTOR * basis.dim
-    here = ProposalLaw(*policy_distribution(ac, state))
-    weight = log_weight(state) if log_weight else 0.0
+    here, weight = table.lookup(state)
     for _ in range(steps):
         coeffs = policy_sample(ac, state, rng, dist=(here.mu, here.sigma)).coeffs
         candidate = state + combine_moves(coeffs, basis).delta
@@ -115,8 +122,7 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, lo
             stuck = stuck or consecutive >= limit
         else:
             consecutive = 0
-            there = ProposalLaw(*policy_distribution(ac, candidate))
-            cand_weight = log_weight(candidate) if log_weight else 0.0
+            there, cand_weight = table.lookup(candidate)
             accept = True
             if metropolis:
                 ratio = log_accept_ratio(ac, coeffs, here, there, cand_weight - weight)
@@ -138,7 +144,18 @@ def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, up
     start.  Returns ``(FiberSample, DiscoveredSet)``; the set counts
     distinct visited points, which are the distinct rows of the trace.
     """
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False, None, upper)
+    table = StateTable(ac, None)
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False, table, upper)
+
+
+@lru_cache(maxsize=8)
+def _grid(cmin, cmax, width):
+    """Read-only cell edges, flat row origins and columns of a ``width``-coefficient law."""
+    edges = np.r_[-np.inf, np.arange(cmin + 0.5, cmax), np.inf]
+    grid = edges, np.arange(width) * (cmax - cmin + 1) - cmin, np.arange(width)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 class ProposalLaw:
@@ -151,32 +168,54 @@ class ProposalLaw:
     coefficient ``j``, floored at 1e-300; its flat index is ``origin[j] + v``.
     """
 
-    __slots__ = ("mu", "sigma", "cmin", "above", "cdf", "sf", "log_cells", "origin")
+    __slots__ = ("mu", "sigma", "cmin", "above", "cdf", "sf", "log_cells", "origin", "cols")
 
     def __init__(self, mu, sigma):
         self.mu, self.sigma, self.cdf = mu, sigma, None
 
     def price(self, cmin, cmax):
-        edges = np.arange(cmin - 0.5, cmax + 1)
-        edges[0], edges[-1] = -np.inf, np.inf
+        edges, self.origin, self.cols = _grid(cmin, cmax, len(self.mu))
         z = (edges[:, None] - self.mu) / self.sigma
         self.cmin, self.above, self.cdf, self.sf = cmin, z > 0, ndtr(z), ndtr(-z)
         cells = self._between(np.s_[:-1], np.s_[1:])
         self.log_cells = np.log(np.maximum(cells, 1e-300)).T.copy()
-        self.origin = np.arange(-cmin, cells.size - cmin, len(cells))
 
     def ranges(self, lo, hi):
         """Mass of the integers ``lo..hi`` at each coefficient, none outside the
         bounds; ``lo <= hi`` broadcast against the coefficients."""
-        cols, last = np.arange(self.cdf.shape[1]), len(self.cdf) - 1
+        last = len(self.cdf) - 1
         a, b = (lo - self.cmin).clip(0, last), (hi + 1 - self.cmin).clip(0, last)
-        return self._between((a, cols), (b, cols))
+        return self._between((a, self.cols), (b, self.cols))
 
     def _between(self, a, b):
         """Mass between edges ``a`` and ``b`` (indices into the table), measured
         on ``sf`` where edge ``a`` lies above the mean."""
         sf, cdf = self.sf, self.cdf
         return np.abs(np.where(self.above[a], sf[b] - sf[a], cdf[b] - cdf[a]))
+
+
+class StateTable:
+    """Each state's :class:`ProposalLaw` and log weight (0 if ``log_weight`` is
+    ``None``), keyed by the state's bytes.  ``nbytes`` counts a kept state's key,
+    head output, ``sigma`` and priced ``cdf``, ``sf``, ``above`` and ``log_cells``."""
+
+    def __init__(self, ac, log_weight):
+        self.ac, self.log_weight, self.entries, self.nbytes = ac, log_weight, {}, 0
+        edges = ac.coeff_max - ac.coeff_min + 2
+        self.entry_bytes = ac.n_coeffs * (24 + 17 * edges + 8 * (edges - 1))
+
+    def lookup(self, state):
+        """``(law, log weight)`` at ``state``, evaluated on first use."""
+        key = state.tobytes()
+        entry = self.entries.get(key)
+        if entry is None:
+            law = ProposalLaw(*policy_distribution(self.ac, state))
+            entry = law, self.log_weight(state) if self.log_weight else 0.0
+            size = len(key) + self.entry_bytes
+            if not self.entries or self.nbytes + size <= TABLE_BYTES:
+                self.entries[key] = entry
+                self.nbytes += size
+        return entry
 
 
 def proposal_log_prob(ac, coeffs, law):
@@ -232,18 +271,8 @@ def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
     return log_rev - log_fwd + weight_gain
 
 
-def mh_uniform(
-    ac,
-    basis,
-    start,
-    steps,
-    rng,
-    expected=None,
-    chain_id=0,
-    seed=-1,
-    log_weight=None,
-    upper=None,
-):
+def mh_uniform(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1,
+               log_weight=None, upper=None, table=None):
     """Metropolis chain targeting a law on the fiber, uniform by default.
 
     ``log_weight(x)`` gives the target's unnormalized log weight (for
@@ -251,9 +280,15 @@ def mh_uniform(
     law.  Proposals come from the policy; acceptance uses the ratio of
     the reverse to the forward proposal mass times the ratio of target
     weights.  Candidates outside the box ``0..upper`` are rejected
-    outright, so the chain never leaves the fiber.
+    outright, so the chain never leaves the fiber.  ``table``, a
+    :class:`StateTable` of ``ac`` and ``log_weight``, may be shared with
+    other walks; the chain's output is the same with or without it.
     """
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, True, log_weight, upper)
+    if table is None:
+        table = StateTable(ac, log_weight)
+    elif table.ac is not ac or table.log_weight is not log_weight:
+        raise ContractViolation("a state table serves one policy and one log_weight")
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, True, table, upper)
 
 
 def rank_p_value(sampled_statistics, observed_statistic):
@@ -262,16 +297,7 @@ def rank_p_value(sampled_statistics, observed_statistic):
     return (1 + int(np.sum(sampled >= observed_statistic))) / (len(sampled) + 1)
 
 
-def besag_clifford_pvalues(
-    ac,
-    basis,
-    spec,
-    data,
-    chains,
-    chain_length,
-    seed,
-    chain_steps=None,
-):
+def besag_clifford_pvalues(ac, basis, spec, data, chains, chain_length, seed, chain_steps=None):
     """One exact test per independent chain through the observed data.
 
     Each chain targets the null law :func:`null_log_weight` on the
@@ -286,7 +312,8 @@ def besag_clifford_pvalues(
     ``chain_steps // n`` Metropolis steps (``chain_steps`` defaults to
     100x the sample size); chain ``i`` draws everything from its own
     generator seeded ``seed + i``, so results do not depend on
-    scheduling.
+    scheduling.  All walks share one :class:`StateTable`, so the states
+    they all reach, the observation first, are evaluated once per test.
     """
     if chains < 1 or chain_length < 1:
         raise ContractViolation(
@@ -299,6 +326,7 @@ def besag_clifford_pvalues(
     if stride * chain_length > steps:
         raise ContractViolation("chain too short for the requested sample size")
 
+    table = StateTable(ac, null_log_weight)
     results = []
     for cid in range(chains):
         chain_seed = seed + cid
@@ -308,16 +336,8 @@ def besag_clifford_pvalues(
         stuck = False
         for strides in (split, chain_length - split):
             sample, _ = mh_uniform(
-                ac,
-                basis,
-                data.counts,
-                strides * stride,
-                rng,
-                expected=expected,
-                chain_id=cid,
-                seed=chain_seed,
-                log_weight=null_log_weight,
-                upper=spec.cell_bound,
+                ac, basis, data.counts, strides * stride, rng, expected=expected, chain_id=cid,
+                seed=chain_seed, log_weight=null_log_weight, upper=spec.cell_bound, table=table,
             )
             stats.append(sample.statistics[stride::stride])
             stuck = stuck or sample.stuck

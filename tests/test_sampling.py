@@ -24,6 +24,7 @@ from fiberwalk.agent import (
 from fiberwalk.errors import ContractViolation
 from fiberwalk.lattice import compute_lattice_basis, enumerate_fiber
 from fiberwalk.models import (
+    all_two_way,
     beta_model,
     build_design_matrix,
     fit_expected_counts,
@@ -36,6 +37,7 @@ from fiberwalk.sampling import (
     FiberSample,
     GofTestResult,
     ProposalLaw,
+    StateTable,
     besag_clifford_pvalues,
     explore,
     log_accept_ratio,
@@ -412,7 +414,7 @@ class TestProposalLawTable:
 
 
 class TestOneTablePerState:
-    """A walk prices a state once, and only a state that a feasible proposal leaves or reaches."""
+    """A state is priced once per table, and only if a feasible proposal leaves or reaches it."""
 
     @pytest.fixture
     def priced(self, monkeypatch):
@@ -448,8 +450,36 @@ class TestOneTablePerState:
         rejected = feasible & moved & stays
         assert 0 < feasible.sum() < 400
         assert (rejected[1:] & rejected[:-1]).any()  # a state rejects two feasible proposals
-        assert len(priced) == 1 + feasible.sum()
+        reached = np.vstack([start, candidates[feasible]])
+        assert len(priced) == len(np.unique(reached, axis=0)) < 1 + feasible.sum()
         assert len({id(law) for law in priced}) == len(priced)
+
+    def test_walks_sharing_a_table_price_each_state_once(self, priced):
+        dm, basis, ac, start = _setup22((5, 3, 3, 5))
+        table = StateTable(ac, null_log_weight)
+        first = mh_uniform(ac, basis, start, 5, np.random.default_rng(1),
+                           log_weight=null_log_weight, table=table)[0]
+        key_of = {id(law): key for key, (law, _) in table.entries.items()}
+        first_keys = {key_of[id(law)] for law in priced}
+        n_first = len(priced)
+        second = mh_uniform(ac, basis, start, 300, np.random.default_rng(2),
+                            log_weight=null_log_weight, table=table)[0]
+        key_of = {id(law): key for key, (law, _) in table.entries.items()}
+        second_keys = [key_of[id(law)] for law in priced[n_first:]]
+        assert len(first_keys) == n_first > 1
+        assert len(set(second_keys)) == len(second_keys) > 0
+        assert not first_keys & set(second_keys)
+        # The second walk does reach states the first one priced.
+        assert len({p.tobytes() for p in second.points} & first_keys) > 1
+        assert len(np.unique(first.points, axis=0)) > 1
+
+    def test_a_table_serves_one_policy_and_one_log_weight(self):
+        dm, basis, ac, start = _setup22()
+        other = make_actor_critic(4, basis.count, hidden=(8,), seed=1)
+        for table in (StateTable(ac, None), StateTable(other, null_log_weight)):
+            with pytest.raises(ContractViolation):
+                mh_uniform(ac, basis, start, 1, np.random.default_rng(0),
+                           log_weight=null_log_weight, table=table)
 
     def test_no_feasible_proposal_no_table(self, priced):
         dm, basis, ac, _ = _setup22()
@@ -466,6 +496,97 @@ class TestOneTablePerState:
         dm, basis, ac, start = _setup22((2, 1, 1, 2))
         explore(ac, basis, start, 200, np.random.default_rng(4))
         assert priced == []
+
+
+def _oracle_problem():
+    basis, _, ac = _oracle_setup(None)
+    spec = independence(3, 3)
+    return ac, basis, spec, observe_table(spec, build_design_matrix(spec), _T33)
+
+
+def _zeros_problem():
+    zeros = {0, 13, 26}
+    spec = all_two_way(3, 3, 3, structural_zeros=zeros)
+    dm = build_design_matrix(spec)
+    table = np.random.default_rng(12).integers(1, 5, size=27)
+    table[list(zeros)] = 0
+    basis = compute_lattice_basis(dm)
+    ac = make_actor_critic(dm.n_cols, basis.count, hidden=(8,), seed=3, input_scale=3.0)
+    ac.net.params[:] = np.random.default_rng(3).normal(scale=0.5, size=ac.net.n_params)
+    return ac, basis, spec, observe_table(spec, dm, table)
+
+
+class TestSharedTable:
+    """All walks of one test share one StateTable, within a fixed budget, and no result changes."""
+
+    @pytest.mark.parametrize("problem", [_oracle_problem, _zeros_problem])
+    def test_results_equal_walks_with_fresh_tables(self, problem, monkeypatch):
+        args = problem()
+        evaluated = []
+        distribution = sampling.policy_distribution
+
+        def counting(ac, state):
+            evaluated.append(state)
+            return distribution(ac, state)
+
+        monkeypatch.setattr(sampling, "policy_distribution", counting)
+        shared = besag_clifford_pvalues(*args, chains=8, chain_length=20, seed=5)
+        n_shared = len(evaluated)
+        walk = sampling.mh_uniform
+        monkeypatch.setattr(sampling, "mh_uniform", lambda *a, table, **kw: walk(*a, **kw))
+        fresh = besag_clifford_pvalues(*args, chains=8, chain_length=20, seed=5)
+        assert shared == fresh
+        assert len({r.p_value for r in shared}) > 1
+        assert 0 < n_shared < len(evaluated) - n_shared
+
+    @pytest.mark.parametrize("mask_k", [None, 1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 34), st.lists(st.integers(-2, 2), min_size=4, max_size=4)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_a_served_law_has_the_bits_of_a_fresh_one(self, mask_k, uses):
+        # Any order of first use, revisits included, on the 35-point oracle fiber.
+        basis, fiber, ac = _oracle_setup(mask_k)
+        table = StateTable(ac, null_log_weight)
+        for i, coeffs in uses:
+            state, coeffs = np.array(fiber[i]), np.array(coeffs)
+            law, weight = table.lookup(state)
+            fresh = ProposalLaw(*policy_distribution(ac, state))
+            got, want = proposal_log_prob(ac, coeffs, law), proposal_log_prob(ac, coeffs, fresh)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert weight == null_log_weight(state)
+
+    def test_the_budget_holds_and_keeps_the_start(self, monkeypatch):
+        # 10x11 independence: 90 coefficients, so about 15 kB a state.
+        spec = independence(10, 11)
+        dm = build_design_matrix(spec)
+        basis = compute_lattice_basis(dm)
+        counts = np.random.default_rng(2).multinomial(2000, np.full(110, 1 / 110))
+        data = observe_table(spec, dm, counts)
+        ac = make_actor_critic(dm.n_cols, basis.count, hidden=(8,), seed=0, mask_k=2)
+        tables, traces = [], []
+        walk = sampling.mh_uniform
+
+        def recording(*args, table, **kwargs):
+            tables.append(table)
+            sample, discovered = walk(*args, table=table, **kwargs)
+            traces.append(sample.points)
+            return sample, discovered
+
+        monkeypatch.setattr(sampling, "mh_uniform", recording)
+        besag_clifford_pvalues(ac, basis, spec, data, chains=2, chain_length=20, seed=0)
+        table = tables[0]
+        assert len(tables) == 4 and all(t is table for t in tables)
+        state_bytes = 8 * dm.n_cols + table.entry_bytes
+        assert table.nbytes == len(table.entries) * state_bytes
+        assert table.nbytes <= sampling.TABLE_BYTES < table.nbytes + state_bytes
+        assert data.counts.astype(np.int64).tobytes() in table.entries
+        visited = {p.tobytes() for p in np.concatenate(traces)}
+        assert len(table.entries) < len(visited)
 
 
 class TestGoldenTraces:
