@@ -6,13 +6,14 @@ defining a diagonal Gaussian whose samples are rounded, clamped to the
 coefficient bounds and optionally masked down to the largest few
 entries.  The critic is the linear map ``features . omega`` on the
 network's last hidden layer, read from the same forward pass, so one
-pass evaluates both.  The actor ascends the GAE-weighted score direction
-averaged over a rollout window, one batched backward pass over the
-window's stacked layer outputs; the critic descends the squared n-step
-bootstrap error.  Each step is added in place to its parameter vector, which is then
-projected back onto a large ball, keeping the iterates bounded; the two
-step-size schedules decay at different rates so the coupled updates
-behave as a fast/slow pair.
+pass evaluates both.  A step only draws; the window scores its draws at
+once, from the stacked head outputs.  The actor ascends the GAE-weighted
+score direction averaged over a rollout window, one batched backward
+pass over the window's stacked layer outputs; the critic descends the
+squared n-step bootstrap error.  Each step is added in place to its
+parameter vector, which is then projected back onto a large ball,
+keeping the iterates bounded; the two step-size schedules decay at
+different rates so the coupled updates behave as a fast/slow pair.
 
 Log-probabilities are always evaluated at the pre-rounding continuous
 sample: the policy density is a Gaussian, and rounding, clamping and
@@ -26,6 +27,7 @@ their policies must be trained again.
 
 import binascii
 import csv
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -149,10 +151,12 @@ def _forward(ac, state):
 
 @dataclass(frozen=True)
 class PolicySample:
+    """One draw: the coefficients, the continuous draw they round from, and the forward
+    pass's layer outputs, from which :func:`window_scores` scores the draw."""
+
     coeffs: np.ndarray
     continuous: np.ndarray
-    cache: list = None        # every layer's output at the state, the input first
-    score: np.ndarray = None  # d ln pi / d(head output): each dmu, then each dlog-sigma
+    cache: list = None  # every layer's output at the state, the input first
 
     @property
     def features(self):
@@ -172,9 +176,10 @@ def mask_coefficients(coeffs, mask_k):
 
 
 def _head_distribution(ac, head_out):
+    """Mean, clipped and raw stddev of one head output, or of each row of a stack."""
     c = ac.n_coeffs
-    mu = head_out[:c]
-    sigma_raw = np.exp(head_out[c:])
+    mu = head_out[..., :c]
+    sigma_raw = np.exp(head_out[..., c:])
     sigma = sigma_raw.clip(ac.sigma_min, SIGMA_MAX)
     return mu, sigma, sigma_raw
 
@@ -186,33 +191,33 @@ def policy_distribution(ac, state):
 
 
 def policy_sample(ac, state, rng, dist=None):
-    """Draw a coefficient action, with its head-space score unless ``dist`` is given.
+    """Draw a coefficient action at ``state``.
 
-    The score is d/d(head output) of ln N(z; mu, sigma) at the continuous
-    draw ``z``; stddev entries pinned by the clamp contribute zero.
     ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``, as a
     walk keeps it for its current state; passing it skips the network
-    pass, so ``cache``, ``score`` and ``features`` are ``None``.  The draw
+    pass, so ``cache`` and ``features`` are ``None``.  The draw
     ``mu + sigma * standard_normal`` has the bits of ``rng.normal(mu, sigma)``
     at a fraction of its cost.
     """
-    if dist is not None:
-        mu, sigma = dist
-    else:
-        cache = _forward(ac, state)
-        mu, sigma, sigma_raw = _head_distribution(ac, cache[-1])
+    cache = None if dist is not None else _forward(ac, state)
+    mu, sigma = dist if dist is not None else _head_distribution(ac, cache[-1])[:2]
     z = mu + sigma * rng.standard_normal(len(mu))
     rounded = np.rint(z).clip(ac.coeff_min, ac.coeff_max).astype(np.int64)
-    coeffs = mask_coefficients(rounded, ac.mask_k)
-    if dist is not None:
-        return PolicySample(coeffs, z)
-    dmu = (z - mu) / sigma**2
-    dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
+    return PolicySample(mask_coefficients(rounded, ac.mask_k), z, cache)
+
+
+def window_scores(ac, head_out, continuous):
+    """(K, 2c) scores of K draws from the K stacked head outputs ``head_out``: each row is
+    d/d(head output) of ln N(z; mu, sigma) at its continuous draw ``z``, each dmu, then
+    each dlog-sigma; a stddev pinned by the clamp contributes zero."""
+    mu, sigma, sigma_raw = _head_distribution(ac, head_out)
+    dmu = (continuous - mu) / sigma**2
+    dsigma = (continuous - mu) ** 2 / sigma**3 - 1.0 / sigma
     unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
-    score = np.concatenate([dmu, dsigma * np.where(unclamped, sigma_raw, 0.0)])
-    if not np.isfinite(score).all():
+    scores = np.concatenate([dmu, dsigma * np.where(unclamped, sigma_raw, 0.0)], axis=1)
+    if not np.isfinite(scores).all():
         raise NumericError("non-finite policy gradient")
-    return PolicySample(coeffs, z, cache, score)
+    return scores
 
 
 def critic_value(ac, features):
@@ -251,7 +256,7 @@ class Trajectory:
     """One rollout window of length K plus the bootstrap state."""
 
     layers: list            # (K+1, width) per layer, the input first: the K states, then the end
-    scores: np.ndarray      # (K, 2c), each step's PolicySample.score
+    scores: np.ndarray      # (K, 2c), the window_scores of the K draws
     rewards: np.ndarray     # (K,)
     values: np.ndarray      # (K,)
     bootstrap_value: float
@@ -260,7 +265,7 @@ class Trajectory:
         steps = {len(self.scores), len(self.values), *(len(rows) - 1 for rows in self.layers)}
         if steps != {len(self.rewards)}:
             raise ContractViolation("trajectory arrays have inconsistent lengths")
-        if np.any(np.asarray(self.rewards) > 0):
+        if (self.rewards > 0).any():
             raise ContractViolation("rewards cannot be positive in this MDP")
 
     @property
@@ -274,13 +279,13 @@ def _apply_step(params, direction, step_size, max_step, radius, name):
     the ball of ``radius``.  Both arrays are changed in place, ``direction`` into the step;
     a non-finite step raises before ``params`` changes."""
     direction *= step_size
-    norm = float(np.linalg.norm(direction))
+    norm = math.sqrt(direction @ direction)  # np.linalg.norm's own expression for a 1-D vector
     if max_step is not None and norm > max_step:
         direction *= max_step / norm
     if not np.isfinite(direction).all():
         raise NumericError(f"non-finite {name} after update")
     params += direction
-    norm = float(np.linalg.norm(params))
+    norm = math.sqrt(params @ params)
     if norm > radius:
         params *= radius / norm
 
@@ -404,21 +409,22 @@ def train(env, ac, cfg, start):
         done = 0
         while done < steps_per_episode:
             k = min(cfg.window, steps_per_episode - done)
-            caches, scores, rewards, values = [], [], [], []
+            caches, draws, rewards, values = [], [], [], []
             feasible_count = 0
             for _ in range(k):
                 sample = policy_sample(ac, state, rng)
                 outcome = env.step(sample.coeffs)
                 caches.append(sample.cache)
-                scores.append(sample.score)
+                draws.append(sample.continuous)
                 values.append(critic_value(ac, sample.features))
                 rewards.append(outcome.reward)
                 feasible_count += outcome.feasible
                 state = outcome.next
             end_cache = _forward(ac, state)
+            layers = [np.array(rows) for rows in zip(*caches, end_cache)]
             traj = Trajectory(
-                layers=[np.array(rows) for rows in zip(*caches, end_cache)],
-                scores=np.array(scores),
+                layers=layers,
+                scores=window_scores(ac, layers[-1][:k], np.array(draws)),
                 rewards=np.array(rewards),
                 values=np.array(values),
                 bootstrap_value=critic_value(ac, end_cache[-2]),
@@ -431,7 +437,7 @@ def train(env, ac, cfg, start):
             log.append(
                 WindowStats(
                     window=n_updates,
-                    mean_reward=float(np.mean(rewards)),
+                    mean_reward=float(traj.rewards.mean()),
                     feasible_fraction=feasible_count / k,
                     discovered_count=env.discovered.count,
                     alpha=alpha,

@@ -104,11 +104,9 @@ class FiberEnv:
     def step(self, coeffs):
         """Apply one coefficient action; see the module docstring."""
         coeffs = np.asarray(coeffs, dtype=np.int64)
-        cfg = self.config
-        if np.any(coeffs < cfg.coeff_min) or np.any(coeffs > cfg.coeff_max):
-            raise ContractViolation(
-                f"coefficients must lie in [{cfg.coeff_min}, {cfg.coeff_max}]"
-            )
+        lo, hi = self.config.coeff_min, self.config.coeff_max
+        if coeffs.min(initial=lo) < lo or coeffs.max(initial=hi) > hi:  # an empty action is legal
+            raise ContractViolation(f"coefficients must lie in [{lo}, {hi}]")
         move = combine_moves(coeffs, self.basis)
         candidate = self._current + move.delta
         over = overshoot(candidate, self.design.cell_bound)

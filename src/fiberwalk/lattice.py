@@ -87,7 +87,7 @@ class Move:
 
     @property
     def is_zero(self):
-        return not self.delta.any()
+        return not np.count_nonzero(self.delta)
 
 
 @dataclass(frozen=True)

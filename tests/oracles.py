@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from fiberwalk._exact import integer_kernel_basis
-from fiberwalk.agent import policy_distribution
+from fiberwalk.agent import SIGMA_MAX, policy_distribution, window_scores
 from fiberwalk.lattice import LatticeBasis
 
 
@@ -176,16 +176,35 @@ def backward_one(net, cache, output_grad):
     return flat, input_grad[0]
 
 
-def score_gradient(net, sample):
+def step_score(ac, head_out, z):
+    """d/d(head output) of ln N(z; mu, sigma) for one draw ``z`` from one head output,
+    each dmu, then each dlog-sigma, zero where the clamp pins the stddev: the one-step
+    form of the formula, which each row of ``window_scores`` must match bit for bit."""
+    c = ac.n_coeffs
+    mu = head_out[:c]
+    sigma_raw = np.exp(head_out[c:])
+    sigma = sigma_raw.clip(ac.sigma_min, SIGMA_MAX)
+    dmu = (z - mu) / sigma**2
+    dsigma = (z - mu) ** 2 / sigma**3 - 1.0 / sigma
+    unclamped = (sigma_raw > ac.sigma_min) & (sigma_raw < SIGMA_MAX)
+    return np.concatenate([dmu, dsigma * np.where(unclamped, sigma_raw, 0.0)])
+
+
+def sample_score(ac, sample):
+    """The head-space score of one policy sample: ``window_scores`` on a batch of one."""
+    return window_scores(ac, sample.cache[-1][None], sample.continuous[None])[0]
+
+
+def score_gradient(ac, sample):
     """d ln pi / d(theta) of one policy sample: its score passed backward through
-    ``net``, which must still hold the parameters the sample was drawn with."""
-    return backward_one(net, sample.cache, sample.score)[0]
+    ``ac.net``, which must still hold the parameters the sample was drawn with."""
+    return backward_one(ac.net, sample.cache, sample_score(ac, sample))[0]
 
 
-def window_direction_oracle(net, samples, adv):
+def window_direction_oracle(ac, samples, adv):
     """The actor's window direction as the GAE-weighted average of each step's
     flat score gradient, one full backward pass per step."""
-    return np.array([score_gradient(net, s) for s in samples]).T @ adv / len(adv)
+    return np.array([score_gradient(ac, s) for s in samples]).T @ adv / len(adv)
 
 
 def relative_error(a, b):

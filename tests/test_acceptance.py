@@ -153,7 +153,7 @@ class TestGradientFidelity:
 
             worst = max(
                 worst,
-                relative_error(score_gradient(ac.net, sample), central_difference(logpi, theta0)),
+                relative_error(score_gradient(ac, sample), central_difference(logpi, theta0)),
             )
             configs += 1
         elapsed = time.time() - t0

@@ -10,9 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fiberwalk import agent as agent_module
 from fiberwalk.agent import (
     SIGMA_MAX,
     SIGMA_MIN,
@@ -31,6 +32,7 @@ from fiberwalk.agent import (
     policy_sample,
     serialize_policy,
     train,
+    window_scores,
     write_train_log,
 )
 from fiberwalk.errors import ContractViolation, NumericError, ValidationError
@@ -45,7 +47,9 @@ from .oracles import (
     gaussian_log_density,
     policy_log_density,
     relative_error,
+    sample_score,
     score_gradient,
+    step_score,
     window_direction_oracle,
 )
 
@@ -72,7 +76,7 @@ def _manual_window(ac, states, rng, rewards=None):
         rewards = -np.abs(np.random.default_rng(5).normal(size=k))
     traj = Trajectory(
         layers=[np.array(rows) for rows in zip(*(x.cache for x in samples), end_cache)],
-        scores=np.array([x.score for x in samples]),
+        scores=np.array([sample_score(ac, x) for x in samples]),
         rewards=np.asarray(rewards, dtype=float),
         values=np.array([critic_value(ac, x.features) for x in samples]),
         bootstrap_value=float(end_cache[-2] @ ac.critic_weights),
@@ -126,7 +130,7 @@ class TestPolicySample:
         assert np.array_equal(full.continuous, reused.continuous)
         assert np.array_equal(full.coeffs, reused.coeffs)
         assert reused.features is None
-        assert full.score is not None and reused.score is None and reused.cache is None
+        assert full.cache is not None and reused.cache is None
 
     def test_log_prob_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -142,7 +146,7 @@ class TestPolicySample:
                 return policy_log_density(probe, state, sample.continuous)
 
             fd = central_difference(logpi, theta0)
-            assert relative_error(score_gradient(ac.net, sample), fd) < 1e-4
+            assert relative_error(score_gradient(ac, sample), fd) < 1e-4
 
 
 class TestOneNetworkPass:
@@ -179,6 +183,72 @@ class TestOneNetworkPass:
         # One forward pass per step, plus one at each window's end for the bootstrap
         # value; one backward pass per window, over all of its steps at once.
         assert calls == {"forward_cached": steps + len(log), "backward": len(log)}
+
+
+class TestWindowScores:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 9),
+        c=st.integers(1, 6),
+        mask_k=st.sampled_from([None, 1, 2]),
+        sigma_min=st.sampled_from([SIGMA_MIN, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_each_row_has_the_bits_of_the_per_step_formula(
+        self, k, c, mask_k, sigma_min, seed, data
+    ):
+        assume(mask_k is None or mask_k <= c)
+        ac = _small_ac(seed=seed % 1000, n_coeffs=c, hidden=(5,), mask_k=mask_k,
+                       sigma_min=sigma_min)
+        # Each log-sigma output is pinned below the floor, pinned above SIGMA_MAX, or
+        # left free; the last layer's weights are too small to move a pinned one across.
+        pins = data.draw(st.lists(st.sampled_from(["floor", "max", "free"]), min_size=c,
+                                  max_size=c))
+        offsets = {"floor": np.log(sigma_min) - 2.0, "max": np.log(SIGMA_MAX) + 2.0, "free": 0.0}
+        ac.net.weights[-1][c:] *= 0.1
+        ac.net.biases[-1][c:] = [offsets[pin] for pin in pins]
+        rng = np.random.default_rng(seed)
+        samples = [policy_sample(ac, rng.integers(0, 5, size=4), rng) for _ in range(k)]
+        block = window_scores(ac, np.array([x.cache[-1] for x in samples]),
+                              np.array([x.continuous for x in samples]))
+        assert block.shape == (k, 2 * c)
+        for row, x in zip(block, samples):
+            assert row.tobytes() == step_score(ac, x.cache[-1], x.continuous).tobytes()
+        free = np.array([pin == "free" for pin in pins])
+        assert not block[:, c:][:, ~free].any()
+
+    def test_computed_once_per_window(self, monkeypatch):
+        calls = []
+        original = agent_module.window_scores
+
+        def counted(ac, head_out, continuous):
+            calls.append(len(head_out))
+            return original(ac, head_out, continuous)
+
+        monkeypatch.setattr(agent_module, "window_scores", counted)
+        dm = build_design_matrix(independence(2, 2))
+        env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
+        ac = make_actor_critic(4, 1, hidden=(6, 3), seed=0)
+        log = train(env, ac, TrainConfig(episodes=2, window=8), start=env.current)
+        # 100 steps an episode: twelve windows of 8 steps, then one of 4.
+        assert len(calls) == len(log) == 26
+        assert calls == 2 * ([8] * 12 + [4])
+
+    def test_non_finite_score_raises_before_either_update(self):
+        dm = build_design_matrix(independence(2, 2))
+        env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
+        # The forward pass refuses a non-finite head, and a stddev of at least 1e-3 gives
+        # a finite score.  A floor of 1e-300 does not: sigma**2 underflows to 0, so the
+        # score of a stddev pinned there divides by zero.
+        ac = _small_ac(n_coeffs=1, hidden=(3,), sigma_min=1e-300)
+        ac.net.biases[-1][1] = -800.0
+        before = ac.actor_params(), ac.critic_weights.copy()
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            with pytest.raises(NumericError, match="non-finite policy gradient"):
+                train(env, ac, TrainConfig(episodes=1, window=4), start=env.current)
+        assert ac.actor_params().tobytes() == before[0].tobytes()
+        assert ac.critic_weights.tobytes() == before[1].tobytes()
 
 
 class TestMasking:
@@ -305,7 +375,7 @@ class TestActorUpdate:
         gamma, lam, step = 0.99, 0.95, 0.01
         delta = traj.rewards[0] + gamma * traj.bootstrap_value - traj.values[0]
         before = ac.actor_params()
-        log_prob_grad = score_gradient(ac.net, samples[0])  # before the update changes the network
+        log_prob_grad = score_gradient(ac, samples[0])  # before the update changes the network
         actor_update(ac, traj, step, gamma, lam)
         np.testing.assert_allclose(
             ac.actor_params() - before, step * delta * log_prob_grad, atol=1e-12
@@ -349,7 +419,7 @@ class TestActorUpdate:
             assert not traj.scores[:, 4:6].any() and traj.scores[:, 6:].any()
         gamma, lam = 0.9, 0.7
         adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
-        want = window_direction_oracle(ac.net, samples, adv)
+        want = window_direction_oracle(ac, samples, adv)
         theta0 = ac.actor_params()
         actor_update(ac, traj, 1.0, gamma, lam)  # step size 1, inside the ball
         assert relative_error(ac.actor_params() - theta0, want) < 1e-12

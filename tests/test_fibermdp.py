@@ -81,6 +81,18 @@ class TestStep:
     def test_out_of_bounds_coefficients_rejected(self, env22):
         with pytest.raises(ContractViolation):
             env22.step(np.array([3]))
+        with pytest.raises(ContractViolation):
+            env22.step(np.array([-3]))
+
+    def test_zero_length_action_on_an_empty_basis(self):
+        # A 2x2 table with one structural zero: 3 cells and a fiber of one point.
+        dm = build_design_matrix(independence(2, 2, structural_zeros=[0]))
+        basis = compute_lattice_basis(dm)
+        assert (basis.dim, basis.count) == (3, 0)
+        env = FiberEnv(dm, basis, np.array([1, 2, 3]))
+        outcome = env.step(np.zeros(0, dtype=np.int64))
+        assert outcome.reward == -3.0 and outcome.feasible
+        assert np.array_equal(outcome.next, [1, 2, 3])
 
     def test_reward_never_positive(self, env22):
         rng = np.random.default_rng(0)

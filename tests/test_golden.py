@@ -6,8 +6,13 @@ the program wrote before it, not only against a second run of itself.
 """
 
 import hashlib
+import itertools
 
+import numpy as np
+
+from fiberwalk import agent
 from fiberwalk.cli import main
+from fiberwalk.neuralnet import DenseNet
 
 GOLDEN = {
     # The policy embeds the sha256 of the basis file, so its hash also pins that file.
@@ -55,3 +60,68 @@ def test_outputs_of_a_3x3_run_are_golden(tmp_path):
         for command, name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+WIDE_GOLDEN = {
+    "policy.txt": "aa1cb359a626a0ea3958e5af122232978805b4a466fc7444dcf8cfb7a4fcb17b",
+    "trainlog.csv": "8c335d1af1cd485543b417d82615b74fd222d18de6e4f1e89f9775bec4df3d92",
+}
+
+
+def test_outputs_of_a_wide_graph_run_are_golden(tmp_path, monkeypatch):
+    # A 16-node graph has d = 120 cells, past the width at which the defaults
+    # mask a draw to its 10 largest coefficients and floor the stddev at 1e-3.
+    # No stddev reaches a clamp in a short run at the default settings; short
+    # windows, a wide saturated hidden layer and full-length actor steps drive
+    # some past SIGMA_MAX within these 1,800 steps.
+    rng = np.random.default_rng(3)
+    pairs = itertools.combinations(range(1, 17), 2)
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{a} {b}\n" for a, b in pairs if rng.random() < 0.3))
+    trained = tmp_path / "train"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                "model.family=beta_model",
+                "model.nodes=16",
+                f"data.graph={graph}",
+                "seed=5",
+                "mdp.steps_per_episode=3",
+                "mdp.gamma=0.5",
+                "train.episodes=600",
+                "train.window=2",
+                "train.lambda=1",
+                "train.a0=1000",
+                "train.hidden=256",
+                "train.input_scale=0.001",
+                f"policy.file={trained / 'policy.txt'}",
+                f"policy.basis={trained / 'basis.txt'}",
+            ]
+        )
+        + "\n"
+    )
+    seen = {"masked": 0, "clamped": 0}
+    mask, forward = agent.mask_coefficients, DenseNet.forward_cached
+
+    def counted_mask(coeffs, mask_k):
+        out = mask(coeffs, mask_k)
+        seen["masked"] += np.count_nonzero(out) < np.count_nonzero(coeffs)
+        return out
+
+    def counted_forward(net, x):
+        out, cache = forward(net, x)
+        sigma = np.exp(out[net.output_dim // 2:])
+        seen["clamped"] += int(((sigma <= agent.SIGMA_MIN) | (sigma >= agent.SIGMA_MAX)).sum())
+        return out, cache
+
+    monkeypatch.setattr(agent, "mask_coefficients", counted_mask)
+    monkeypatch.setattr(DenseNet, "forward_cached", counted_forward)
+    assert main(["train", "--config", str(cfg), "--out", str(trained)]) == 0
+    settings = (trained / "policy.txt").read_text().splitlines()[3:7]
+    assert settings == ["mask_k=10", "ball_radius=1000.0", "input_scale=0.001", "sigma_min=0.001"]
+    assert seen["masked"] > 0 and seen["clamped"] > 0
+    digests = {
+        name: hashlib.sha256((trained / name).read_bytes()).hexdigest() for name in WIDE_GOLDEN
+    }
+    assert digests == WIDE_GOLDEN
