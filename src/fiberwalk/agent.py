@@ -37,11 +37,14 @@ from .neuralnet import DenseNet, make_dense, param_count
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
+# The least sigma_min: the cube of a stddev pinned there, which window_scores divides
+# by, is a normal float, so the score stays finite instead of dividing by zero.
+SIGMA_FLOOR_MIN = float(np.cbrt(np.finfo(float).tiny))
 
 DEFAULT_HIDDEN = (64, 64)
 MASK_THRESHOLD = 100  # states wider than this default to mask_k=10
 DEFAULT_MASK_K = 10
-ACTOR_STEP_CAP = 0.1  # longest step train applies to each parameter vector; see actor_update
+ACTOR_STEP_CAP = 0.1  # longest step an update applies to each parameter vector; see actor_update
 CRITIC_STEP_CAP = 1.0
 
 
@@ -84,8 +87,8 @@ class ActorCritic:
             raise ContractViolation("ball_radius must be positive")
         if not 0 < self.input_scale < np.inf:
             raise ContractViolation("input_scale must be positive and finite")
-        if not 0 < self.sigma_min < SIGMA_MAX:  # the head clips every stddev to SIGMA_MAX
-            raise ContractViolation(f"sigma_min must lie strictly between 0 and {SIGMA_MAX:g}")
+        if not SIGMA_FLOOR_MIN <= self.sigma_min < SIGMA_MAX:  # the head clips to SIGMA_MAX
+            raise ContractViolation(f"sigma_min must lie in [{SIGMA_FLOOR_MIN!r}, {SIGMA_MAX:g})")
 
     @property
     def n_coeffs(self):
@@ -146,7 +149,7 @@ def make_actor_critic(
 def _forward(ac, state):
     """One network pass at ``state``: every layer's output, the input first.  The
     head output is the last; the last hidden layer, the critic's input, precedes it."""
-    return ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)[1]
+    return ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)
 
 
 @dataclass(frozen=True)
@@ -280,7 +283,7 @@ def _apply_step(params, direction, step_size, max_step, radius, name):
     a non-finite step raises before ``params`` changes."""
     direction *= step_size
     norm = math.sqrt(direction @ direction)  # np.linalg.norm's own expression for a 1-D vector
-    if max_step is not None and norm > max_step:
+    if norm > max_step:
         direction *= max_step / norm
     if not np.isfinite(direction).all():
         raise NumericError(f"non-finite {name} after update")
@@ -290,10 +293,10 @@ def _apply_step(params, direction, step_size, max_step, radius, name):
         params *= radius / norm
 
 
-def actor_update(ac, traj, step_size, gamma, lam, max_step=None):
+def actor_update(ac, traj, step_size, gamma, lam):
     """Ascend the window-averaged score direction weighted by GAE.
 
-    ``max_step`` caps the applied step length (direction unchanged);
+    ``ACTOR_STEP_CAP`` caps the applied step length (direction unchanged);
     penalties scale with the problem dimension, and an uncapped first
     step on a large-reward fiber can throw the means past any
     feasible region before the critic has centered the advantages.
@@ -304,17 +307,18 @@ def actor_update(ac, traj, step_size, gamma, lam, max_step=None):
     """
     adv = compute_gae(traj.rewards, traj.values, traj.bootstrap_value, gamma, lam)
     cache = [rows[:-1] for rows in traj.layers]  # the K steps, not the end state
-    direction, _ = ac.net.backward(cache, traj.scores * (adv / len(adv))[:, None])
-    _apply_step(ac.net.params, direction, step_size, max_step, ac.ball_radius, "actor parameters")
-    return ac
+    direction = ac.net.backward(cache, traj.scores * (adv / len(adv))[:, None])
+    _apply_step(
+        ac.net.params, direction, step_size, ACTOR_STEP_CAP, ac.ball_radius, "actor parameters"
+    )
 
 
-def critic_update(ac, traj, step_size, gamma, max_step=None):
+def critic_update(ac, traj, step_size, gamma):
     """Descend the n-step bootstrap squared error in the critic weights.
 
     The raw residual-times-feature direction is the gradient of that
-    squared error, so it is applied with a negative sign; ``max_step``
-    caps the applied step length as in :func:`actor_update`.
+    squared error, so it is applied with a negative sign; ``CRITIC_STEP_CAP``
+    caps the applied step length as ``ACTOR_STEP_CAP`` does in :func:`actor_update`.
     """
     k = len(traj.rewards)
     feats = traj.features
@@ -323,8 +327,7 @@ def critic_update(ac, traj, step_size, gamma, max_step=None):
     residuals = feats[:k] @ omega - targets
     decay = gamma ** (k - np.arange(k))
     direction = (feats[:k] - np.outer(decay, feats[k])).T @ residuals
-    _apply_step(omega, direction, -step_size, max_step, ac.ball_radius, "critic weights")
-    return ac
+    _apply_step(omega, direction, -step_size, CRITIC_STEP_CAP, ac.ball_radius, "critic weights")
 
 
 @dataclass(frozen=True)
@@ -432,8 +435,8 @@ def train(env, ac, cfg, start):
             n_updates += 1
             alpha = actor_sched(n_updates)
             beta = critic_sched(n_updates)
-            critic_update(ac, traj, beta, cfg.gamma, max_step=CRITIC_STEP_CAP)
-            actor_update(ac, traj, alpha, cfg.gamma, cfg.lam, max_step=ACTOR_STEP_CAP)
+            critic_update(ac, traj, beta, cfg.gamma)
+            actor_update(ac, traj, alpha, cfg.gamma, cfg.lam)
             log.append(
                 WindowStats(
                     window=n_updates,

@@ -116,13 +116,13 @@ def _sigma_min(text):
 class RunConfig:
     """Flat dotted-key configuration with typed accessors."""
 
-    def __init__(self, values, seed=0, out_dir="out"):
+    def __init__(self, values, out_dir="out"):
         self.values = dict(values)
-        self.seed = self.get("seed", seed, int)
+        self.seed = self.get("seed", 0, int)
         self.out_dir = out_dir
 
     @classmethod
-    def from_file(cls, path, seed=0, out_dir="out"):
+    def from_file(cls, path, out_dir="out"):
         values = {}
         try:
             with open_utf8(path) as fh:
@@ -136,7 +136,7 @@ class RunConfig:
                     values[key.strip()] = value.strip()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        return cls(values, seed=seed, out_dir=out_dir)
+        return cls(values, out_dir=out_dir)
 
     def get(self, key, default=None, cast=str):
         if key not in self.values or self.values[key] == "":
@@ -366,8 +366,7 @@ def run_sample(cfg):
         expected = fit_expected_counts(spec, data)
         rng = np.random.default_rng(cfg.seed)
         sample, discovered = _WALKERS[mode](
-            ac, basis, data.counts, steps, rng,
-            expected=expected, seed=cfg.seed, upper=spec.cell_bound,
+            ac, basis, data.counts, steps, rng, expected=expected, upper=spec.cell_bound,
         )
 
     with manifest.stage("write"):

@@ -54,14 +54,9 @@ class NumericError(FiberwalkError):
 class FitError(NumericError):
     """Expected-count fitting failed to converge.
 
-    Attributes:
-        last_gap: final max-norm distance between fitted and observed
-            marginals when iteration stopped.
+    The message gives the final max-norm distance between fitted and
+    observed marginals when iteration stopped.
     """
-
-    def __init__(self, message, last_gap=None):
-        super().__init__(message)
-        self.last_gap = last_gap
 
 
 class DegenerateDataError(NumericError):

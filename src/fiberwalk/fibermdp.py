@@ -99,7 +99,6 @@ class FiberEnv:
             raise ContractViolation("start point lies on a different fiber")
         self._current = start.copy()
         self.discovered.add(start)
-        return self
 
     def step(self, coeffs):
         """Apply one coefficient action; see the module docstring."""

@@ -95,11 +95,10 @@ class SubProblem:
     """A sub-fiber on a set of the parent design's columns.
 
     ``columns`` holds the parent column index of each sub-matrix
-    column, strictly increasing; ``sub_point`` is the observation there.
+    column, strictly increasing.
     """
 
     sub_matrix: DesignMatrix
-    sub_point: np.ndarray
     columns: np.ndarray
     node_set: tuple = ()
 
@@ -212,7 +211,7 @@ def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
                 column_labels=tuple(design.column_labels[c] for c in columns),
                 cell_bound=design.cell_bound,
             )
-            subs.append(SubProblem(sub_matrix, counts[columns], columns, tuple(nodes)))
+            subs.append(SubProblem(sub_matrix, columns, tuple(nodes)))
     if not subs:
         raise DecompositionError(f"strategy {strategy!r} produced no usable sub-problem")
     return subs

@@ -46,6 +46,8 @@ BETA_MODEL = "beta_model"
 _FAMILIES = (INDEPENDENCE, ALL_TWO_WAY, BETA_MODEL)
 
 MAX_COLUMNS = 100_000
+FIT_TOL = 1e-8  # largest max-norm gap between fitted and observed margins a fit accepts
+FIT_MAX_ITER = 10_000  # sweeps of IPF, or iterations of the beta-model fit, before FitError
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,11 @@ def _margin_totals(rows, n, values):
     return out
 
 
-def build_design_matrix(spec, max_columns=MAX_COLUMNS):
+def build_design_matrix(spec):
     """Design matrix of ``spec`` with structural-zero columns deleted."""
-    if spec.full_dim > max_columns:
+    if spec.full_dim > MAX_COLUMNS:
         raise SizingError(
-            f"{spec.full_dim} columns exceeds the configured maximum {max_columns}"
+            f"{spec.full_dim} columns exceeds the configured maximum {MAX_COLUMNS}"
         )
     rows, n = spec._column_rows
     labels = spec.cell_labels()
@@ -300,11 +302,11 @@ def _ipf(rows, target, tol, max_iter):
         if gap <= tol:
             return fitted
     raise FitError(
-        f"IPF did not reach margin gap {tol} within {max_iter} sweeps", last_gap=gap
+        f"IPF did not reach margin gap {tol} within {max_iter} sweeps (last gap {gap:.6g})"
     )
 
 
-def _fit_bernoulli(rows, target, tol, max_iter, damping=0.5):
+def _fit_bernoulli(rows, target, tol, max_iter):
     """Damped fixed-point MLE of the beta model (each column is 0 or 1).
 
     Works on one weight b per row through the column probability
@@ -324,31 +326,29 @@ def _fit_bernoulli(rows, target, tol, max_iter, damping=0.5):
         if gap <= tol:
             return probs
         live = ~zero & (expected > 0)
-        beta[live] += damping * (np.log(target[live]) - np.log(expected[live]))
+        beta[live] += 0.5 * (np.log(target[live]) - np.log(expected[live]))
         beta = np.clip(beta, -CAP, CAP)
         beta[zero] = -CAP
     raise FitError(
-        f"beta-model fit did not reach degree gap {tol} within {max_iter} iterations",
-        last_gap=gap,
+        f"beta-model fit did not reach degree gap {tol} within {max_iter} iterations "
+        f"(last gap {gap:.6g})"
     )
 
 
-def fit_expected_counts(spec, data, tol=1e-8, max_iter=10_000):
+def fit_expected_counts(spec, data):
     """Expected cell counts under ``spec`` matching the observed margins.
 
     Tables (no cell bound) are fitted by IPF over their margins, graphs
     (the 0/1 box) by the beta model's Bernoulli fixed point.  Both run
     over ``spec._column_rows``, in the reduced coordinate space of the
-    design matrix.
+    design matrix, to within ``FIT_TOL`` in at most ``FIT_MAX_ITER`` steps.
     """
-    if tol <= 0:
-        raise ContractViolation("tol must be positive")
     counts = np.asarray(data.counts, dtype=np.int64)
     if counts.sum() == 0:
         raise DegenerateDataError("all observed counts are zero")
     rows, n = spec._column_rows
     fit = _ipf if spec.cell_bound is None else _fit_bernoulli
-    return fit(rows, _margin_totals(rows, n, counts), tol, max_iter)
+    return fit(rows, _margin_totals(rows, n, counts), FIT_TOL, FIT_MAX_ITER)
 
 
 def chi_square_statistic(observed, expected):

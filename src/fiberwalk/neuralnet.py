@@ -3,9 +3,9 @@
 Small enough to audit: affine layers, tanh on every layer but the
 last, which is linear; a cached forward pass, and a backward pass
 returning the exact gradient of ``<output_grad, output>`` with respect
-to every parameter and to the input, summed over a batch.  A network
-is its layer widths and one flat parameter vector, which every layer is
-a view of, and which round-trips losslessly.
+to every parameter, summed over a batch.  A network is its layer widths
+and one flat parameter vector, which every layer is a view of, and
+which round-trips losslessly.
 """
 
 import numpy as np
@@ -46,7 +46,7 @@ class DenseNet:
         return self.params.size
 
     def forward_cached(self, x):
-        """Forward pass; the cache is every layer's output, the input first."""
+        """Forward pass: every layer's output, the input first and the head output last."""
         z = np.asarray(x, dtype=float)
         if z.shape != (self.input_dim,):
             raise ContractViolation(
@@ -63,15 +63,14 @@ class DenseNet:
         if not np.isfinite(z).all():
             bad = next(i for i, out in enumerate(outputs[1:]) if not np.isfinite(out).all())
             raise NumericError(f"non-finite value at layer {bad}")
-        return z, outputs
+        return outputs
 
     def backward(self, cache, output_grad):
-        """Gradient of <output_grad, output> w.r.t. params and input, over a batch.
+        """Gradient of <output_grad, output> w.r.t. params, over a batch.
 
         ``output_grad`` is a (K, out) batch and ``cache`` the (K, width) layer
-        outputs.  Returns ``(param_grad, input_grad)``: ``param_grad`` flat in
-        :meth:`param_vector` order, the sum of the K parameter gradients, one
-        ``(out, K) @ (K, in)`` product per layer, and the (K, in) input gradients.
+        outputs.  Returns the sum of the K parameter gradients, flat in
+        :meth:`param_vector` order: one ``(out, K) @ (K, in)`` product per layer.
         """
         g = np.asarray(output_grad, dtype=float)
         if g.ndim != 2 or g.shape[1] != self.output_dim:
@@ -85,8 +84,9 @@ class DenseNet:
             da = g if i == last else g * (1.0 - cache[i + 1] * cache[i + 1])
             np.matmul(da.T, cache[i], out=grad.weights[i])
             da.sum(axis=0, out=grad.biases[i])
-            g = da @ self.weights[i]
-        return flat, g
+            if i:
+                g = da @ self.weights[i]
+        return flat
 
     def param_vector(self):
         return self.params.copy()

@@ -3,7 +3,7 @@
 One walk loop with two accept rules: raw exploration takes every
 feasible proposal (count what the policy can reach), and the
 Metropolis-corrected chain keeps one only if it passes the Metropolis
-test, so its stationary law is a given target on the fiber.  On top of
+test, so its stationary law is its table's target on the fiber.  On top of
 the chain, the exchangeable-sample protocol turns many independent
 chains into one exact conditional p-value each.  A walk stays in the
 family's box ``0 <= x <= upper`` (:func:`~fiberwalk.models.overshoot`).
@@ -11,7 +11,7 @@ One target serves every family, the conditional null law proportional
 to ``1/prod(x_i!)``: for tables given their margins (Diaconis and
 Sturmfels 1998), and on the beta model's 0/1 box the uniform law on
 simple graphs (Chatterjee, Diaconis and Sly 2011).  A chain started
-without a target is uniform.
+without a table is uniform.
 
 Every walk records its trace, one point per proposal; the trace's
 distinct rows are the points the walk's :class:`DiscoveredSet` counts.
@@ -30,11 +30,12 @@ so every mass is a lookup; a range whose lower edge lies above the mean
 is measured on the survival function, so a far tail keeps its mass.  A
 law is priced when a feasible proposal first leaves or reaches its state,
 and a :class:`StateTable` keeps it with the state's target log weight:
-a walk makes its own table, and all walks of one test share one.  One
-table serves one policy and one ``log_weight``; it stops adding states
-once its bytes reach the constant ``TABLE_BYTES``, and always keeps the
-first (the start).  Laws and weights are deterministic and pricing is
-idempotent, so no result depends on which walk evaluated a state first.
+a walk makes its own table, and all walks of one test share one.  A
+table serves one policy and is the one description of the walk's target,
+its ``log_weight``; it stops adding states once its bytes reach the
+constant ``TABLE_BYTES``, and always keeps the first (the start).  Laws
+and weights are deterministic and pricing is idempotent, so no result
+depends on which walk evaluated a state first.
 Under ``mask_k`` a draw
 with fewer than ``mask_k`` nonzeros is the rounded draw itself; a draw
 with exactly ``mask_k`` nonzeros on support ``S`` also collects every
@@ -67,7 +68,6 @@ class FiberSample:
     points: np.ndarray
     statistics: np.ndarray
     chain_id: int
-    seed: int
     stuck: bool = False
 
     def __post_init__(self):
@@ -93,7 +93,7 @@ class GofTestResult:
             raise ContractViolation("p-value is not of the form k/(n+1)")
 
 
-def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, table, upper):
+def _walk(ac, basis, start, steps, rng, expected, chain_id, metropolis, table, upper):
     """The walk loop of :func:`explore` and :func:`mh_uniform`.
 
     A proposal outside ``0..upper`` is rejected in place; a feasible one is
@@ -133,10 +133,10 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, seed, metropolis, ta
         trace.append(state)
     points = np.array(trace, dtype=np.int64)
     stats = chi_square_many(points, expected) if expected is not None else None
-    return FiberSample(points, stats, chain_id, seed, stuck), discovered
+    return FiberSample(points, stats, chain_id, stuck), discovered
 
 
-def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, upper=None):
+def explore(ac, basis, start, steps, rng, expected=None, upper=None):
     """Run the raw policy, rejecting proposals outside ``0..upper`` in place.
 
     Every proposal leaves one recorded point (unchanged when the move
@@ -145,7 +145,7 @@ def explore(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1, up
     distinct visited points, which are the distinct rows of the trace.
     """
     table = StateTable(ac, None)
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, False, table, upper)
+    return _walk(ac, basis, start, steps, rng, expected, 0, False, table, upper)
 
 
 @lru_cache(maxsize=8)
@@ -271,24 +271,24 @@ def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
     return log_rev - log_fwd + weight_gain
 
 
-def mh_uniform(ac, basis, start, steps, rng, expected=None, chain_id=0, seed=-1,
-               log_weight=None, upper=None, table=None):
-    """Metropolis chain targeting a law on the fiber, uniform by default.
+def mh_uniform(ac, basis, start, steps, rng, expected=None, chain_id=0, upper=None,
+               table=None):
+    """Metropolis chain targeting the law of ``table`` on the fiber, uniform without one.
 
-    ``log_weight(x)`` gives the target's unnormalized log weight (for
-    example :func:`null_log_weight`); ``None`` targets the uniform
-    law.  Proposals come from the policy; acceptance uses the ratio of
-    the reverse to the forward proposal mass times the ratio of target
-    weights.  Candidates outside the box ``0..upper`` are rejected
-    outright, so the chain never leaves the fiber.  ``table``, a
-    :class:`StateTable` of ``ac`` and ``log_weight``, may be shared with
-    other walks; the chain's output is the same with or without it.
+    ``table`` is a :class:`StateTable` of ``ac``, whose ``log_weight(x)``
+    gives the target's unnormalized log weight: ``StateTable(ac,
+    null_log_weight)`` targets the null law.  Proposals come from the
+    policy; acceptance uses the ratio of the reverse to the forward
+    proposal mass times the ratio of target weights.  Candidates outside
+    the box ``0..upper`` are rejected outright, so the chain never leaves
+    the fiber.  A table may be shared with other walks of its target; the
+    chain's output is the same as with a fresh table of that target.
     """
     if table is None:
-        table = StateTable(ac, log_weight)
-    elif table.ac is not ac or table.log_weight is not log_weight:
-        raise ContractViolation("a state table serves one policy and one log_weight")
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, seed, True, table, upper)
+        table = StateTable(ac, None)
+    elif table.ac is not ac:
+        raise ContractViolation("a state table serves one policy")
+    return _walk(ac, basis, start, steps, rng, expected, chain_id, True, table, upper)
 
 
 def rank_p_value(sampled_statistics, observed_statistic):
@@ -337,7 +337,7 @@ def besag_clifford_pvalues(ac, basis, spec, data, chains, chain_length, seed, ch
         for strides in (split, chain_length - split):
             sample, _ = mh_uniform(
                 ac, basis, data.counts, strides * stride, rng, expected=expected, chain_id=cid,
-                seed=chain_seed, log_weight=null_log_weight, upper=spec.cell_bound, table=table,
+                upper=spec.cell_bound, table=table,
             )
             stats.append(sample.statistics[stride::stride])
             stuck = stuck or sample.stuck
@@ -363,10 +363,9 @@ def write_sample_csv(path, sample, labels):
     with open(path, "w", newline="") as fh:
         fh.write(",".join("_".join(str(v) for v in lab) for lab in labels))
         fh.write(",statistic\n")
-        stats = sample.statistics
-        for i, point in enumerate(sample.points):
+        for point, stat in zip(sample.points, sample.statistics):
             fh.write(",".join(str(int(v)) for v in point))
-            fh.write(f",{repr(float(stats[i])) if stats is not None else ''}\n")
+            fh.write(f",{repr(float(stat))}\n")
 
 
 def write_results_csv(path, results):
@@ -387,8 +386,9 @@ def write_pvalues_csv(path, results):
             fh.write(f"{r.chain_id},{repr(r.p_value)}\n")
 
 
-def write_histogram_csv(path, values, bins=20, lo=0.0, hi=1.0):
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins, range=(lo, hi))
+def write_histogram_csv(path, values):
+    """Counts of ``values`` in 20 equal bins of [0, 1], one row per bin."""
+    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=20, range=(0.0, 1.0))
     with open(path, "w", newline="") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         for i, c in enumerate(counts):

@@ -170,10 +170,8 @@ def gae_double_sum(rewards, values, bootstrap, gamma, lam):
 
 
 def backward_one(net, cache, output_grad):
-    """``net.backward`` on a batch of one: one state's layer outputs and output gradient.
-    Returns the parameter gradient and the input gradient's one row."""
-    flat, input_grad = net.backward([z[None] for z in cache], output_grad[None])
-    return flat, input_grad[0]
+    """``net.backward`` on a batch of one: one state's layer outputs and output gradient."""
+    return net.backward([z[None] for z in cache], output_grad[None])
 
 
 def step_score(ac, head_out, z):
@@ -198,7 +196,7 @@ def sample_score(ac, sample):
 def score_gradient(ac, sample):
     """d ln pi / d(theta) of one policy sample: its score passed backward through
     ``ac.net``, which must still hold the parameters the sample was drawn with."""
-    return backward_one(ac.net, sample.cache, sample_score(ac, sample))[0]
+    return backward_one(ac.net, sample.cache, sample_score(ac, sample))
 
 
 def window_direction_oracle(ac, samples, adv):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fiberwalk import agent as agent_module
 from fiberwalk.agent import (
+    SIGMA_FLOOR_MIN,
     SIGMA_MAX,
     SIGMA_MIN,
     ActorCritic,
@@ -64,14 +65,14 @@ def _small_ac(seed=0, state_dim=4, n_coeffs=2, hidden=(5,), **kw):
 
 def _features(ac, state):
     """The network's last hidden layer at ``state`` (input scale 1)."""
-    return ac.net.forward_cached(np.asarray(state, dtype=float))[1][-2]
+    return ac.net.forward_cached(np.asarray(state, dtype=float))[-2]
 
 
 def _manual_window(ac, states, rng, rewards=None):
     """Roll the policy over fixed states, collecting a Trajectory and its samples."""
     k = len(states) - 1
     samples = [policy_sample(ac, s, rng) for s in states[:-1]]
-    end_cache = ac.net.forward_cached(np.asarray(states[-1], dtype=float))[1]
+    end_cache = ac.net.forward_cached(np.asarray(states[-1], dtype=float))
     if rewards is None:
         rewards = -np.abs(np.random.default_rng(5).normal(size=k))
     traj = Trajectory(
@@ -218,6 +219,21 @@ class TestWindowScores:
         free = np.array([pin == "free" for pin in pins])
         assert not block[:, c:][:, ~free].any()
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 9), c=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_finite_for_stddevs_pinned_at_the_least_floor(self, k, c, seed):
+        # Every stddev is pinned at the least floor, whose cube is still a normal float.
+        ac = _small_ac(seed=seed % 1000, n_coeffs=c, hidden=(5,), sigma_min=SIGMA_FLOOR_MIN)
+        ac.net.weights[-1][c:] *= 0.1
+        ac.net.biases[-1][c:] = np.log(SIGMA_FLOOR_MIN) - 2.0
+        rng = np.random.default_rng(seed)
+        states = rng.integers(0, 5, size=(k, 4))
+        assert all((policy_distribution(ac, s)[1] == SIGMA_FLOOR_MIN).all() for s in states)
+        samples = [policy_sample(ac, s, rng) for s in states]
+        block = window_scores(ac, np.array([x.cache[-1] for x in samples]),
+                              np.array([x.continuous for x in samples]))
+        assert np.isfinite(block).all() and not block[:, c:].any()
+
     def test_computed_once_per_window(self, monkeypatch):
         calls = []
         original = agent_module.window_scores
@@ -238,10 +254,12 @@ class TestWindowScores:
     def test_non_finite_score_raises_before_either_update(self):
         dm = build_design_matrix(independence(2, 2))
         env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
-        # The forward pass refuses a non-finite head, and a stddev of at least 1e-3 gives
-        # a finite score.  A floor of 1e-300 does not: sigma**2 underflows to 0, so the
+        # The forward pass refuses a non-finite head, and a stddev of at least
+        # SIGMA_FLOOR_MIN gives a finite score.  A floor of 1e-300, set after the
+        # construction that refuses it, does not: sigma**2 underflows to 0, so the
         # score of a stddev pinned there divides by zero.
-        ac = _small_ac(n_coeffs=1, hidden=(3,), sigma_min=1e-300)
+        ac = _small_ac(n_coeffs=1, hidden=(3,))
+        ac.sigma_min = 1e-300
         ac.net.biases[-1][1] = -800.0
         before = ac.actor_params(), ac.critic_weights.copy()
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
@@ -355,6 +373,12 @@ class TestComputeGae:
             assert adv[t] == pytest.approx(ret - values[t], abs=1e-12)
 
 
+@pytest.fixture
+def uncapped(monkeypatch):
+    """Actor steps of any length, so that a step shows the update's whole direction."""
+    monkeypatch.setattr(agent_module, "ACTOR_STEP_CAP", np.inf)
+
+
 class TestActorUpdate:
     def test_zero_advantages_leave_parameters_unchanged(self):
         ac = _small_ac()
@@ -367,7 +391,7 @@ class TestActorUpdate:
         actor_update(ac, traj, 0.1, 0.9, 0.95)
         np.testing.assert_allclose(ac.actor_params(), before, atol=1e-12)
 
-    def test_single_step_direction(self):
+    def test_single_step_direction(self, uncapped):
         ac = _small_ac(seed=3)
         rng = np.random.default_rng(3)
         states = [np.array([2, 0, 1, 1]), np.array([1, 1, 0, 2])]
@@ -381,7 +405,7 @@ class TestActorUpdate:
             ac.actor_params() - before, step * delta * log_prob_grad, atol=1e-12
         )
 
-    def test_direction_matches_surrogate_finite_differences(self):
+    def test_direction_matches_surrogate_finite_differences(self, uncapped):
         ac = _small_ac(seed=9)
         rng = np.random.default_rng(9)
         states = [np.array([1, 1, 0, 0]), np.array([0, 1, 1, 0]), np.array([1, 0, 1, 0])]
@@ -405,7 +429,7 @@ class TestActorUpdate:
         assert relative_error(direction, fd) < 1e-4
 
     @pytest.mark.parametrize("case", ["unmasked", "mask_k=2", "clamped-sigma"])
-    def test_direction_is_the_average_of_per_step_score_gradients(self, case):
+    def test_direction_is_the_average_of_per_step_score_gradients(self, case, uncapped):
         # A window of 8 steps at 3x3 independence sizes: 9 cells, 4 basis coefficients.
         mask_k = 2 if case == "mask_k=2" else None
         ac = _small_ac(seed=4, state_dim=9, n_coeffs=4, hidden=(6, 5), mask_k=mask_k,
@@ -432,17 +456,20 @@ class TestActorUpdate:
         actor_update(ac, traj, 100.0, 0.99, 0.95)
         assert np.linalg.norm(ac.actor_params()) <= 1.0 + 1e-9
 
-    def test_long_step_is_capped_to_max_step_along_its_direction(self):
+    def test_long_step_is_capped_to_max_step_along_its_direction(self, monkeypatch):
         ac = _small_ac(seed=5)
         rng = np.random.default_rng(5)
         states = [np.array([2, 1, 0, 1]), np.array([0, 1, 2, 1]), np.array([1, 1, 1, 1])]
         traj, _ = _manual_window(ac, states, rng, rewards=[-2.0, -3.0])
         theta0 = ac.actor_params()
         free = copy.deepcopy(ac)
-        actor_update(free, traj, 1.0, 0.9, 0.8)
+        with monkeypatch.context() as patch:
+            patch.setattr(agent_module, "ACTOR_STEP_CAP", np.inf)
+            actor_update(free, traj, 1.0, 0.9, 0.8)
         raw = free.actor_params() - theta0
-        max_step = 0.25 * np.linalg.norm(raw)
-        actor_update(ac, traj, 1.0, 0.9, 0.8, max_step=max_step)
+        max_step = agent_module.ACTOR_STEP_CAP
+        assert np.linalg.norm(raw) > 2 * max_step
+        actor_update(ac, traj, 1.0, 0.9, 0.8)
         applied = ac.actor_params() - theta0
         assert np.linalg.norm(applied) == pytest.approx(max_step, abs=1e-12)
         np.testing.assert_allclose(
@@ -458,8 +485,7 @@ class TestActorUpdate:
         scores[1, 0] = np.nan
         before = ac.actor_params()
         with pytest.raises(NumericError, match="non-finite actor parameters"):
-            actor_update(ac, dataclasses.replace(traj, scores=scores), 0.1, 0.9, 0.8,
-                         max_step=0.1)
+            actor_update(ac, dataclasses.replace(traj, scores=scores), 0.1, 0.9, 0.8)
         assert ac.actor_params().tobytes() == before.tobytes()
 
     def test_update_peak_memory_is_near_one_parameter_vector(self):
@@ -469,10 +495,10 @@ class TestActorUpdate:
         rng = np.random.default_rng(2)
         states = [rng.integers(0, 4, size=400) for _ in range(9)]
         traj, _ = _manual_window(ac, states, rng)
-        actor_update(ac, traj, 0.05, 0.9, 0.8, max_step=0.1)
+        actor_update(ac, traj, 0.05, 0.9, 0.8)
         tracemalloc.start()
         try:
-            actor_update(ac, traj, 0.05, 0.9, 0.8, max_step=0.1)
+            actor_update(ac, traj, 0.05, 0.9, 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -487,18 +513,18 @@ class TestDeepCopy:
         states = [np.array([1, 2, 0, 1]), np.array([0, 2, 1, 1]), np.array([1, 1, 1, 1])]
         traj, _ = _manual_window(ac, states, rng, rewards=[-1.0, -2.0])
         x = np.array([1.0, 0.0, 2.0, 1.0])
-        theta, out = ac.actor_params(), ac.net.forward_cached(x)[0]
+        theta, out = ac.actor_params(), ac.net.forward_cached(x)[-1]
         probe = copy.deepcopy(ac)
         if change == "actor_update":
             actor_update(probe, traj, 0.5, 0.9, 0.8)
         else:
             probe.net.params[:] = theta + 0.25
-        assert not np.array_equal(probe.net.forward_cached(x)[0], out)
+        assert not np.array_equal(probe.net.forward_cached(x)[-1], out)
         for part in probe.net.weights + probe.net.biases:
             assert np.shares_memory(part, probe.net.params)
             assert not np.shares_memory(part, ac.net.params)
         assert ac.actor_params().tobytes() == theta.tobytes()
-        assert ac.net.forward_cached(x)[0].tobytes() == out.tobytes()
+        assert ac.net.forward_cached(x)[-1].tobytes() == out.tobytes()
 
 
 class TestCriticUpdate:
@@ -669,13 +695,18 @@ class TestPolicySettings:
     @pytest.mark.parametrize(
         "setting",
         [{"sigma_min": SIGMA_MAX}, {"sigma_min": 1e6}, {"sigma_min": np.inf},
-         {"sigma_min": np.nan}, {"input_scale": np.inf}, {"input_scale": np.nan}],
+         {"sigma_min": np.nan}, {"sigma_min": 1e-300},
+         {"sigma_min": float(np.nextafter(SIGMA_FLOOR_MIN, 0))},
+         {"input_scale": np.inf}, {"input_scale": np.nan}],
         ids=["sigma_min=SIGMA_MAX", "sigma_min=1e6", "sigma_min=inf", "sigma_min=nan",
+             "sigma_min=1e-300", "sigma_min-below-the-least-floor",
              "input_scale=inf", "input_scale=nan"],
     )
     def test_setting_that_would_do_something_else_rejected(self, setting):
         # The head clips every stddev to SIGMA_MAX, so a floor there or above would pin
-        # sigma with a zero score; an infinite scale would map every state to one input.
+        # sigma with a zero score; the cube of a stddev pinned below the least floor
+        # underflows, so its score would divide by zero; an infinite scale would map
+        # every state to one input.
         with pytest.raises(ContractViolation, match=next(iter(setting))):
             make_actor_critic(4, 2, hidden=(5,), **setting)
 
@@ -841,7 +872,7 @@ class TestPolicySerialization:
 
     @pytest.mark.parametrize(
         "line",
-        ["mask_k=0", "sigma_min=0.0", "input_scale=-1.0",
+        ["mask_k=0", "sigma_min=0.0", "sigma_min=1e-300", "input_scale=-1.0",
          "sigma_min=1000.0", "sigma_min=inf", "input_scale=inf"],
     )
     def test_out_of_range_setting_rejected(self, line):
@@ -887,10 +918,11 @@ _POSITIVE = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
     st.floats(min_value=5e-324, max_value=1e300),
 )
-# A stddev floor lies below SIGMA_MAX, the ceiling the head clips every stddev to.
+# A stddev floor lies from the least floor, whose cube is a normal float, to below
+# SIGMA_MAX, the ceiling the head clips every stddev to.
 _SIGMA_MIN = st.one_of(
-    st.sampled_from([5e-324, 1e-300, 1.0, float(np.nextafter(SIGMA_MAX, 0))]),
-    st.floats(min_value=5e-324, max_value=SIGMA_MAX, exclude_max=True),
+    st.sampled_from([SIGMA_FLOOR_MIN, 1e-100, 1.0, float(np.nextafter(SIGMA_MAX, 0))]),
+    st.floats(min_value=SIGMA_FLOOR_MIN, max_value=SIGMA_MAX, exclude_max=True),
 )
 
 

@@ -217,7 +217,8 @@ class TestTrain:
         [
             "mdp.gamma=1.0", "mdp.c1=3", "train.mask_k=2", "train.hidden=a", "train.hidden=0",
             "train.a0=0", "train.mask_k=-1", "train.mask_k=0", "train.ball_radius=-1",
-            "train.sigma_min=0", "train.input_scale=0", "train.sigma_min=1000",
+            "train.sigma_min=0", "train.sigma_min=1e-300", "train.input_scale=0",
+            "train.sigma_min=1000",
             "train.sigma_min=inf", "train.input_scale=inf",
         ],
     )
@@ -677,3 +678,26 @@ class TestGraphBox:
         )
         assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
         assert "edge (1, 0) (nodes from 0) repeats a node pair" in capsys.readouterr().err
+
+    def test_fit_that_does_not_converge_exits_3_naming_its_last_gap(self, tmp_path, capsys):
+        # A path's degree sequence lies on the boundary of the expected degree polytope,
+        # so the beta-model fit never closes the gap.
+        graph = _write(tmp_path / "g.txt", "1 2\n2 3\n3 4\n")
+        trained = tmp_path / "trained"
+        cfg = _write(
+            tmp_path / "run.cfg",
+            "\n".join([
+                "model.family=beta_model", "model.nodes=4", f"data.graph={graph}",
+                "mdp.steps_per_episode=2", "train.episodes=1", "train.hidden=4",
+                f"policy.file={trained / 'policy.txt'}", f"policy.basis={trained / 'basis.txt'}",
+                "sample.steps=1",
+            ]) + "\n",
+        )
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(
+            r"fiberwalk sample: beta-model fit did not reach degree gap 1e-08 within 10000 "
+            r"iterations \(last gap [0-9.e+-]+\)", err
+        ), err

@@ -7,6 +7,7 @@ the program wrote before it, not only against a second run of itself.
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 
@@ -26,45 +27,54 @@ GOLDEN = {
         "06c869d2c971dbcf3b437395b811e0fd075548e06915a5ad9bd134389357ac21",
     ("sample", "sample.csv"):
         "a8b5b5a816dca96210a2e7c754633306daec03f041d1ac3f4843f52cc76bf1f7",
+    # The same sample under sample.mode=explore, which takes every feasible proposal.
+    ("explore", "sample.csv"):
+        "ce61dcbaf89f6f71938d7ee142eb7c15ed4062e61da81d702a8fc92c9ac2550a",
 }
+EXPLORE_DISCOVERED = 16
 
 
 def test_outputs_of_a_3x3_run_are_golden(tmp_path):
     table = tmp_path / "table.csv"
     table.write_text("dims=3x3\n4,1,2\n1,3,1\n2,2,5\n")
     trained = tmp_path / "train"
+    lines = [
+        "model.family=independence",
+        "model.shape=3x3",
+        f"data.table={table}",
+        "seed=7",
+        "mdp.steps_per_episode=30",
+        "train.episodes=3",
+        "train.hidden=8,6",
+        f"policy.file={trained / 'policy.txt'}",
+        f"policy.basis={trained / 'basis.txt'}",
+        "sample.steps=40",
+        "test.chains=3",
+        "test.chain_length=6",
+    ]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "\n".join(
-            [
-                "model.family=independence",
-                "model.shape=3x3",
-                f"data.table={table}",
-                "seed=7",
-                "mdp.steps_per_episode=30",
-                "train.episodes=3",
-                "train.hidden=8,6",
-                f"policy.file={trained / 'policy.txt'}",
-                f"policy.basis={trained / 'basis.txt'}",
-                "sample.steps=40",
-                "test.chains=3",
-                "test.chain_length=6",
-            ]
-        )
-        + "\n"
-    )
-    for command in ("train", "sample", "test"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    cfg.write_text("\n".join(lines) + "\n")
+    explore = tmp_path / "explore.cfg"
+    explore.write_text("\n".join(lines + ["sample.mode=explore"]) + "\n")
+    runs = (("train", cfg), ("sample", cfg), ("test", cfg), ("sample", explore))
+    for out, (command, config) in zip(("train", "sample", "test", "explore"), runs):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / out)]) == 0
     digests = {
         (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
         for command, name in GOLDEN
     }
     assert digests == GOLDEN
+    manifest = json.loads((tmp_path / "explore" / "manifest.json").read_text())
+    assert manifest["discovered_count"] == EXPLORE_DISCOVERED
 
 
 WIDE_GOLDEN = {
-    "policy.txt": "aa1cb359a626a0ea3958e5af122232978805b4a466fc7444dcf8cfb7a4fcb17b",
-    "trainlog.csv": "8c335d1af1cd485543b417d82615b74fd222d18de6e4f1e89f9775bec4df3d92",
+    ("train", "policy.txt"): "aa1cb359a626a0ea3958e5af122232978805b4a466fc7444dcf8cfb7a4fcb17b",
+    ("train", "trainlog.csv"): "8c335d1af1cd485543b417d82615b74fd222d18de6e4f1e89f9775bec4df3d92",
+    # A test with that policy on the 0/1 box.  Its masked proposals never move a chain
+    # off the observation here, so every p-value is 1.
+    ("test", "results.csv"): "6dde231fa1b6f1a2166235b21ef63efab8df68804fd91efaf233aa8b3073a041",
+    ("test", "pvalues.csv"): "dbd135036ba5f305a12fb95433dbde2e68b79eadad04db6622e4bc3d449e442f",
 }
 
 
@@ -97,6 +107,8 @@ def test_outputs_of_a_wide_graph_run_are_golden(tmp_path, monkeypatch):
                 "train.input_scale=0.001",
                 f"policy.file={trained / 'policy.txt'}",
                 f"policy.basis={trained / 'basis.txt'}",
+                "test.chains=4",
+                "test.chain_length=10",
             ]
         )
         + "\n"
@@ -110,10 +122,10 @@ def test_outputs_of_a_wide_graph_run_are_golden(tmp_path, monkeypatch):
         return out
 
     def counted_forward(net, x):
-        out, cache = forward(net, x)
-        sigma = np.exp(out[net.output_dim // 2:])
+        outputs = forward(net, x)
+        sigma = np.exp(outputs[-1][net.output_dim // 2:])
         seen["clamped"] += int(((sigma <= agent.SIGMA_MIN) | (sigma >= agent.SIGMA_MAX)).sum())
-        return out, cache
+        return outputs
 
     monkeypatch.setattr(agent, "mask_coefficients", counted_mask)
     monkeypatch.setattr(DenseNet, "forward_cached", counted_forward)
@@ -121,7 +133,9 @@ def test_outputs_of_a_wide_graph_run_are_golden(tmp_path, monkeypatch):
     settings = (trained / "policy.txt").read_text().splitlines()[3:7]
     assert settings == ["mask_k=10", "ball_radius=1000.0", "input_scale=0.001", "sigma_min=0.001"]
     assert seen["masked"] > 0 and seen["clamped"] > 0
+    assert main(["test", "--config", str(cfg), "--out", str(tmp_path / "test")]) == 0
     digests = {
-        name: hashlib.sha256((trained / name).read_bytes()).hexdigest() for name in WIDE_GOLDEN
+        (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+        for command, name in WIDE_GOLDEN
     }
     assert digests == WIDE_GOLDEN

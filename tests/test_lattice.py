@@ -246,7 +246,6 @@ class TestDecompose:
         assert subs[0].sub_matrix.n_cols == 3
         assert subs[0].sub_matrix.column_labels == ((0, 1), (0, 2), (1, 2))
         assert subs[0].columns.tolist() == [0, 1, 4]
-        assert np.array_equal(subs[0].sub_point, [1, 0, 1])
 
     def test_overlapping_induced_subgraphs_rejected(self):
         edges = [(0, 1), (1, 2)]
@@ -278,7 +277,6 @@ class TestDecompose:
         assert cycle.node_set == (0, 1, 2, 3)
         assert cycle.sub_matrix.column_labels == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
         assert cycle.sub_matrix.cell_bound == 1
-        assert np.array_equal(cycle.sub_point, counts[cycle.columns])
         lifted = lift_basis([compute_lattice_basis(s.sub_matrix) for s in subs], subs, 14)
         assert lifted.count == 1
         assert in_kernel(design, lifted.vectors[0])
@@ -411,7 +409,6 @@ class TestDecomposeAndLiftProperties:
         for sub in subs:
             nodes = list(sub.node_set)
             assert np.array_equal(sub.sub_matrix.entries, design.entries[np.ix_(nodes, sub.columns)])
-            assert np.array_equal(sub.sub_point, counts[sub.columns])
             assert list(sub.columns) == sorted(sub.columns)
             edges_seen.extend(c for c in sub.columns if counts[c])
             if not zeros:
@@ -610,4 +607,4 @@ def _make_sub(columns):
     """A one-row SubProblem on the given parent columns."""
     rows = np.zeros((len(columns), 1), dtype=np.int64)
     design = DesignMatrix(rows=rows, n_rows=1, column_labels=())
-    return SubProblem(design, np.zeros(len(columns), dtype=np.int64), columns)
+    return SubProblem(design, columns)

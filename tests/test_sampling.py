@@ -171,7 +171,7 @@ class TestMhUniform:
         # mass on a in {1, 2}; the uniform law puts 0.5 there.
         dm, basis, ac, start = _setup22((2, 1, 1, 2))
         sample, _ = mh_uniform(
-            ac, basis, start, 4000, np.random.default_rng(7), log_weight=null_log_weight
+            ac, basis, start, 4000, np.random.default_rng(7), table=StateTable(ac, null_log_weight)
         )
         frac = float(np.mean(np.isin(sample.points[:, 0], (1, 2))))
         assert 0.85 < frac < 0.95
@@ -440,7 +440,7 @@ class TestOneTablePerState:
 
         monkeypatch.setattr(sampling, "policy_sample", recording)
         sample, _ = mh_uniform(
-            ac, basis, start, 400, np.random.default_rng(9), log_weight=null_log_weight
+            ac, basis, start, 400, np.random.default_rng(9), table=StateTable(ac, null_log_weight)
         )
         points = sample.points
         candidates = points[:-1] + np.array(drawn) @ basis.vectors
@@ -457,13 +457,11 @@ class TestOneTablePerState:
     def test_walks_sharing_a_table_price_each_state_once(self, priced):
         dm, basis, ac, start = _setup22((5, 3, 3, 5))
         table = StateTable(ac, null_log_weight)
-        first = mh_uniform(ac, basis, start, 5, np.random.default_rng(1),
-                           log_weight=null_log_weight, table=table)[0]
+        first = mh_uniform(ac, basis, start, 5, np.random.default_rng(1), table=table)[0]
         key_of = {id(law): key for key, (law, _) in table.entries.items()}
         first_keys = {key_of[id(law)] for law in priced}
         n_first = len(priced)
-        second = mh_uniform(ac, basis, start, 300, np.random.default_rng(2),
-                            log_weight=null_log_weight, table=table)[0]
+        second = mh_uniform(ac, basis, start, 300, np.random.default_rng(2), table=table)[0]
         key_of = {id(law): key for key, (law, _) in table.entries.items()}
         second_keys = [key_of[id(law)] for law in priced[n_first:]]
         assert len(first_keys) == n_first > 1
@@ -474,12 +472,12 @@ class TestOneTablePerState:
         assert len(np.unique(first.points, axis=0)) > 1
 
     def test_a_table_serves_one_policy_and_one_log_weight(self):
+        # The table carries the one log_weight; a table of another policy is refused.
         dm, basis, ac, start = _setup22()
         other = make_actor_critic(4, basis.count, hidden=(8,), seed=1)
-        for table in (StateTable(ac, None), StateTable(other, null_log_weight)):
-            with pytest.raises(ContractViolation):
-                mh_uniform(ac, basis, start, 1, np.random.default_rng(0),
-                           log_weight=null_log_weight, table=table)
+        with pytest.raises(ContractViolation, match="one policy"):
+            mh_uniform(ac, basis, start, 1, np.random.default_rng(0),
+                       table=StateTable(other, null_log_weight))
 
     def test_no_feasible_proposal_no_table(self, priced):
         dm, basis, ac, _ = _setup22()
@@ -533,7 +531,10 @@ class TestSharedTable:
         shared = besag_clifford_pvalues(*args, chains=8, chain_length=20, seed=5)
         n_shared = len(evaluated)
         walk = sampling.mh_uniform
-        monkeypatch.setattr(sampling, "mh_uniform", lambda *a, table, **kw: walk(*a, **kw))
+        monkeypatch.setattr(
+            sampling, "mh_uniform",
+            lambda *a, table, **kw: walk(*a, table=StateTable(table.ac, table.log_weight), **kw),
+        )
         fresh = besag_clifford_pvalues(*args, chains=8, chain_length=20, seed=5)
         assert shared == fresh
         assert len({r.p_value for r in shared}) > 1
@@ -617,7 +618,7 @@ class TestGoldenTraces:
     )
     def test_trace_digest(self, mask_k, walker, log_weight, digest):
         basis, _, ac = _oracle_setup(mask_k)
-        kwargs = {"log_weight": log_weight} if log_weight else {}
+        kwargs = {"table": StateTable(ac, log_weight)} if log_weight else {}
         sample, _ = walker(
             ac, basis, np.array(_T33), 2000, np.random.default_rng(11), **kwargs
         )
@@ -753,10 +754,10 @@ class TestCsvOutputs:
         write_pvalues_csv(pv, results)
         assert pv.read_text().splitlines()[0] == "chain_id,p_value"
         hist = tmp_path / "h.csv"
-        write_histogram_csv(hist, [r.p_value for r in results], bins=5)
+        write_histogram_csv(hist, [r.p_value for r in results])
         lines = hist.read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
-        assert len(lines) == 6
+        assert len(lines) == 21
         total = sum(int(line.split(",")[2]) for line in lines[1:])
         assert total == 10
 
@@ -768,5 +769,4 @@ class TestFiberSampleInvariants:
                 points=np.zeros((3, 2), dtype=np.int64),
                 statistics=np.zeros(2),
                 chain_id=0,
-                seed=0,
             )
