@@ -21,7 +21,7 @@ from functools import cached_property
 import networkx as nx
 import numpy as np
 
-from ._exact import integer_kernel_basis
+from ._exact import margin_kernel_basis
 from .errors import (
     ContractViolation,
     DecompositionError,
@@ -113,15 +113,19 @@ class SubProblem:
 def compute_lattice_basis(design):
     """Primitive integer kernel basis of a :class:`DesignMatrix`.
 
-    The elimination is exact (Python integers), so membership in the
-    kernel holds with no tolerance.  Vectors are primitive (entry gcd
-    1) and sign-normalized (first nonzero entry positive), making the
-    result deterministic across platforms.
+    The elimination is exact, so membership in the kernel holds with no
+    tolerance.  Its form follows the design's width: below
+    ``_exact.WIDE_COLUMNS`` columns it runs on dicts of Python ints,
+    from there on a dense int64 array that reduces a row's columns in
+    one numpy update and, before an entry could reach ``2**62``,
+    restarts on Python ints.  Both forms make the same decisions and
+    give the same bytes.  Vectors are primitive (entry gcd 1) and
+    sign-normalized (first nonzero entry positive), making the result
+    deterministic across platforms.
     """
-    n, cols = design.sparse_columns()
-    if not n or not cols:
+    if not design.n_rows or not design.n_cols:
         raise ContractViolation("design matrix is empty")
-    shape, nonzeros = integer_kernel_basis(n, cols)
+    shape, nonzeros = margin_kernel_basis(design.n_rows, design.rows)
     return LatticeBasis(shape=shape, nonzeros=nonzeros)
 
 

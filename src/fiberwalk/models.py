@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._exact import integer_rank
+from ._exact import margin_kernel_basis
 from .errors import (
     ContractViolation,
     DegenerateDataError,
@@ -160,7 +160,12 @@ class DesignMatrix:
     ``column_labels`` names the surviving cells in lexicographic order;
     ``removed_labels`` records the columns deleted for structural zeros;
     ``cell_bound`` is the spec's.  The exact ``rank`` and the dense
-    ``entries`` view are computed on first read.
+    ``entries`` view are computed on first read.  ``rank`` is ``d``
+    minus the count of the exact kernel basis, by the elimination
+    :func:`~fiberwalk.lattice.compute_lattice_basis` runs: on dicts of
+    Python ints below ``_exact.WIDE_COLUMNS`` columns, from there on a
+    dense int64 array that restarts on Python ints before an entry
+    could reach ``2**62``.
     """
 
     rows: np.ndarray
@@ -180,13 +185,9 @@ class DesignMatrix:
         mat[self.rows, np.arange(self.n_cols)[:, None]] = 1
         return mat
 
-    def sparse_columns(self):
-        """``(n_rows, columns)``, each column a new dict ``{row: 1}``, for the exact elimination."""
-        return self.n_rows, [dict.fromkeys(r, 1) for r in self.rows.tolist()]
-
     @cached_property
     def rank(self):
-        return integer_rank(*self.sparse_columns())
+        return self.n_cols - margin_kernel_basis(self.n_rows, self.rows)[0][0]
 
     def marginals(self, counts):
         counts = np.asarray(counts)

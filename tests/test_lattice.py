@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fiberwalk._exact import integer_rank
+from fiberwalk import _exact
+from fiberwalk._exact import dense_kernel_basis, integer_kernel_basis, integer_rank
 from fiberwalk.errors import (
     ContractViolation,
     DecompositionError,
@@ -106,7 +107,8 @@ class TestComputeLatticeBasis:
 
 # sha256 of each basis as little-endian int64 bytes.  The values come
 # from the dense-column form of the elimination; the sparse columns run
-# the same operations in the same order and must give the same bytes.
+# the same operations in the same order and must give the same bytes,
+# and so must the int64 array form that wide designs run.
 GOLDEN_BASES = [
     ("independence(4,4)", independence(4, 4),
      "544b94f10f3e13d236079a4a0286cdb50ca3b6e1eb36eeb33538ed72c2d00ced"),
@@ -116,6 +118,8 @@ GOLDEN_BASES = [
      "014f64ab9e8568a9d235edfb24c98724c0dc82bd93946c2339151f76ac0b3def"),
     ("beta_model(50)", beta_model(50),
      "632900e372237571e0dc3906be41862da38dedcbd8ea8d6addb889a155df75b4"),
+    ("beta_model(70)", beta_model(70),
+     "6ad290101392cbcda7890e806fa21c676ea936aa932b7fc2320c275ed9d8f429"),
 ]
 
 
@@ -127,6 +131,37 @@ def test_basis_bytes_are_golden(spec, digest):
     assert hashlib.sha256(basis.vectors.astype("<i8").tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "spec, digest", [g[1:] for g in GOLDEN_BASES], ids=[g[0] for g in GOLDEN_BASES]
+)
+def test_both_forms_give_the_golden_bytes(spec, digest):
+    mat = build_design_matrix(spec).entries
+    shape, nonzeros = dense = dense_kernel_basis(mat)
+    assert _as_lists(dense) == _as_lists(integer_kernel_basis(*sparse_columns(mat)))
+    vectors = LatticeBasis(shape=shape, nonzeros=nonzeros).vectors
+    assert hashlib.sha256(vectors.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def _as_lists(result):
+    """An elimination's ``(shape, nonzeros)`` as Python ints, whichever form returned it."""
+    shape, nonzeros = result
+    return tuple(shape), [[int(v) for v in part] for part in nonzeros]
+
+
+def test_width_picks_the_form(monkeypatch):
+    dense_calls = []
+
+    def counting_dense(mat):
+        dense_calls.append(mat.shape[1])
+        return dense_kernel_basis(mat)
+
+    monkeypatch.setattr(_exact, "dense_kernel_basis", counting_dense)
+    for spec in (independence(4, 4), all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]),
+                 beta_model(13), beta_model(14), beta_model(70)):
+        compute_lattice_basis(build_design_matrix(spec))
+    assert dense_calls == [91, 2415]
+
+
 # Small integer matrices with negative and non-0/1 entries (zeros too,
 # so some columns vanish and some rows are dependent).
 small_matrices = hnp.arrays(
@@ -136,7 +171,44 @@ small_matrices = hnp.arrays(
 )
 
 
+@st.composite
+def elimination_inputs(draw):
+    """A small matrix with up to two columns zeroed and, sometimes, an
+    added row that is an integer combination of its first two rows."""
+    mat = draw(small_matrices)
+    mat[:, draw(st.lists(st.integers(0, mat.shape[1] - 1), max_size=2))] = 0
+    if len(mat) > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        mat = np.vstack([mat, a * mat[0] + b * mat[1]])
+    return mat
+
+
 class TestEliminationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_inputs())
+    # Rows whose least entry does not divide the others take several
+    # Euclid rounds: [3, -4] takes three.
+    @example(np.array([[3, -4, 0], [4, 3, -2]]))
+    @example(np.array([[2, 4, 0], [1, 2, 0], [0, 0, 0]]))
+    def test_dense_form_equals_the_dict_form(self, mat):
+        dense = dense_kernel_basis(mat)
+        assert all(part.dtype == np.int64 for part in dense[1])
+        assert _as_lists(dense) == _as_lists(integer_kernel_basis(*sparse_columns(mat)))
+        assert mat.shape[1] - dense[0][0] == integer_rank(*sparse_columns(mat))
+
+    @pytest.mark.parametrize("mat", [
+        # Row 0 subtracts 2**40 times column 0 from column 1, whose row 1
+        # becomes -2**80; the kernel vector holds 2**80.
+        [[1, 2**40, 0], [2**40, 0, 1]],
+        # The update (column 1 minus column 0) stays small, but its bound
+        # 2**61 + 1 + 2**61 does not, so the Python ints take over.
+        [[2**61, 2**61 + 1]],
+    ])
+    def test_dense_form_hands_a_growing_matrix_to_python_ints(self, mat):
+        mat = np.array(mat, dtype=np.int64)
+        reference = integer_kernel_basis(*sparse_columns(mat))
+        assert _as_lists(dense_kernel_basis(mat)) == _as_lists(reference)
+
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
     def test_integer_rank_matches_rational_oracle(self, mat):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fiberwalk import models
-from fiberwalk._exact import integer_rank
+from fiberwalk._exact import margin_kernel_basis
 from fiberwalk.errors import (
     DegenerateDataError,
     FitError,
@@ -74,11 +74,11 @@ class TestBuildDesignMatrix:
     def test_rank_is_computed_on_first_read(self, monkeypatch):
         calls = []
 
-        def counting_rank(n_rows, cols):
-            calls.append((n_rows, len(cols)))
-            return integer_rank(n_rows, cols)
+        def counting_basis(n_rows, column_rows):
+            calls.append((n_rows, len(column_rows)))
+            return margin_kernel_basis(n_rows, column_rows)
 
-        monkeypatch.setattr(models, "integer_rank", counting_rank)
+        monkeypatch.setattr(models, "margin_kernel_basis", counting_basis)
         dm = build_design_matrix(all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]))
         assert calls == []
         assert dm.rank == rational_rank(dm.entries)
