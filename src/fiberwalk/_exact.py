@@ -6,17 +6,17 @@ decisions and so return the same bytes.  ``integer_kernel_basis`` (and
 arbitrary precision, so no intermediate result can overflow or pick up
 rounding error; its columns are dicts ``{row: value}`` of their
 nonzeros, so an update costs the pivot column's nonzeros rather than
-the column's full height.  ``dense_kernel_basis`` holds the stacked
-matrix [M; I] as one dense int64 array and reduces all of a row's active
-columns against the pivot in one numpy update, so a row costs a few
-numpy calls instead of a Python loop over its columns.  It keeps a
-running bound on the entries and, before any update could reach
-``INT64_SAFE``, hands the original matrix to the Python-int form, so it
-never wraps.
+the column's full height.  ``dense_kernel_basis`` reduces the stacked
+matrix [M; I] in one dense int64 working array and all of a row's
+active columns against the pivot in one numpy update, so a row costs a
+few numpy calls instead of a Python loop over its columns.  It keeps a
+running bound on the entries and gives up, returning ``None``, before
+any update could reach ``INT64_SAFE``, so it never wraps.
 
 ``margin_kernel_basis`` picks the form from a 0/1 design's width: below
 ``WIDE_COLUMNS`` columns the numpy calls' fixed cost outweighs what
-they save, and the dict form is faster.
+they save, and the dict form is faster.  The dict form also takes over
+from a dense reduction that gave up, from the same margin-rows table.
 """
 
 import numpy as np
@@ -105,32 +105,30 @@ def integer_kernel_basis(n_rows, cols):
     return (d - pivots, d), (rows, columns, values)
 
 
-def dense_kernel_basis(mat):
-    """``integer_kernel_basis`` of the int64 matrix ``mat``, each row's columns reduced at once.
+def dense_kernel_basis(stack, n):
+    """``integer_kernel_basis`` of the top ``n`` rows of ``stack``, each row's columns reduced at once.
 
-    The same elimination of [M; I], step for step: the pivot is the
-    first active column of least |value|, every other active column
-    subtracts ``value // pivot`` times it in one numpy update, the
-    pivot moves to the end of the active list, and a row's last active
-    column swaps into the next pivot position.  The return value is
-    the same, as int64 arrays.  [M; I] is one array, ``M`` on top of
-    the rows of ``I`` that can differ from the identity: those of the
-    original columns that have served as a pivot.  Any other original
-    column's row holds just its own 1, wherever that column has moved,
-    so it stays implicit.  ``mat`` itself is left as it is.
+    ``stack`` is the int64 working array [M; 0], ``M`` on top of ``n``
+    zero rows, reduced in place.  The same elimination of [M; I], step for step:
+    the pivot is the first active column of least |value|, every other
+    active column subtracts ``value // pivot`` times it in one numpy
+    update, the pivot moves to the end of the active list, and a row's
+    last active column swaps into the next pivot position.  The return
+    value is the same, as int64 arrays, or ``None`` where an update could
+    reach ``INT64_SAFE``.  Below ``M`` the array holds the rows of ``I``
+    that can differ from the identity: those of the original columns that
+    have served as a pivot.  Any other original column's row holds just
+    its own 1, wherever that column has moved, so it stays implicit.
     """
-    n, d = mat.shape
-    stack = np.zeros((2 * n, d), dtype=np.int64)
-    stack[:n] = mat
+    d = stack.shape[1]
     owners = []  # the original column of each identity row stored, in row order
     order = list(range(d))  # the original column at each position
     # Every |entry| stays at most bound: an update adds at most
     # max|q| * max|pivot column|.  Near INT64_SAFE it is recomputed from
-    # the entries, and an update that could still reach it goes to the
-    # Python ints instead.
-    bound = max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
+    # the entries, and an update that could still reach it gives up.
+    bound = max(int(stack[:n].max(initial=0)), -int(stack[:n].min(initial=0)))
     if bound >= INT64_SAFE:
-        return _python_int_basis(mat)
+        return None
     pivots = 0
     for r in range(n):
         row = stack[r]
@@ -155,7 +153,7 @@ def dense_kernel_basis(mat):
             if bound >= INT64_SAFE:
                 bound = int(np.abs(stack[r:n + len(owners)]).max()) + step
                 if bound >= INT64_SAFE:
-                    return _python_int_basis(mat)
+                    return None
             stack[(touched + r)[:, None], others] -= pivot[:, None] * q
             active = np.concatenate((others[row[others] != 0], (jmin,)))
         if len(active):
@@ -181,23 +179,20 @@ def dense_kernel_basis(mat):
     return (d - pivots, d), (vec, col, val)
 
 
-def _python_int_basis(mat):
-    """``integer_kernel_basis`` of ``mat``, its columns as dicts of Python ints."""
-    return integer_kernel_basis(
-        len(mat), [{r: v for r, v in enumerate(column) if v} for column in mat.T.tolist()]
-    )
-
-
 def margin_kernel_basis(n_rows, column_rows):
     """Exact kernel basis of the 0/1 matrix whose column ``c`` has its 1s at rows ``column_rows[c]``.
 
-    ``column_rows`` is a design's ``(d, k)`` margin-rows table.  Fewer
-    than ``WIDE_COLUMNS`` columns run ``integer_kernel_basis`` on dict
-    columns, more run ``dense_kernel_basis``; both return the same.
+    ``column_rows`` is a design's ``(d, k)`` margin-rows table.  From
+    ``WIDE_COLUMNS`` columns on it is scattered into the working array of
+    ``dense_kernel_basis``; a narrower design, or a dense reduction that
+    gave up, runs ``integer_kernel_basis`` on dict columns of the table.
+    Both return the same.
     """
     d = len(column_rows)
-    if d < WIDE_COLUMNS:
-        return integer_kernel_basis(n_rows, [dict.fromkeys(r, 1) for r in column_rows.tolist()])
-    mat = np.zeros((n_rows, d), dtype=np.int64)
-    mat[column_rows, np.arange(d)[:, None]] = 1
-    return dense_kernel_basis(mat)
+    if d >= WIDE_COLUMNS:
+        stack = np.zeros((2 * n_rows, d), dtype=np.int64)
+        stack[column_rows, np.arange(d)[:, None]] = 1
+        basis = dense_kernel_basis(stack, n_rows)
+        if basis is not None:
+            return basis
+    return integer_kernel_basis(n_rows, [dict.fromkeys(r, 1) for r in column_rows.tolist()])

@@ -159,7 +159,7 @@ class PolicySample:
 
     coeffs: np.ndarray
     continuous: np.ndarray
-    cache: list = None  # every layer's output at the state, the input first
+    cache: list  # every layer's output at the state, the input first
 
     @property
     def features(self):
@@ -391,13 +391,20 @@ def train(env, ac, cfg, start):
     discovered set keeps accumulating.  The schedule argument is the
     update counter, i.e. the iterate index of the two stochastic
     approximation sequences.  Reproducible: all
-    randomness flows from ``cfg.seed``.
+    randomness flows from ``cfg.seed``.  The policy's coefficient bounds
+    must be the environment's.
     """
     if env.basis.count == 0:
         raise ValidationError("cannot train with an empty move basis")
     if env.basis.count != ac.n_coeffs:
         raise ContractViolation(
             f"policy emits {ac.n_coeffs} coefficients, basis has {env.basis.count}"
+        )
+    lo, hi = env.config.coeff_min, env.config.coeff_max
+    if (ac.coeff_min, ac.coeff_max) != (lo, hi):
+        raise ContractViolation(
+            f"policy draws coefficients in [{ac.coeff_min}, {ac.coeff_max}], "
+            f"the environment takes [{lo}, {hi}]"
         )
     rng = np.random.default_rng(cfg.seed)
     actor_sched, critic_sched = cfg.schedules()
@@ -508,7 +515,7 @@ _POLICY_HEADER = (
 _BODY_LINE = len(_POLICY_HEADER) + 2  # 1-based number of the values line
 
 
-def line_field(lines, i, key, cast=int):
+def line_field(lines, i, key, cast):
     """``cast(value)`` of ``lines[i]``, which must read ``key=value``."""
     name, _, value = lines[i].partition("=") if i < len(lines) else ("", "", "")
     try:

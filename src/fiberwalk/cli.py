@@ -70,6 +70,22 @@ _POLICY_SETTINGS = ("coeff_min", "coeff_max", "mask_k", "sigma_min", "ball_radiu
 
 _UNSET = object()
 
+# Every config key a command reads; a config naming any other key is refused.
+KEYS = frozenset({
+    "seed",
+    "model.family", "model.shape", "model.nodes", "model.structural_zeros",
+    "data.table", "data.graph",
+    "policy.file", "policy.basis",
+    "decompose.strategy", "decompose.k", "decompose.node_sets",
+    "mdp.c1", "mdp.c2", "mdp.steps_per_episode", "mdp.gamma",
+    "train.lambda", "train.window", "train.episodes", "train.a0", "train.b0",
+    "train.swap_schedules", "train.hidden", "train.mask_k", "train.ball_radius",
+    "train.input_scale", "train.sigma_min",
+    "sample.steps", "sample.mode",
+    "test.chains", "test.chain_length", "test.chain_steps",
+    "enumerate.cap",
+})
+
 
 def _given(**kwargs):
     """The keyword arguments whose config key is set (``cfg.get(key, _UNSET, cast)``
@@ -116,7 +132,7 @@ def _sigma_min(text):
 class RunConfig:
     """Flat dotted-key configuration with typed accessors."""
 
-    def __init__(self, values, out_dir="out"):
+    def __init__(self, values, out_dir):
         self.values = dict(values)
         self.seed = self.get("seed", 0, int)
         self.out_dir = out_dir
@@ -466,6 +482,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config, out_dir=args.out)
+        unknown = next((key for key in cfg.values if key not in KEYS), None)
+        if unknown is not None:
+            raise ConfigError(f"{args.config}: unknown config key {unknown}")
         if args.seed is not None:
             cfg.seed = args.seed
         return COMMANDS[args.command](cfg)

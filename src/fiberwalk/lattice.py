@@ -100,7 +100,7 @@ class SubProblem:
 
     sub_matrix: DesignMatrix
     columns: np.ndarray
-    node_set: tuple = ()
+    node_set: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "columns", np.asarray(self.columns, dtype=np.int64))
@@ -116,9 +116,10 @@ def compute_lattice_basis(design):
     The elimination is exact, so membership in the kernel holds with no
     tolerance.  Its form follows the design's width: below
     ``_exact.WIDE_COLUMNS`` columns it runs on dicts of Python ints,
-    from there on a dense int64 array that reduces a row's columns in
-    one numpy update and, before an entry could reach ``2**62``,
-    restarts on Python ints.  Both forms make the same decisions and
+    from there on one dense int64 working array that reduces a row's
+    columns in one numpy update and, before an entry could reach
+    ``2**62``, gives the margin-rows table to the dicts of Python ints
+    instead.  Both forms make the same decisions and
     give the same bytes.  Vectors are primitive (entry gcd 1) and
     sign-normalized (first nonzero entry positive), making the result
     deterministic across platforms.

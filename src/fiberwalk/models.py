@@ -23,7 +23,7 @@ box (simple graphs) by the Bernoulli fixed point of the beta model.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -62,7 +62,7 @@ class ModelSpec:
 
     family: str
     shape: tuple
-    structural_zeros: frozenset = field(default_factory=frozenset)
+    structural_zeros: frozenset
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -158,21 +158,22 @@ class DesignMatrix:
     ``rows[c]`` of the spec's read-only ``(d, k)`` table; ``marginals``
     takes a (reduced) count vector to its sufficient statistics.
     ``column_labels`` names the surviving cells in lexicographic order;
-    ``removed_labels`` records the columns deleted for structural zeros;
-    ``cell_bound`` is the spec's.  The exact ``rank`` and the dense
-    ``entries`` view are computed on first read.  ``rank`` is ``d``
-    minus the count of the exact kernel basis, by the elimination
+    ``cell_bound`` is the spec's (``None``: no upper bound);
+    ``removed_labels`` records the columns deleted for structural zeros.
+    The exact ``rank`` and the dense ``entries`` view are computed on
+    first read.  ``rank`` is ``d`` minus the count of the exact kernel
+    basis, by the elimination
     :func:`~fiberwalk.lattice.compute_lattice_basis` runs: on dicts of
-    Python ints below ``_exact.WIDE_COLUMNS`` columns, from there on a
-    dense int64 array that restarts on Python ints before an entry
+    Python ints below ``_exact.WIDE_COLUMNS`` columns, from there on one
+    dense int64 working array, or on the dicts after all where an entry
     could reach ``2**62``.
     """
 
     rows: np.ndarray
     n_rows: int
     column_labels: tuple
+    cell_bound: int
     removed_labels: tuple = ()
-    cell_bound: int = None
 
     @property
     def n_cols(self):
@@ -198,7 +199,7 @@ class DesignMatrix:
         return _margin_totals(self.rows, self.n_rows, counts)
 
 
-def overshoot(x, upper=None):
+def overshoot(x, upper):
     """Minus the total distance of ``x`` outside ``0..upper`` (``None``: no bound); 0 inside."""
     if x.min() >= 0 and (upper is None or x.max() <= upper):
         return 0

@@ -24,19 +24,19 @@ The Metropolis correction needs the probability that the policy
 proposes a given integer coefficient vector.  The continuous Gaussian
 density is integrated over the unit cell that rounds to each
 coefficient, with everything beyond the clamp bounds folded into the
-boundary cells.  Each state's law is priced once, by a table of the
-normal CDF and survival function at every cell edge (:class:`ProposalLaw`),
-so every mass is a lookup; a range whose lower edge lies above the mean
-is measured on the survival function, so a far tail keeps its mass.  A
-law is priced when a feasible proposal first leaves or reaches its state,
+boundary cells.  Each state's law is priced once, into a table of its
+cells' log masses (:class:`ProposalLaw`), so every cell is a lookup; a
+mass whose lower edge lies above the mean is measured on the survival
+function, so a far tail keeps its mass.  The rare masked ranges below are
+evaluated at their own two edges by the same formula.  A law is priced
+when a feasible proposal first leaves or reaches its state,
 and a :class:`StateTable` keeps it with the state's target log weight:
 a walk makes its own table, and all walks of one test share one.  A
 table serves one policy and is the one description of the walk's target,
 its ``log_weight``; it stops adding states once its bytes reach the
 constant ``TABLE_BYTES``, and always keeps the first (the start).  Laws
 and weights are deterministic and pricing is idempotent, so no result
-depends on which walk evaluated a state first.
-Under ``mask_k`` a draw
+depends on which walk evaluated a state first.  Under ``mask_k`` a draw
 with fewer than ``mask_k`` nonzeros is the rounded draw itself; a draw
 with exactly ``mask_k`` nonzeros on support ``S`` also collects every
 rounded draw whose masked-away entries all rank below ``S`` (smaller
@@ -68,7 +68,7 @@ class FiberSample:
     points: np.ndarray
     statistics: np.ndarray
     chain_id: int
-    stuck: bool = False
+    stuck: bool
 
     def __post_init__(self):
         if self.statistics is not None and len(self.points) != len(self.statistics):
@@ -84,7 +84,7 @@ class GofTestResult:
     sample_size: int
     chain_id: int
     seed: int
-    stuck: bool = False
+    stuck: bool
 
     def __post_init__(self):
         n = self.sample_size
@@ -136,7 +136,7 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, metropolis, table, u
     return FiberSample(points, stats, chain_id, stuck), discovered
 
 
-def explore(ac, basis, start, steps, rng, expected=None, upper=None):
+def explore(ac, basis, start, steps, rng, expected, upper):
     """Run the raw policy, rejecting proposals outside ``0..upper`` in place.
 
     Every proposal leaves one recorded point (unchanged when the move
@@ -150,59 +150,62 @@ def explore(ac, basis, start, steps, rng, expected=None, upper=None):
 
 @lru_cache(maxsize=8)
 def _grid(cmin, cmax, width):
-    """Read-only cell edges, flat row origins and columns of a ``width``-coefficient law."""
+    """Read-only cell edges and flat row origins of a ``width``-coefficient law."""
     edges = np.r_[-np.inf, np.arange(cmin + 0.5, cmax), np.inf]
-    grid = edges, np.arange(width) * (cmax - cmin + 1) - cmin, np.arange(width)
+    grid = edges, np.arange(width) * (cmax - cmin + 1) - cmin
     for a in grid:
         a.flags.writeable = False
     return grid
 
 
+def _between(z, a, b):
+    """Normal mass between the z-scores ``z[a]`` and ``z[b]``, measured on the
+    survival function where ``z[a]`` lies above the mean."""
+    cdf, sf = ndtr(z), ndtr(-z)
+    return np.abs(np.where(z[a] > 0, sf[b] - sf[a], cdf[b] - cdf[a]))
+
+
 class ProposalLaw:
     """The policy's proposal at one state: N(mu, sigma), rounded and clamped.
 
-    :meth:`price` fills the table: ``cdf`` and ``sf`` are ``ndtr(z)`` and
-    ``ndtr(-z)`` at each cell edge ``cmin - 0.5 .. cmax + 0.5`` (a row;
-    the end edges are the clamped tails) and coefficient (a column).
-    ``log_cells[j, v - cmin]`` is the log of the mass of ``v`` at
-    coefficient ``j``, floored at 1e-300; its flat index is ``origin[j] + v``.
+    :meth:`price` fills the one table, ``log_cells``: ``log_cells[j, v -
+    cmin]`` is the log of the mass of ``v`` at coefficient ``j``, floored
+    at 1e-300; its flat index is ``origin[j] + v``.  The cell edges are
+    ``cmin - 0.5 .. cmax + 0.5``, the end edges the clamped tails.  A law
+    is priced once ``log_cells`` is not ``None``.
     """
 
-    __slots__ = ("mu", "sigma", "cmin", "above", "cdf", "sf", "log_cells", "origin", "cols")
+    __slots__ = ("mu", "sigma", "cmin", "edges", "origin", "log_cells")
 
     def __init__(self, mu, sigma):
-        self.mu, self.sigma, self.cdf = mu, sigma, None
+        self.mu, self.sigma, self.log_cells = mu, sigma, None
 
     def price(self, cmin, cmax):
-        edges, self.origin, self.cols = _grid(cmin, cmax, len(self.mu))
-        z = (edges[:, None] - self.mu) / self.sigma
-        self.cmin, self.above, self.cdf, self.sf = cmin, z > 0, ndtr(z), ndtr(-z)
-        cells = self._between(np.s_[:-1], np.s_[1:])
+        self.cmin = cmin
+        self.edges, self.origin = _grid(cmin, cmax, len(self.mu))
+        z = (self.edges[:, None] - self.mu) / self.sigma
+        cells = _between(z, np.s_[:-1], np.s_[1:])
         self.log_cells = np.log(np.maximum(cells, 1e-300)).T.copy()
 
     def ranges(self, lo, hi):
         """Mass of the integers ``lo..hi`` at each coefficient, none outside the
-        bounds; ``lo <= hi`` broadcast against the coefficients."""
-        last = len(self.cdf) - 1
+        bounds; ``lo <= hi`` broadcast against the coefficients.  Each mass has
+        the bits of the priced cells' formula, evaluated at its two edges."""
+        last = len(self.edges) - 1
         a, b = (lo - self.cmin).clip(0, last), (hi + 1 - self.cmin).clip(0, last)
-        return self._between((a, self.cols), (b, self.cols))
-
-    def _between(self, a, b):
-        """Mass between edges ``a`` and ``b`` (indices into the table), measured
-        on ``sf`` where edge ``a`` lies above the mean."""
-        sf, cdf = self.sf, self.cdf
-        return np.abs(np.where(self.above[a], sf[b] - sf[a], cdf[b] - cdf[a]))
+        z = (self.edges[np.stack((a, b))] - self.mu) / self.sigma
+        return _between(z, 0, 1)
 
 
 class StateTable:
     """Each state's :class:`ProposalLaw` and log weight (0 if ``log_weight`` is
     ``None``), keyed by the state's bytes.  ``nbytes`` counts a kept state's key,
-    head output, ``sigma`` and priced ``cdf``, ``sf``, ``above`` and ``log_cells``."""
+    head output, ``sigma`` and priced ``log_cells``: the arrays a law holds."""
 
     def __init__(self, ac, log_weight):
         self.ac, self.log_weight, self.entries, self.nbytes = ac, log_weight, {}, 0
         edges = ac.coeff_max - ac.coeff_min + 2
-        self.entry_bytes = ac.n_coeffs * (24 + 17 * edges + 8 * (edges - 1))
+        self.entry_bytes = ac.n_coeffs * (24 + 8 * (edges - 1))
 
     def lookup(self, state):
         """``(law, log weight)`` at ``state``, evaluated on first use."""
@@ -227,7 +230,7 @@ def proposal_log_prob(ac, coeffs, law):
     checks a reverse move first).  The first call at a state prices ``law``.
     """
     coeffs, k = np.asarray(coeffs), ac.mask_k
-    if law.cdf is None:
+    if law.log_cells is None:
         law.price(ac.coeff_min, ac.coeff_max)
     if k is None or np.count_nonzero(coeffs) < k:
         return float(law.log_cells.take(coeffs + law.origin).sum())
@@ -255,7 +258,7 @@ def null_log_weight(counts):
     return -float(gammaln(np.asarray(counts) + 1.0).sum())
 
 
-def log_accept_ratio(ac, coeffs, here, there, weight_gain=0.0):
+def log_accept_ratio(ac, coeffs, here, there, weight_gain):
     """ln of the Metropolis-Hastings ratio for moving by ``coeffs``.
 
     ``here`` and ``there`` are the policy's :class:`ProposalLaw` at the

@@ -218,7 +218,7 @@ class TestFiberConnectivity:
         for seed in range(5):
             ac, _ = _make_policy(design, basis, data, episodes=1000, seed=seed)
             sample, _ = explore(
-                ac, basis, data.counts, 50_000, np.random.default_rng(10_000 + seed)
+                ac, basis, data.counts, 50_000, np.random.default_rng(10_000 + seed), None, None
             )
             found = {tuple(int(v) for v in p) for p in np.unique(sample.points, axis=0)}
             results.append(found == fiber)
@@ -436,7 +436,7 @@ class TestDiscoveryScaling:
             counts = []
             for budget in (1000, 4000, 16000):
                 sample, discovered = explore(
-                    ac, basis, data.counts, budget, np.random.default_rng(3000)
+                    ac, basis, data.counts, budget, np.random.default_rng(3000), None, None
                 )
                 for point in np.unique(sample.points, axis=0):
                     assert np.all(point >= 0)

@@ -641,6 +641,19 @@ class TestTrain:
         windows = [row.window for row in log]
         assert windows == sorted(windows)
 
+    @pytest.mark.parametrize("bounds", [(-4, 4), (-1, 1), (-2, 1)])
+    def test_policy_bounds_other_than_the_environment_s_refused(self, bounds, monkeypatch):
+        # The environment takes -2..2.  A wider policy would die at its first
+        # out-of-range draw, a narrower one would train on another action space.
+        env = self._env()
+        ac = make_actor_critic(4, 1, hidden=(6,), seed=0, coeff_min=bounds[0],
+                               coeff_max=bounds[1])
+        before = ac.actor_params()
+        monkeypatch.setattr(FiberEnv, "step", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(ContractViolation, match=r"\[-2, 2\]"):
+            train(env, ac, TrainConfig(episodes=1), start=env.current)
+        assert np.array_equal(ac.actor_params(), before)
+
     def test_empty_basis_rejected(self):
         dm = build_design_matrix(independence(2, 2))
         from fiberwalk.lattice import LatticeBasis

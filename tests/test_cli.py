@@ -188,6 +188,19 @@ class TestValidation:
         assert line.split("=")[0] in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "test"])
+    def test_unknown_config_key_exits_2_before_any_output(
+        self, tmp_path, train_cfg, capsys, command
+    ):
+        # train.episode is a misspelt train.episodes; the first unknown key is named.
+        cfg = _write(tmp_path / "typo.cfg", open(train_cfg).read() + "train.episode=1\nx=2\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fiberwalk {command}: {cfg}: unknown config key train.episode\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, train_cfg):

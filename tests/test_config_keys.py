@@ -1,6 +1,7 @@
 """The README's table of config keys and the code agree.
 
-Each key the command line reads is documented, and each documented
+Each key the command line reads is documented and is one of ``cli.KEYS``,
+the keys a config may name, and each documented
 default is the value the program uses: spelling every default out in a
 config must not change a single output byte.
 """
@@ -61,7 +62,7 @@ def _field_default(cls, name):
 def test_readme_lists_exactly_the_keys_the_cli_reads():
     reads = _cli_reads()
     readme = _readme_defaults()
-    assert set(readme) == set(reads) | {"seed"}
+    assert set(readme) == set(reads) | {"seed"} == cli.KEYS
     assert len(readme) == 33
     # A default that lives in cli.py is written there once, as a literal.
     for key, default in reads.items():

@@ -7,8 +7,9 @@ count, nor does an import inside the package, which only re-exports.
 
 An option is a parameter with a default, of a function, a method or a dataclass.  It has
 a caller when some call in the package, the demos or any perfbench file passes it; the
-perfbench tests count here, because they are benchmark code.  A call resolves by name:
-see :func:`_targets`.
+perfbench tests count here, because they are benchmark code.  Its default has a caller
+when some such call leaves it out, or passes ``*args`` or ``**kwargs``.  A call resolves
+by name: see :func:`_targets`.
 """
 
 import ast
@@ -166,10 +167,11 @@ def _targets(call, cls, aliases, tables, bare, attribute):
     return []
 
 
-def _passed(trees, bare, attribute):
-    """``{(qualname, param)}`` of every parameter some call in ``trees`` passes."""
+def _uses(trees, bare, attribute):
+    """``(passed, defaulted)``: ``{(qualname, param)}`` of every parameter some call in
+    ``trees`` passes, and of every default some call leaves in place."""
     every = [sig for sigs in attribute.values() for sig in sigs]
-    passed = set()
+    passed, defaulted = set(), set()
     for _, tree in trees:
         aliases = {
             alias.asname: alias.name
@@ -193,17 +195,29 @@ def _passed(trees, bare, attribute):
             for sig in targets:
                 names = sig.params if star else {*sig.positional[:len(call.args)], *keywords}
                 passed |= {(sig.qualname, name) for name in names}
-    return passed
+                defaulted |= {
+                    (sig.qualname, name) for name in sig.defaulted if star or name not in names
+                }
+    return passed, defaulted
+
+
+def _options():
+    """The package's options, and the ``_uses`` of them outside the tests."""
+    bare, attribute = _signatures(_trees(PACKAGE))
+    signatures = {sig for sigs in attribute.values() for sig in sigs}
+    options = sorted(
+        (sig.qualname, name, sig.where) for sig in signatures for name in sig.defaulted
+    )
+    return options, *_uses(_trees(PACKAGE + DEMOS + BENCHMARK), bare, attribute)
 
 
 def test_every_package_option_is_passed_outside_the_tests():
-    bare, attribute = _signatures(_trees(PACKAGE))
-    passed = _passed(_trees(PACKAGE + DEMOS + BENCHMARK), bare, attribute)
-    signatures = {sig for sigs in attribute.values() for sig in sigs}
-    unpassed = sorted(
-        f"{sig.qualname}({name}) at {sig.where}"
-        for sig in signatures
-        for name in sig.defaulted
-        if (sig.qualname, name) not in passed
-    )
+    options, passed, _ = _options()
+    unpassed = [f"{q}({name}) at {where}" for q, name, where in options if (q, name) not in passed]
     assert not unpassed, f"options that only tests pass, or nothing: {unpassed}"
+
+
+def test_every_package_default_is_used_outside_the_tests():
+    options, _, defaulted = _options()
+    unused = [f"{q}({name}) at {where}" for q, name, where in options if (q, name) not in defaulted]
+    assert not unused, f"defaults that only tests use, or nothing: {unused}"

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,7 +96,8 @@ class TestComputeLatticeBasis:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContractViolation):
             compute_lattice_basis(
-                DesignMatrix(rows=np.zeros((0, 1), dtype=np.int64), n_rows=0, column_labels=())
+                DesignMatrix(rows=np.zeros((0, 1), dtype=np.int64), n_rows=0, column_labels=(),
+                             cell_bound=None)
             )
 
     def test_integer_rank_matches_oracle(self):
@@ -136,10 +138,15 @@ def test_basis_bytes_are_golden(spec, digest):
 )
 def test_both_forms_give_the_golden_bytes(spec, digest):
     mat = build_design_matrix(spec).entries
-    shape, nonzeros = dense = dense_kernel_basis(mat)
+    shape, nonzeros = dense = dense_kernel_basis(_stack(mat), len(mat))
     assert _as_lists(dense) == _as_lists(integer_kernel_basis(*sparse_columns(mat)))
     vectors = LatticeBasis(shape=shape, nonzeros=nonzeros).vectors
     assert hashlib.sha256(vectors.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def _stack(mat):
+    """The dense form's working array [M; 0] for the matrix ``mat``."""
+    return np.vstack((mat, np.zeros_like(mat)))
 
 
 def _as_lists(result):
@@ -151,15 +158,47 @@ def _as_lists(result):
 def test_width_picks_the_form(monkeypatch):
     dense_calls = []
 
-    def counting_dense(mat):
-        dense_calls.append(mat.shape[1])
-        return dense_kernel_basis(mat)
+    def counting_dense(stack, n):
+        dense_calls.append(stack.shape[1])
+        return dense_kernel_basis(stack, n)
 
     monkeypatch.setattr(_exact, "dense_kernel_basis", counting_dense)
     for spec in (independence(4, 4), all_two_way(3, 3, 3, structural_zeros=[0, 13, 26]),
                  beta_model(13), beta_model(14), beta_model(70)):
         compute_lattice_basis(build_design_matrix(spec))
     assert dense_calls == [91, 2415]
+
+
+@pytest.mark.parametrize("safe", [1, 4])
+def test_a_dense_form_that_gives_up_hands_the_table_to_the_dict_form(safe, monkeypatch):
+    # beta_model(14) is wide enough for the dense form.  With the bound at
+    # 1 it gives up before its first update, at 4 part way through.
+    dm = build_design_matrix(beta_model(14))
+    want = _as_lists(integer_kernel_basis(*sparse_columns(dm.entries)))
+    dense_results = []
+
+    def recording_dense(stack, n):
+        dense_results.append(dense_kernel_basis(stack, n))
+        return dense_results[-1]
+
+    monkeypatch.setattr(_exact, "dense_kernel_basis", recording_dense)
+    monkeypatch.setattr(_exact, "INT64_SAFE", safe)
+    assert _as_lists(_exact.margin_kernel_basis(dm.n_rows, dm.rows)) == want
+    assert dense_results == [None]
+
+
+def test_a_wide_basis_holds_under_three_design_sized_blocks():
+    # The dense form's one working array is two n x d int64 blocks; the
+    # margin-rows table and the returned nonzeros are small beside it.
+    dm = build_design_matrix(beta_model(120))
+    block = dm.n_rows * dm.n_cols * 8
+    tracemalloc.start()
+    try:
+        compute_lattice_basis(dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * block
 
 
 # Small integer matrices with negative and non-0/1 entries (zeros too,
@@ -191,7 +230,7 @@ class TestEliminationProperties:
     @example(np.array([[3, -4, 0], [4, 3, -2]]))
     @example(np.array([[2, 4, 0], [1, 2, 0], [0, 0, 0]]))
     def test_dense_form_equals_the_dict_form(self, mat):
-        dense = dense_kernel_basis(mat)
+        dense = dense_kernel_basis(_stack(mat), len(mat))
         assert all(part.dtype == np.int64 for part in dense[1])
         assert _as_lists(dense) == _as_lists(integer_kernel_basis(*sparse_columns(mat)))
         assert mat.shape[1] - dense[0][0] == integer_rank(*sparse_columns(mat))
@@ -205,9 +244,10 @@ class TestEliminationProperties:
         [[2**61, 2**61 + 1]],
     ])
     def test_dense_form_hands_a_growing_matrix_to_python_ints(self, mat):
-        mat = np.array(mat, dtype=np.int64)
-        reference = integer_kernel_basis(*sparse_columns(mat))
-        assert _as_lists(dense_kernel_basis(mat)) == _as_lists(reference)
+        stack = _stack(np.array(mat, dtype=np.int64))
+        assert dense_kernel_basis(stack, len(mat)) is None
+        # It gave up before any entry of its working array could wrap.
+        assert np.abs(stack).max() < _exact.INT64_SAFE
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
@@ -547,7 +587,7 @@ def _small_designs(draw):
         "all_two_way": st.tuples(st.integers(2, 3), st.just(2), st.just(2)),
         "beta_model": st.tuples(st.integers(3, 5)),
     }[family]
-    spec = ModelSpec(family, draw(shape))
+    spec = ModelSpec(family, draw(shape), ())
     zeros = draw(st.sets(st.integers(0, spec.full_dim - 1), max_size=spec.full_dim // 3))
     spec = ModelSpec(family, spec.shape, zeros)
     return spec, build_design_matrix(spec)
@@ -678,5 +718,5 @@ class TestBasisFile:
 def _make_sub(columns):
     """A one-row SubProblem on the given parent columns."""
     rows = np.zeros((len(columns), 1), dtype=np.int64)
-    design = DesignMatrix(rows=rows, n_rows=1, column_labels=())
-    return SubProblem(design, columns)
+    design = DesignMatrix(rows=rows, n_rows=1, column_labels=(), cell_bound=None)
+    return SubProblem(design, columns, ())

@@ -45,7 +45,7 @@ class TestModelSpec:
         from fiberwalk.models import ModelSpec
 
         with pytest.raises(ValidationError):
-            ModelSpec("poisson", (2, 2))
+            ModelSpec("poisson", (2, 2), ())
 
     def test_rejects_small_dimensions(self):
         with pytest.raises(ValidationError):
@@ -285,7 +285,7 @@ class TestFitExpectedCounts:
         ndim, top = {BETA_MODEL: (1, 6), INDEPENDENCE: (2, 4), ALL_TWO_WAY: (3, 3)}[family]
         low = 3 if family == BETA_MODEL else 2
         shape = data.draw(st.lists(st.integers(low, top), min_size=ndim, max_size=ndim))
-        full_dim = ModelSpec(family, shape).full_dim
+        full_dim = ModelSpec(family, shape, ()).full_dim
         zeros = data.draw(st.sets(st.integers(0, full_dim - 1), max_size=full_dim // 3))
         spec = ModelSpec(family, shape, zeros)
         dm = build_design_matrix(spec)

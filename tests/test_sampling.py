@@ -64,14 +64,14 @@ def _setup22(start=(1, 0, 0, 1)):
 class TestExplore:
     def test_zero_steps_only_start(self):
         dm, basis, ac, start = _setup22()
-        sample, discovered = explore(ac, basis, start, 0, np.random.default_rng(0))
+        sample, discovered = explore(ac, basis, start, 0, np.random.default_rng(0), None, None)
         assert len(sample.points) == 1
         assert np.array_equal(sample.points[0], start)
         assert discovered.count == 1
 
     def test_two_point_fiber_fully_discovered(self):
         dm, basis, ac, start = _setup22()
-        sample, discovered = explore(ac, basis, start, 1000, np.random.default_rng(1))
+        sample, discovered = explore(ac, basis, start, 1000, np.random.default_rng(1), None, None)
         fiber = enumerate_fiber(dm, dm.marginals(start))
         assert discovered.count == len(fiber) == 2
         visited = {tuple(int(v) for v in p) for p in np.unique(sample.points, axis=0)}
@@ -83,7 +83,7 @@ class TestExplore:
         start = np.array([2, 0, 1, 0, 1, 0, 0, 1, 1], dtype=np.int64)
         fiber = enumerate_fiber(dm, dm.marginals(start))
         ac = make_actor_critic(9, basis.count, hidden=(8,), seed=2)
-        sample, discovered = explore(ac, basis, start, 3000, np.random.default_rng(3))
+        sample, discovered = explore(ac, basis, start, 3000, np.random.default_rng(3), None, None)
         assert discovered.count <= len(fiber)
         for point in np.unique(sample.points, axis=0):
             assert np.all(point >= 0)
@@ -91,7 +91,7 @@ class TestExplore:
 
     def test_trace_length_counts_rejections(self):
         dm, basis, ac, start = _setup22()
-        sample, _ = explore(ac, basis, start, 250, np.random.default_rng(4))
+        sample, _ = explore(ac, basis, start, 250, np.random.default_rng(4), None, None)
         assert len(sample.points) == 251
 
     @pytest.mark.parametrize("walker", [explore, mh_uniform])
@@ -99,7 +99,8 @@ class TestExplore:
         basis, _, ac = _oracle_setup(None)
         for seed in range(4):
             sample, discovered = walker(
-                ac, basis, np.array(_T33), 300, np.random.default_rng(seed)
+                ac, basis, np.array(_T33), 300, np.random.default_rng(seed), expected=None,
+                upper=None,
             )
             assert discovered.count == len(np.unique(sample.points, axis=0))
 
@@ -115,7 +116,7 @@ class TestExplore:
         ac = make_actor_critic(design.n_cols, basis.count, seed=0)
         tracemalloc.start()
         try:
-            sample, discovered = explore(ac, basis, data.counts, 4000, np.random.default_rng(0))
+            sample, discovered = explore(ac, basis, data.counts, 4000, np.random.default_rng(0), None, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -125,7 +126,7 @@ class TestExplore:
     def test_negative_start_rejected(self):
         dm, basis, ac, _ = _setup22()
         with pytest.raises(ContractViolation):
-            explore(ac, basis, np.array([-1, 0, 0, 1]), 5, np.random.default_rng(0))
+            explore(ac, basis, np.array([-1, 0, 0, 1]), 5, np.random.default_rng(0), None, None)
 
     def test_stuck_chain_flagged(self):
         dm, basis, ac, _ = _setup22()
@@ -135,7 +136,7 @@ class TestExplore:
         ac.net.biases[-1][0] = 2.0     # mean
         ac.net.biases[-1][1] = -20.0   # log sigma, clamps to 1e-3
         start = np.array([1, 1, 0, 0], dtype=np.int64)
-        sample, discovered = explore(ac, basis, start, 100, np.random.default_rng(5))
+        sample, discovered = explore(ac, basis, start, 100, np.random.default_rng(5), None, None)
         assert sample.stuck
         assert discovered.count == 1
 
@@ -323,8 +324,8 @@ class TestUnevenBounds:
         _, fiber, ac = _oracle_setup(None)
         ac.coeff_min = -1
         law = ProposalLaw(*policy_distribution(ac, np.array(fiber[0])))
-        assert log_accept_ratio(ac, np.array([2, 0, 0, 0]), law, law) == -np.inf
-        assert log_accept_ratio(ac, np.array([1, -1, 0, 1]), law, law) > -np.inf
+        assert log_accept_ratio(ac, np.array([2, 0, 0, 0]), law, law, 0.0) == -np.inf
+        assert log_accept_ratio(ac, np.array([1, -1, 0, 1]), law, law, 0.0) > -np.inf
 
     def test_stationary_law_is_the_target(self):
         basis, fiber, ac = _oracle_setup(None)
@@ -492,7 +493,7 @@ class TestOneTablePerState:
 
     def test_explore_prices_nothing(self, priced):
         dm, basis, ac, start = _setup22((2, 1, 1, 2))
-        explore(ac, basis, start, 200, np.random.default_rng(4))
+        explore(ac, basis, start, 200, np.random.default_rng(4), None, None)
         assert priced == []
 
 
@@ -589,6 +590,19 @@ class TestSharedTable:
         visited = {p.tobytes() for p in np.concatenate(traces)}
         assert len(table.entries) < len(visited)
 
+    @pytest.mark.parametrize("cmin, cmax", [(-2, 2), (-1, 2)])
+    def test_a_priced_law_holds_what_the_table_counts(self, cmin, cmax):
+        # Every array a law owns: mu's base head output, sigma and the priced
+        # cells.  The read-only edges and origins are shared by all laws.
+        ac = make_actor_critic(4, 3, hidden=(8,), seed=0, coeff_min=cmin, coeff_max=cmax)
+        table = StateTable(ac, null_log_weight)
+        law, _ = table.lookup(np.array([1, 0, 0, 1], dtype=np.int64))
+        proposal_log_prob(ac, np.zeros(3, dtype=np.int64), law)
+        owned = [getattr(law, name) for name in ProposalLaw.__slots__]
+        owned = [a for a in owned if isinstance(a, np.ndarray) and a.flags.writeable]
+        assert law.mu.base is not None and len(owned) == 3
+        assert sum((a if a.base is None else a.base).nbytes for a in owned) == table.entry_bytes
+
 
 class TestGoldenTraces:
     """Explore and Metropolis traces pinned bit for bit on the oracle setup.
@@ -620,7 +634,8 @@ class TestGoldenTraces:
         basis, _, ac = _oracle_setup(mask_k)
         kwargs = {"table": StateTable(ac, log_weight)} if log_weight else {}
         sample, _ = walker(
-            ac, basis, np.array(_T33), 2000, np.random.default_rng(11), **kwargs
+            ac, basis, np.array(_T33), 2000, np.random.default_rng(11), expected=None,
+            upper=None, **kwargs
         )
         got = hashlib.sha256(sample.points.astype(np.int64).tobytes()).hexdigest()
         assert got == digest
@@ -656,6 +671,7 @@ class TestRankPValue:
                 sample_size=10,
                 chain_id=0,
                 seed=0,
+                stuck=False,
             )
 
 
@@ -735,7 +751,7 @@ class TestCsvOutputs:
 
     def test_results_csv_bytes(self, tmp_path):
         results = [
-            GofTestResult(12.5, 0.25, 3, chain_id=0, seed=7),
+            GofTestResult(12.5, 0.25, 3, chain_id=0, seed=7, stuck=False),
             GofTestResult(12.5, 1.0, 3, chain_id=1, seed=8, stuck=True),
         ]
         path = tmp_path / "r.csv"
@@ -748,7 +764,7 @@ class TestCsvOutputs:
 
     def test_pvalues_and_histogram_csv(self, tmp_path):
         results = [
-            GofTestResult(1.0, (1 + i) / 11, 10, chain_id=i, seed=i) for i in range(10)
+            GofTestResult(1.0, (1 + i) / 11, 10, chain_id=i, seed=i, stuck=False) for i in range(10)
         ]
         pv = tmp_path / "p.csv"
         write_pvalues_csv(pv, results)
@@ -769,4 +785,5 @@ class TestFiberSampleInvariants:
                 points=np.zeros((3, 2), dtype=np.int64),
                 statistics=np.zeros(2),
                 chain_id=0,
+                stuck=False,
             )
