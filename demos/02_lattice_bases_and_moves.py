@@ -30,7 +30,7 @@ print(basis.vectors)
 coeffs = np.array([1, -2, 0, 1])
 move = combine_moves(coeffs, basis)
 print("\ncombination with coefficients", coeffs, "->", move.delta)
-print("still in the kernel:", in_kernel(dm, move))
+print("still in the kernel:", in_kernel(dm, move.delta))
 
 # the fiber of a small table, exhaustively
 table = np.array([2, 0, 0, 0, 2, 0, 0, 0, 2])

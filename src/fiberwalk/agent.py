@@ -42,14 +42,15 @@ SIGMA_MAX = 1e3
 SIGMA_FLOOR_MIN = float(np.cbrt(np.finfo(float).tiny))
 
 DEFAULT_HIDDEN = (64, 64)
-MASK_THRESHOLD = 100  # states wider than this default to mask_k=10
+MASK_THRESHOLD = 100  # states wider than this keep at most DEFAULT_MASK_K coefficients
 DEFAULT_MASK_K = 10
 ACTOR_STEP_CAP = 0.1  # longest step an update applies to each parameter vector; see actor_update
 CRITIC_STEP_CAP = 1.0
 
 
-def default_mask_k(state_dim):
-    return None if state_dim <= MASK_THRESHOLD else DEFAULT_MASK_K
+def default_mask_k(state_dim, n_coeffs):
+    """No mask up to ``MASK_THRESHOLD`` cells or ``DEFAULT_MASK_K`` coefficients."""
+    return None if state_dim <= MASK_THRESHOLD or n_coeffs <= DEFAULT_MASK_K else DEFAULT_MASK_K
 
 
 def default_sigma_min(state_dim):
@@ -131,7 +132,7 @@ def make_actor_critic(
     rng = np.random.default_rng(seed)
     net = make_dense((state_dim, *hidden, 2 * n_coeffs), rng)
     if mask_k == "auto":
-        mask_k = default_mask_k(state_dim)
+        mask_k = default_mask_k(state_dim, n_coeffs)
     if sigma_min == "auto":
         sigma_min = default_sigma_min(state_dim)
     return ActorCritic(

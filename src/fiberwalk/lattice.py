@@ -148,9 +148,8 @@ def combine_moves(coeffs, basis):
     return Move(delta=delta)
 
 
-def in_kernel(design, move):
-    """Exact check that ``design @ move == 0``."""
-    delta = move.delta if isinstance(move, Move) else move
+def in_kernel(design, delta):
+    """Exact check that ``design @ delta == 0``."""
     return not design.marginals(delta).any()
 
 

@@ -24,18 +24,20 @@ The Metropolis correction needs the probability that the policy
 proposes a given integer coefficient vector.  The continuous Gaussian
 density is integrated over the unit cell that rounds to each
 coefficient, with everything beyond the clamp bounds folded into the
-boundary cells.  Each state's law is priced once, into a table of its
-cells' log masses (:class:`ProposalLaw`), so every cell is a lookup; a
-mass whose lower edge lies above the mean is measured on the survival
-function, so a far tail keeps its mass.  The rare masked ranges below are
-evaluated at their own two edges by the same formula.  A law is priced
-when a feasible proposal first leaves or reaches its state,
-and a :class:`StateTable` keeps it with the state's target log weight:
-a walk makes its own table, and all walks of one test share one.  A
-table serves one policy and is the one description of the walk's target,
-its ``log_weight``; it stops adding states once its bytes reach the
-constant ``TABLE_BYTES``, and always keeps the first (the start).  Laws
-and weights are deterministic and pricing is idempotent, so no result
+boundary cells.  A state's one record is its :class:`ProposalLaw`: the
+policy's mean and stddev there, the target's log weight, and its cells'
+log masses, priced once when a feasible proposal first leaves or
+reaches the state, so every cell is a lookup; a mass whose lower edge
+lies above the mean is measured on the survival function, so a far tail
+keeps its mass.  The rare masked ranges below are evaluated at their
+own two edges by the same formula.  A :class:`StateTable` holds each
+state's law and what one policy's laws share: the target, its
+``log_weight``, and the cell grid.  A walk makes its own table, and all
+walks of one test share one.  A table keeps as many states as
+``TABLE_BYTES`` holds, each counted as it is really held (key, law,
+arrays and their Python objects), so the constant bounds the table's
+real footprint; it always keeps the first (the start).  Laws and
+weights are deterministic and pricing is idempotent, so no result
 depends on which walk evaluated a state first.  Under ``mask_k`` a draw
 with fewer than ``mask_k`` nonzeros is the rounded draw itself; a draw
 with exactly ``mask_k`` nonzeros on support ``S`` also collects every
@@ -45,8 +47,8 @@ the coordinates.  All of it is kept in log space so very wide
 coefficient vectors cannot underflow.
 """
 
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -58,7 +60,8 @@ from .lattice import combine_moves
 from .models import chi_square_many, chi_square_statistic, fit_expected_counts, overshoot
 
 STUCK_FACTOR = 10  # consecutive infeasible proposals per dimension before warning
-TABLE_BYTES = 1 << 20  # budget of a StateTable's counted bytes; its first state may exceed it
+TABLE_BYTES = 2 << 20  # budget of a StateTable's states, counted as they are held
+DICT_SLOT = 48  # a dict's share of one entry: its hash, key and value, and its index
 
 
 @dataclass(frozen=True)
@@ -93,14 +96,14 @@ class GofTestResult:
             raise ContractViolation("p-value is not of the form k/(n+1)")
 
 
-def _walk(ac, basis, start, steps, rng, expected, chain_id, metropolis, table, upper):
-    """The walk loop of :func:`explore` and :func:`mh_uniform`.
+def _walk(basis, start, steps, rng, expected, chain_id, metropolis, table, upper):
+    """The walk loop of :func:`explore` and :func:`mh_uniform`, drawing from ``table.ac``.
 
     A proposal outside ``0..upper`` is rejected in place; a feasible one is
     taken, under ``metropolis`` only if it passes the Metropolis test.
-    Each state's law and weight come from ``table``, which evaluates a
-    state it does not hold: the candidate's :class:`ProposalLaw` gives
-    the reverse mass and, after an accept, the next proposal.
+    Each state's law comes from ``table``, which evaluates a state it
+    does not hold: the candidate's :class:`ProposalLaw` gives the reverse
+    mass and its weight and, after an accept, the next proposal.
     """
     if steps < 0:
         raise ContractViolation(f"step count cannot be negative, got {steps}")
@@ -113,22 +116,22 @@ def _walk(ac, basis, start, steps, rng, expected, chain_id, metropolis, table, u
     stuck = False
     consecutive = 0
     limit = STUCK_FACTOR * basis.dim
-    here, weight = table.lookup(state)
+    here = table.lookup(state)
     for _ in range(steps):
-        coeffs = policy_sample(ac, state, rng, dist=(here.mu, here.sigma)).coeffs
+        coeffs = policy_sample(table.ac, state, rng, dist=(here.mu, here.sigma)).coeffs
         candidate = state + combine_moves(coeffs, basis).delta
         if overshoot(candidate, upper):
             consecutive += 1
             stuck = stuck or consecutive >= limit
         else:
             consecutive = 0
-            there, cand_weight = table.lookup(candidate)
+            there = table.lookup(candidate)
             accept = True
             if metropolis:
-                ratio = log_accept_ratio(ac, coeffs, here, there, cand_weight - weight)
+                ratio = log_accept_ratio(table, coeffs, here, there)
                 accept = ratio > -np.inf and np.log(rng.uniform()) < ratio
             if accept:
-                state, here, weight = candidate, there, cand_weight
+                state, here = candidate, there
                 discovered.add(state)
         trace.append(state)
     points = np.array(trace, dtype=np.int64)
@@ -144,18 +147,7 @@ def explore(ac, basis, start, steps, rng, expected, upper):
     start.  Returns ``(FiberSample, DiscoveredSet)``; the set counts
     distinct visited points, which are the distinct rows of the trace.
     """
-    table = StateTable(ac, None)
-    return _walk(ac, basis, start, steps, rng, expected, 0, False, table, upper)
-
-
-@lru_cache(maxsize=8)
-def _grid(cmin, cmax, width):
-    """Read-only cell edges and flat row origins of a ``width``-coefficient law."""
-    edges = np.r_[-np.inf, np.arange(cmin + 0.5, cmax), np.inf]
-    grid = edges, np.arange(width) * (cmax - cmin + 1) - cmin
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+    return _walk(basis, start, steps, rng, expected, 0, False, StateTable(ac, None), upper)
 
 
 def _between(z, a, b):
@@ -166,74 +158,75 @@ def _between(z, a, b):
 
 
 class ProposalLaw:
-    """The policy's proposal at one state: N(mu, sigma), rounded and clamped.
+    """One state's record: the policy's proposal N(mu, sigma), rounded and clamped,
+    and the target's log ``weight``.  ``log_cells[j, v - coeff_min]``, once
+    :meth:`StateTable.price` fills it, is the log of the mass of ``v`` at coefficient
+    ``j``, floored at 1e-300; its flat index is ``origin[j] + v``."""
 
-    :meth:`price` fills the one table, ``log_cells``: ``log_cells[j, v -
-    cmin]`` is the log of the mass of ``v`` at coefficient ``j``, floored
-    at 1e-300; its flat index is ``origin[j] + v``.  The cell edges are
-    ``cmin - 0.5 .. cmax + 0.5``, the end edges the clamped tails.  A law
-    is priced once ``log_cells`` is not ``None``.
-    """
+    __slots__ = ("mu", "sigma", "weight", "log_cells")
 
-    __slots__ = ("mu", "sigma", "cmin", "edges", "origin", "log_cells")
-
-    def __init__(self, mu, sigma):
-        self.mu, self.sigma, self.log_cells = mu, sigma, None
-
-    def price(self, cmin, cmax):
-        self.cmin = cmin
-        self.edges, self.origin = _grid(cmin, cmax, len(self.mu))
-        z = (self.edges[:, None] - self.mu) / self.sigma
-        cells = _between(z, np.s_[:-1], np.s_[1:])
-        self.log_cells = np.log(np.maximum(cells, 1e-300)).T.copy()
-
-    def ranges(self, lo, hi):
-        """Mass of the integers ``lo..hi`` at each coefficient, none outside the
-        bounds; ``lo <= hi`` broadcast against the coefficients.  Each mass has
-        the bits of the priced cells' formula, evaluated at its two edges."""
-        last = len(self.edges) - 1
-        a, b = (lo - self.cmin).clip(0, last), (hi + 1 - self.cmin).clip(0, last)
-        z = (self.edges[np.stack((a, b))] - self.mu) / self.sigma
-        return _between(z, 0, 1)
+    def __init__(self, mu, sigma, weight):
+        self.mu, self.sigma, self.weight, self.log_cells = mu, sigma, weight, None
 
 
 class StateTable:
-    """Each state's :class:`ProposalLaw` and log weight (0 if ``log_weight`` is
-    ``None``), keyed by the state's bytes.  ``nbytes`` counts a kept state's key,
-    head output, ``sigma`` and priced ``log_cells``: the arrays a law holds."""
+    """What a test knows per policy ``ac``: the target ``log_weight`` (0 if ``None``),
+    its laws' cell ``edges``, ``coeff_min - 0.5 .. coeff_max + 0.5`` with the clamped
+    tails at the ends, and flat row ``origin``, and each kept state's
+    :class:`ProposalLaw`, keyed by the state's bytes.  It keeps ``capacity`` states:
+    ``TABLE_BYTES`` over what a priced state holds (key, law, weight, its arrays
+    and the head output ``mu`` views, dict slot), and at least the first."""
 
     def __init__(self, ac, log_weight):
-        self.ac, self.log_weight, self.entries, self.nbytes = ac, log_weight, {}, 0
-        edges = ac.coeff_max - ac.coeff_min + 2
-        self.entry_bytes = ac.n_coeffs * (24 + 8 * (edges - 1))
+        self.ac, self.log_weight, self.laws = ac, log_weight, {}
+        cmin, cmax, width = ac.coeff_min, ac.coeff_max, ac.n_coeffs
+        self.edges = np.r_[-np.inf, np.arange(cmin + 0.5, cmax), np.inf]
+        self.origin = np.arange(width) * (cmax - cmin + 1) - cmin
+        head = np.empty(2 * width)
+        held = (bytes(8 * ac.state_dim), head, head[:width], np.empty(width),
+                np.empty((width, cmax - cmin + 1)), ProposalLaw(None, None, None), 0.5)
+        self.capacity = max(1, TABLE_BYTES // (sum(map(sys.getsizeof, held)) + DICT_SLOT))
 
     def lookup(self, state):
-        """``(law, log weight)`` at ``state``, evaluated on first use."""
+        """The :class:`ProposalLaw` at ``state``, evaluated on first use."""
         key = state.tobytes()
-        entry = self.entries.get(key)
-        if entry is None:
-            law = ProposalLaw(*policy_distribution(self.ac, state))
-            entry = law, self.log_weight(state) if self.log_weight else 0.0
-            size = len(key) + self.entry_bytes
-            if not self.entries or self.nbytes + size <= TABLE_BYTES:
-                self.entries[key] = entry
-                self.nbytes += size
-        return entry
+        law = self.laws.get(key)
+        if law is None:
+            weight = self.log_weight(state) if self.log_weight else 0.0
+            law = ProposalLaw(*policy_distribution(self.ac, state), weight)
+            if len(self.laws) < self.capacity:
+                self.laws[key] = law
+        return law
+
+    def price(self, law):
+        """Fill ``law.log_cells`` from the policy's cell edges."""
+        z = (self.edges[:, None] - law.mu) / law.sigma
+        cells = _between(z, np.s_[:-1], np.s_[1:])
+        law.log_cells = np.log(np.maximum(cells, 1e-300)).T.copy()
+
+    def ranges(self, law, lo, hi):
+        """Mass of the integers ``lo..hi`` at each coefficient of ``law``, none
+        outside the bounds; ``lo <= hi`` broadcast against the coefficients.  Each
+        mass has the bits of the priced cells' formula, evaluated at its two edges."""
+        last, cmin = len(self.edges) - 1, self.ac.coeff_min
+        a, b = (lo - cmin).clip(0, last), (hi + 1 - cmin).clip(0, last)
+        z = (self.edges[np.stack((a, b))] - law.mu) / law.sigma
+        return _between(z, 0, 1)
 
 
-def proposal_log_prob(ac, coeffs, law):
-    """Log-mass that the policy's draw from ``law`` becomes ``coeffs``.
+def proposal_log_prob(table, coeffs, law):
+    """Log-mass that the policy's draw from ``law``, a law of ``table``, is ``coeffs``.
 
     Exact under rounding, clamping and ``mask_k`` (see the module
     docstring); ``-inf`` for a draw the mask cannot produce.  ``coeffs``
     must lie within the clamp bounds, as every draw does (:func:`log_accept_ratio`
     checks a reverse move first).  The first call at a state prices ``law``.
     """
-    coeffs, k = np.asarray(coeffs), ac.mask_k
+    coeffs, k = np.asarray(coeffs), table.ac.mask_k
     if law.log_cells is None:
-        law.price(ac.coeff_min, ac.coeff_max)
+        table.price(law)
     if k is None or np.count_nonzero(coeffs) < k:
-        return float(law.log_cells.take(coeffs + law.origin).sum())
+        return float(law.log_cells.take(coeffs + table.origin).sum())
     support = np.flatnonzero(coeffs)
     if len(support) > k:
         return -np.inf
@@ -243,13 +236,13 @@ def proposal_log_prob(ac, coeffs, law):
     # Rows: |c| < least, then the ties c = least and c = -least.
     lo = np.array([[1 - least], [least], [-least]])
     hi = np.array([[least - 1], [least], [-least]])
-    below, tie_pos, tie_neg = law.ranges(lo, hi)
+    below, tie_pos, tie_neg = table.ranges(law, lo, hi)
     tie = tie_pos + tie_neg
     rest = np.ones(len(coeffs), dtype=bool)
     rest[support] = False
     after = np.arange(len(coeffs)) > last_tie
     mass = np.where(after, below + tie, below)[rest]
-    cells = law.log_cells.take(coeffs[support] + law.origin[support])
+    cells = law.log_cells.take(coeffs[support] + table.origin[support])
     return float(cells.sum() + np.log(np.maximum(mass, 1e-300)).sum())
 
 
@@ -258,20 +251,20 @@ def null_log_weight(counts):
     return -float(gammaln(np.asarray(counts) + 1.0).sum())
 
 
-def log_accept_ratio(ac, coeffs, here, there, weight_gain):
+def log_accept_ratio(table, coeffs, here, there):
     """ln of the Metropolis-Hastings ratio for moving by ``coeffs``.
 
-    ``here`` and ``there`` are the policy's :class:`ProposalLaw` at the
-    current state and at the candidate; ``weight_gain`` is the target's
-    log weight at the candidate minus that at the current state.
-    ``-inf`` when the reverse move lies outside the clamp bounds.
+    ``here`` and ``there`` are ``table``'s :class:`ProposalLaw` at the current
+    state and at the candidate: the ratio of their proposal masses times
+    that of their target weights.  ``-inf`` when the reverse move lies
+    outside the clamp bounds.
     """
-    reverse, cmin, cmax = -coeffs, ac.coeff_min, ac.coeff_max
+    reverse, cmin, cmax = -coeffs, table.ac.coeff_min, table.ac.coeff_max
     if reverse.min(initial=cmin) < cmin or reverse.max(initial=cmax) > cmax:
         return -np.inf
-    log_fwd = proposal_log_prob(ac, coeffs, here)
-    log_rev = proposal_log_prob(ac, reverse, there)
-    return log_rev - log_fwd + weight_gain
+    log_fwd = proposal_log_prob(table, coeffs, here)
+    log_rev = proposal_log_prob(table, reverse, there)
+    return log_rev - log_fwd + (there.weight - here.weight)
 
 
 def mh_uniform(ac, basis, start, steps, rng, expected=None, chain_id=0, upper=None,
@@ -291,7 +284,7 @@ def mh_uniform(ac, basis, start, steps, rng, expected=None, chain_id=0, upper=No
         table = StateTable(ac, None)
     elif table.ac is not ac:
         raise ContractViolation("a state table serves one policy")
-    return _walk(ac, basis, start, steps, rng, expected, chain_id, True, table, upper)
+    return _walk(basis, start, steps, rng, expected, chain_id, True, table, upper)
 
 
 def rank_p_value(sampled_statistics, observed_statistic):

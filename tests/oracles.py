@@ -293,3 +293,38 @@ def _reference_beta(spec, flat, tol, max_iter, damping=0.5, cap=40.0):
         beta = np.clip(beta, -cap, cap)
         beta[zero_deg] = -cap
     return None
+
+
+def serial_count_law(trans, stride, n, stats, log_weights):
+    """Exact law of the serial Besag-Clifford test's counts, the observation drawn
+    from the target ``exp(log_weights)`` on the states of the kernel ``trans``.
+
+    Entry ``[a, e]`` is the probability that ``a`` of the ``n`` sampled statistics
+    lie above the observed one and ``e`` equal it.  Given the observation ``s``, a
+    dynamic program over (state, a, e) runs each walk through ``trans^stride``, one
+    stride per sampled point; the two walks are independent given ``s``, so the
+    counts of a split ``m`` convolve the ``m``-stride and ``(n - m)``-stride laws,
+    averaged over ``m`` uniform on ``0..n``.
+    """
+    kernel = np.linalg.matrix_power(trans, stride)
+    target = np.exp(log_weights - log_weights.max())
+    target /= target.sum()
+    law = np.zeros((n + 1, n + 1))
+    for s, weight in enumerate(target):
+        above, tied = stats > stats[s], stats == stats[s]
+        below = ~above & ~tied
+        walk = np.zeros((len(stats), n + 1, n + 1))
+        walk[s, 0, 0] = 1.0
+        counts = [walk.sum(axis=0)]
+        for _ in range(n):
+            moved = np.einsum("xae,xy->yae", walk, kernel)
+            walk = np.zeros_like(moved)
+            walk[below] = moved[below]
+            walk[above, 1:] = moved[above, :-1]
+            walk[tied, :, 1:] = moved[tied, :, :-1]
+            counts.append(walk.sum(axis=0))
+        for m in range(n + 1):
+            first, second = counts[m], counts[n - m]
+            for a, e in zip(*np.nonzero(first)):
+                law[a:, e:] += weight / (n + 1) * first[a, e] * second[: n + 1 - a, : n + 1 - e]
+    return law

@@ -293,8 +293,11 @@ class TestMasking:
         assert mask_coefficients(coeffs, None) is coeffs
 
     def test_default_rule(self):
-        assert default_mask_k(100) is None
-        assert default_mask_k(101) == 10
+        # Past 100 cells the mask keeps 10 coefficients, unless there are at most 10.
+        assert default_mask_k(100, 50) is None
+        assert default_mask_k(101, 11) == 10
+        assert default_mask_k(101, 10) is None
+        assert default_mask_k(101, 6) is None
 
 
 class TestCriticValue:

@@ -65,6 +65,12 @@ def test_traced_pass_gives_finite_layer_metrics(tracing):
     assert metrics["sampling.mh_steps"] == (2 * 400, "count")
     assert metrics["sampling.proposals"] == (2 * 400, "count")
     assert not any(note.startswith("not traced") for note in notes)
+    # The walk looks the mass up in the module, so each mass is one span: the
+    # forward and the reverse of every feasible proposal (the bounds are symmetric).
+    masses = sum(s[tracing.NAME] == "sampling.proposal_log_prob" for s in tracer.spans)
+    feasible, _ = metrics["sampling.feasible_proposals"]
+    assert masses == 2 * feasible > 0
+    assert metrics["sampling.reverse_s"][0] > 0
 
     # The harness's own checks read the design; on a correct pass none fails.
     import pipeline

@@ -243,6 +243,26 @@ class TestTrain:
         assert not (out / "basis.txt").exists()
         assert list(out.iterdir()) == []
 
+    def test_auto_mask_keeps_a_wide_state_s_few_coefficients(self, tmp_path):
+        # A 95-cycle plus 6 chords: d = 101 cells, wider than the mask threshold,
+        # but only 6 basis vectors, so auto keeps them all instead of asking for 10.
+        n, chords = 95, [(0, 47), (5, 50), (10, 60), (20, 70), (30, 80), (40, 90)]
+        kept = {(i, (i + 1) % n) for i in range(n)} | set(chords)
+        kept = {(min(p), max(p)) for p in kept}
+        labels = build_design_matrix(beta_model(n)).column_labels
+        zeros = ",".join(str(k) for k, lab in enumerate(labels) if tuple(lab) not in kept)
+        edges = [f"{i + 1} {(i + 1) % n + 1}" for i in range(0, n - 1, 2)] + ["1 48", "6 51"]
+        graph = _write(tmp_path / "g.txt", "\n".join(edges) + "\n")
+        cfg = _write(tmp_path / "wide.cfg", "\n".join([
+            "model.family=beta_model", f"model.nodes={n}", f"model.structural_zeros={zeros}",
+            f"data.graph={graph}", "mdp.steps_per_episode=10", "train.episodes=1",
+            "train.hidden=4",
+        ]) + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert load_basis(out / "basis.txt").count == 6
+        assert _manifest(out)["settings"]["policy"]["mask_k"] is None
+
     def test_seed_flag_overrides_config(self, tmp_path, train_cfg):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["train", "--config", train_cfg, "--out", str(out_a)])

@@ -19,7 +19,6 @@ from fiberwalk.agent import (
     SIGMA_MIN,
     make_actor_critic,
     mask_coefficients,
-    policy_distribution,
 )
 from fiberwalk.errors import ContractViolation
 from fiberwalk.lattice import compute_lattice_basis, enumerate_fiber
@@ -27,6 +26,7 @@ from fiberwalk.models import (
     all_two_way,
     beta_model,
     build_design_matrix,
+    chi_square_many,
     fit_expected_counts,
     independence,
     observe_graph,
@@ -51,7 +51,7 @@ from fiberwalk.sampling import (
     write_sample_csv,
 )
 
-from .oracles import range_masses
+from .oracles import range_masses, serial_count_law
 
 
 def _setup22(start=(1, 0, 0, 1)):
@@ -146,10 +146,11 @@ class TestMhUniform:
         dm, basis, ac, start = _setup22()
         ac.net.params[:] = 0.0
         other = np.array([0, 1, 1, 0], dtype=np.int64)
+        table = StateTable(ac, None)
         for coeffs in ([1], [-1], [2]):
             c = np.array(coeffs)
-            fwd = proposal_log_prob(ac, c, ProposalLaw(*policy_distribution(ac, start)))
-            rev = proposal_log_prob(ac, -c, ProposalLaw(*policy_distribution(ac, other)))
+            fwd = proposal_log_prob(table, c, table.lookup(start))
+            rev = proposal_log_prob(table, -c, table.lookup(other))
             assert fwd == pytest.approx(rev)
 
     def test_never_leaves_fiber(self):
@@ -224,8 +225,8 @@ def _draw_law(ac, mu, sigma):
 def _transition_matrix(ac, basis, fiber, log_weight, upper=np.inf):
     """Exact Metropolis kernel on ``fiber``; candidates outside ``0..upper`` stay put."""
     index = {p: i for i, p in enumerate(fiber)}
-    dist = {p: ProposalLaw(*policy_distribution(ac, np.array(p))) for p in fiber}
-    weight = log_weight or (lambda x: 0.0)
+    table = StateTable(ac, log_weight)
+    dist = {p: table.lookup(np.array(p)) for p in fiber}
     trans = np.zeros((len(fiber), len(fiber)))
     for p in fiber:
         i = index[p]
@@ -236,9 +237,7 @@ def _transition_matrix(ac, basis, fiber, log_weight, upper=np.inf):
         for coeffs, prob, cand in zip(keys[inside], probs[inside], cands[inside]):
             cand = tuple(int(v) for v in cand)
             assert cand in index, f"mass leaves the fiber to {cand}"
-            ratio = log_accept_ratio(
-                ac, coeffs, dist[p], dist[cand], weight(np.array(cand)) - weight(np.array(p))
-            )
+            ratio = log_accept_ratio(table, coeffs, dist[p], dist[cand])
             accept = min(1.0, math.exp(ratio))
             trans[i, index[cand]] += prob * accept
             trans[i, i] += prob * (1.0 - accept)
@@ -264,13 +263,13 @@ class TestExactStationaryLaw:
     @pytest.mark.parametrize("mask_k", [None, 1, 2])
     def test_masked_mass_matches_enumeration(self, mask_k):
         _, fiber, ac = _oracle_setup(mask_k)
+        table = StateTable(ac, None)
         for p in fiber[:5]:
-            mu, sigma = policy_distribution(ac, np.array(p))
-            keys, probs = _draw_law(ac, mu, sigma)
+            law = table.lookup(np.array(p))
+            keys, probs = _draw_law(ac, law.mu, law.sigma)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-            law = ProposalLaw(mu, sigma)
             for coeffs, prob in zip(keys, probs):
-                got = math.exp(proposal_log_prob(ac, coeffs, law))
+                got = math.exp(proposal_log_prob(table, coeffs, law))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("mask_k", [1, 2])
@@ -278,11 +277,11 @@ class TestExactStationaryLaw:
         # With bounds -1..2 a tie at -2 lies outside them and has no mass.
         _, fiber, ac = _oracle_setup(mask_k)
         ac.coeff_min = -1
+        table = StateTable(ac, None)
         for p in fiber[:5]:
-            mu, sigma = policy_distribution(ac, np.array(p))
-            law = ProposalLaw(mu, sigma)
-            for coeffs, prob in zip(*_draw_law(ac, mu, sigma)):
-                got = math.exp(proposal_log_prob(ac, coeffs, law))
+            law = table.lookup(np.array(p))
+            for coeffs, prob in zip(*_draw_law(ac, law.mu, law.sigma)):
+                got = math.exp(proposal_log_prob(table, coeffs, law))
                 assert got == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -317,15 +316,53 @@ class TestExactStationaryLaw:
         assert np.max(np.abs(trans - trans.T)) < 1e-9
 
 
+def _count_law_problem(fiber_name):
+    """The null kernel, the Pearson statistics and the null log weights of an oracle fiber."""
+    if fiber_name == "graph":
+        spec, dm, data, basis, ac = _graph_oracle_setup()
+        fiber = sorted(enumerate_fiber(dm, data.marginals))
+        trans = _transition_matrix(ac, basis, fiber, null_log_weight, upper=1)
+    else:
+        basis, fiber, ac = _oracle_setup(1 if fiber_name == "3x3-mask1" else None)
+        spec = independence(3, 3)
+        data = observe_table(spec, build_design_matrix(spec), _T33)
+        trans = _transition_matrix(ac, basis, fiber, null_log_weight)
+    points = np.array(fiber)
+    stats = chi_square_many(points, fit_expected_counts(spec, data))
+    return trans, stats, np.array([null_log_weight(p) for p in points])
+
+
+class TestExactPValueLaw:
+    """The serial test's p-value law, exact by enumeration when the observation is null."""
+
+    @pytest.mark.parametrize("stride", [1, 20])
+    @pytest.mark.parametrize("fiber_name", ["3x3", "3x3-mask1", "graph"])
+    def test_p_value_is_super_uniform_and_the_randomized_rank_uniform(self, fiber_name, stride):
+        n = 10
+        trans, stats, log_weights = _count_law_problem(fiber_name)
+        law = serial_count_law(trans, stride, n, stats, log_weights)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        above, tied = np.indices(law.shape)
+        for k in range(1, n + 2):
+            assert law[1 + above + tied <= k].sum() <= k / (n + 1) + 1e-12
+        # Ties broken uniformly at random: the observation sits below a + U sampled
+        # points, U uniform on 0..e, and that rank is uniform on 0..n.
+        rank = np.zeros(n + 1)
+        for a, e in zip(*np.nonzero(law)):
+            rank[a:a + e + 1] += law[a, e] / (e + 1)
+        assert np.max(np.abs(rank - 1 / (n + 1))) < 1e-12
+
+
 class TestUnevenBounds:
     """With bounds -1..2 a move by +2 has no reverse, so the chain must refuse it."""
 
     def test_a_move_without_a_reverse_is_refused(self):
         _, fiber, ac = _oracle_setup(None)
         ac.coeff_min = -1
-        law = ProposalLaw(*policy_distribution(ac, np.array(fiber[0])))
-        assert log_accept_ratio(ac, np.array([2, 0, 0, 0]), law, law, 0.0) == -np.inf
-        assert log_accept_ratio(ac, np.array([1, -1, 0, 1]), law, law, 0.0) > -np.inf
+        table = StateTable(ac, None)
+        law = table.lookup(np.array(fiber[0]))
+        assert log_accept_ratio(table, np.array([2, 0, 0, 0]), law, law) == -np.inf
+        assert log_accept_ratio(table, np.array([1, -1, 0, 1]), law, law) > -np.inf
 
     def test_stationary_law_is_the_target(self):
         basis, fiber, ac = _oracle_setup(None)
@@ -345,7 +382,8 @@ class TestUpperTailMass:
                                  mask_k=mask_k)
 
     def _log_prob(self, ac, coeffs):
-        return proposal_log_prob(ac, np.array(coeffs), ProposalLaw(np.full(2, -8.0), np.ones(2)))
+        law = ProposalLaw(np.full(2, -8.0), np.ones(2), 0.0)
+        return proposal_log_prob(StateTable(ac, None), np.array(coeffs), law)
 
     def test_unmasked_cells_match_the_normal_tail(self):
         ac = self._ac(None)
@@ -371,9 +409,8 @@ class TestUpperTailMass:
         edges[edges < -2] = -np.inf
         edges[edges > 2] = np.inf
         upper, lower = ndtr((edges - mu) / sigma)
-        law = ProposalLaw(mu, sigma)
-        law.price(-2, 2)
-        got = law.ranges(lo, hi)
+        table = StateTable(make_actor_critic(1, 200, hidden=(1,), seed=0), None)
+        got = table.ranges(ProposalLaw(mu, sigma, 0.0), lo, hi)
         at_or_below = edges[1] <= mu
         assert 50 < at_or_below.sum() < 200
         assert np.array_equal(got[at_or_below], (upper - lower)[at_or_below])
@@ -399,18 +436,19 @@ class TestProposalLawTable:
     )
     def test_masses_have_the_oracle_bits(self, cmin, cmax, coords):
         mu, sigma = (np.array(v) for v in zip(*coords))
-        law = ProposalLaw(mu, sigma)
-        law.price(cmin, cmax)
+        ac = make_actor_critic(1, len(mu), hidden=(1,), seed=0, coeff_min=cmin, coeff_max=cmax)
+        table, law = StateTable(ac, None), ProposalLaw(mu, sigma, 0.0)
+        table.price(law)
         values = np.arange(cmin, cmax + 1)[:, None]
         cells = range_masses(values, values, mu, sigma, cmin, cmax)
-        assert np.array_equal(law.ranges(values, values), cells)
+        assert np.array_equal(table.ranges(law, values, values), cells)
         assert np.array_equal(law.log_cells, np.log(np.maximum(cells, 1e-300)).T)
         for least in range(1, max(-cmin, cmax) + 1):
             # The masked ranges: |c| < least, then the ties c = least and c = -least.
             lo = np.array([[1 - least], [least], [-least]])
             hi = np.array([[least - 1], [least], [-least]])
             want = range_masses(lo, hi, mu, sigma, cmin, cmax)
-            assert np.array_equal(law.ranges(lo, hi), want)
+            assert np.array_equal(table.ranges(law, lo, hi), want)
         assert np.allclose(np.exp(law.log_cells).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
@@ -420,13 +458,13 @@ class TestOneTablePerState:
     @pytest.fixture
     def priced(self, monkeypatch):
         laws = []
-        price = ProposalLaw.price
+        price = StateTable.price
 
-        def counting(law, cmin, cmax):
+        def counting(table, law):
             laws.append(law)
-            price(law, cmin, cmax)
+            price(table, law)
 
-        monkeypatch.setattr(ProposalLaw, "price", counting)
+        monkeypatch.setattr(StateTable, "price", counting)
         return laws
 
     def test_start_and_each_feasible_proposal(self, priced, monkeypatch):
@@ -459,11 +497,11 @@ class TestOneTablePerState:
         dm, basis, ac, start = _setup22((5, 3, 3, 5))
         table = StateTable(ac, null_log_weight)
         first = mh_uniform(ac, basis, start, 5, np.random.default_rng(1), table=table)[0]
-        key_of = {id(law): key for key, (law, _) in table.entries.items()}
+        key_of = {id(law): key for key, law in table.laws.items()}
         first_keys = {key_of[id(law)] for law in priced}
         n_first = len(priced)
         second = mh_uniform(ac, basis, start, 300, np.random.default_rng(2), table=table)[0]
-        key_of = {id(law): key for key, (law, _) in table.entries.items()}
+        key_of = {id(law): key for key, law in table.laws.items()}
         second_keys = [key_of[id(law)] for law in priced[n_first:]]
         assert len(first_keys) == n_first > 1
         assert len(set(second_keys)) == len(second_keys) > 0
@@ -556,14 +594,15 @@ class TestSharedTable:
         table = StateTable(ac, null_log_weight)
         for i, coeffs in uses:
             state, coeffs = np.array(fiber[i]), np.array(coeffs)
-            law, weight = table.lookup(state)
-            fresh = ProposalLaw(*policy_distribution(ac, state))
-            got, want = proposal_log_prob(ac, coeffs, law), proposal_log_prob(ac, coeffs, fresh)
+            law = table.lookup(state)
+            fresh = StateTable(ac, null_log_weight)
+            got = proposal_log_prob(table, coeffs, law)
+            want = proposal_log_prob(fresh, coeffs, fresh.lookup(state))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            assert weight == null_log_weight(state)
+            assert law.weight == null_log_weight(state)
 
     def test_the_budget_holds_and_keeps_the_start(self, monkeypatch):
-        # 10x11 independence: 90 coefficients, so about 15 kB a state.
+        # 10x11 independence: 90 coefficients, so about 7 kB a state.
         spec = independence(10, 11)
         dm = build_design_matrix(spec)
         basis = compute_lattice_basis(dm)
@@ -580,28 +619,44 @@ class TestSharedTable:
             return sample, discovered
 
         monkeypatch.setattr(sampling, "mh_uniform", recording)
+        start = data.counts.astype(np.int64).tobytes()
         besag_clifford_pvalues(ac, basis, spec, data, chains=2, chain_length=20, seed=0)
         table = tables[0]
         assert len(tables) == 4 and all(t is table for t in tables)
-        state_bytes = 8 * dm.n_cols + table.entry_bytes
-        assert table.nbytes == len(table.entries) * state_bytes
-        assert table.nbytes <= sampling.TABLE_BYTES < table.nbytes + state_bytes
-        assert data.counts.astype(np.int64).tobytes() in table.entries
+        assert len(table.laws) == table.capacity and start in table.laws
         visited = {p.tobytes() for p in np.concatenate(traces)}
-        assert len(table.entries) < len(visited)
+        assert len(table.laws) < len(visited)
+        # A budget below one state still keeps the observation.
+        monkeypatch.setattr(sampling, "TABLE_BYTES", 1)
+        besag_clifford_pvalues(ac, basis, spec, data, chains=1, chain_length=20, seed=0)
+        assert tables[-1] is not table and list(tables[-1].laws) == [start]
 
-    @pytest.mark.parametrize("cmin, cmax", [(-2, 2), (-1, 2)])
-    def test_a_priced_law_holds_what_the_table_counts(self, cmin, cmax):
-        # Every array a law owns: mu's base head output, sigma and the priced
-        # cells.  The read-only edges and origins are shared by all laws.
-        ac = make_actor_critic(4, 3, hidden=(8,), seed=0, coeff_min=cmin, coeff_max=cmax)
-        table = StateTable(ac, null_log_weight)
-        law, _ = table.lookup(np.array([1, 0, 0, 1], dtype=np.int64))
-        proposal_log_prob(ac, np.zeros(3, dtype=np.int64), law)
-        owned = [getattr(law, name) for name in ProposalLaw.__slots__]
-        owned = [a for a in owned if isinstance(a, np.ndarray) and a.flags.writeable]
-        assert law.mu.base is not None and len(owned) == 3
-        assert sum((a if a.base is None else a.base).nbytes for a in owned) == table.entry_bytes
+    @pytest.mark.parametrize(
+        "spec, cmin",
+        [(independence(4, 4), -2), (independence(4, 4), -1), (independence(10, 11), -2),
+         (beta_model(30), -2)],
+        ids=["4x4", "4x4-uneven", "10x11", "beta30"],
+    )
+    def test_a_full_table_holds_its_budget(self, spec, cmin):
+        # A full table's traced footprint, every priced state's key, law, weight,
+        # arrays and dict slot, is TABLE_BYTES to 10 %, at c = 9, 90 and 405.
+        dm = build_design_matrix(spec)
+        basis = compute_lattice_basis(dm)
+        ac = make_actor_critic(dm.n_cols, basis.count, seed=0, coeff_min=cmin)
+        zero = np.zeros(basis.count, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            table = StateTable(ac, null_log_weight)
+            states = np.zeros((table.capacity, dm.n_cols), dtype=np.int64)
+            states[:, 0] = np.arange(table.capacity)
+            before = tracemalloc.get_traced_memory()[0]
+            for state in states:
+                proposal_log_prob(table, zero, table.lookup(state))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table.laws) == table.capacity > 1
+        assert abs(held / sampling.TABLE_BYTES - 1) < 0.1
 
 
 class TestGoldenTraces:
@@ -624,6 +679,10 @@ class TestGoldenTraces:
              "f46bac8a4f8ce12b4ea86dd5a17f857c2d01d35c85161144ef689bd1b0a22651"),
             (1, mh_uniform, None,
              "ed6a7ce6aa838ef3ef0b03a737bc9eadd8a154364407041cf17ab0261a98313a"),
+            (1, mh_uniform, null_log_weight,
+             "506efff91d6f961eef0a17c3e483300d7e6eede44b07fa4b52de5cbb732b3e9f"),
+            (2, mh_uniform, null_log_weight,
+             "408e339305e241c6325ba7c0f8a01cfef049987427bf1716e2be19537cef8272"),
             (2, explore, None,
              "6d4d787a2683d6a863530f97ed027f211efebf4218d900d126d9efbff739aed1"),
             (2, mh_uniform, None,
