@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .agent import (
@@ -192,6 +193,7 @@ class Manifest:
                 "fiberwalk": __version__,
                 "numpy": np.__version__,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
+                "scipy": scipy.__version__,
             },
             "timings": {},
             "outputs": {},

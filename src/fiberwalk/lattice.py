@@ -17,8 +17,8 @@ written at its parent columns.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
-import networkx as nx
 import numpy as np
 
 from ._exact import margin_kernel_basis
@@ -166,6 +166,8 @@ def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
     them, so structural zeros and the box carry over; a node set with
     no such column is skipped.  Every edge lands in at most one.
     """
+    import networkx as nx  # here, not at the top: only a decomposing run pays for it
+
     if design.cell_bound != 1:
         raise ContractViolation("decomposition applies only to graph data (cell bound 1)")
     counts = np.asarray(counts, dtype=np.int64)
@@ -329,31 +331,59 @@ def load_basis(path):
                 f"{path}:1: basis file must start with '{_V2_HEADER} c=<count> d=<dim>' "
                 "(other versions are not read; run train or lift again)"
             ) from None
-        parts, lineno = [], 1
-        for lineno, line in enumerate(fh, start=2):
+        text = fh.read()
+    lines = text.split("\n")  # not splitlines(), which also breaks at \v, \f and others
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
+    nonzeros = _bulk_nonzeros(text, lines, dim) if len(lines) == count else None
+    if nonzeros is None:
+        for lineno, line in enumerate(lines, start=2):
             where = f"{path}:{lineno}"
-            if len(parts) == count:
+            if lineno - 2 == count:
                 raise ValidationError(f"{where}: more vectors than the header's c={count}")
-            parts.append(_nonzeros(where, line, dim))
-    if len(parts) != count:
+            _check_line(where, line, dim)
         raise ValidationError(
-            f"{path}:{lineno + 1}: "
-            f"{len(parts)} vectors, but the header says c={count}"
+            f"{path}:{len(lines) + 2}: {len(lines)} vectors, but the header says c={count}"
         )
-    rows = np.repeat(np.arange(count), [part.shape[1] for part in parts])
-    cols, vals = np.concatenate([np.empty((2, 0), np.int64), *parts], axis=1)
-    return LatticeBasis(shape=(count, dim), nonzeros=(rows, cols, vals))
+    return LatticeBasis(shape=(count, dim), nonzeros=nonzeros)
 
 
-def _nonzeros(where, line, dim):
-    """The ``(2, k)`` columns and values of a line of ``column:value`` pairs."""
+def _bulk_nonzeros(text, lines, dim):
+    """The rows, columns and values of every line's pairs at once, or None if a line is malformed.
+
+    It accepts exactly the lines that :func:`_check_line` passes, read as
+    the same numbers; on None the caller runs that on each line in turn
+    for the first fault's message.
+    """
+    split = [line.split() for line in lines]
+    pairs = list(chain.from_iterable(split))
+    # Colons lie only in pairs: as many as there are pairs, one in each, is exactly one each.
+    if text.count(":") != len(pairs) or not all(":" in pair for pair in pairs):
+        return None
+    fields = ":".join(pairs).split(":") if pairs else []
+    try:
+        cols = np.array(fields[0::2], dtype=np.int64)
+        vals = np.array(fields[1::2], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    rows = np.repeat(np.arange(len(lines)), [len(words) for words in split])
+    if (
+        ((cols < 0) | (cols >= dim) | (vals == 0)).any()
+        or (np.diff(cols)[rows[1:] == rows[:-1]] <= 0).any()
+    ):
+        return None
+    return rows, cols, vals
+
+
+def _check_line(where, line, dim):
+    """Raise a line's first fault as a ValidationError naming ``where``; a good line passes."""
     cols, vals = [], []
     try:
         for pair in line.split():
             col, val = pair.split(":")
             cols.append(int(col))
             vals.append(int(val))
-        part = np.array([cols, vals], dtype=np.int64)
+        np.array([cols, vals], dtype=np.int64)  # OverflowError past int64
     except (ValueError, OverflowError):
         raise ValidationError(
             f"{where}: expected column:value pairs of integers in int64 range"
@@ -364,4 +394,3 @@ def _nonzeros(where, line, dim):
         raise ValidationError(f"{where}: column outside 0..{dim - 1}")
     if not all(vals):
         raise ValidationError(f"{where}: a listed value is 0")
-    return part

@@ -18,6 +18,7 @@ from scipy.special import ndtr
 
 from fiberwalk._exact import integer_kernel_basis
 from fiberwalk.agent import SIGMA_MAX, policy_distribution, window_scores
+from fiberwalk.errors import ValidationError
 from fiberwalk.lattice import LatticeBasis
 
 
@@ -328,3 +329,46 @@ def serial_count_law(trans, stride, n, stats, log_weights):
             for a, e in zip(*np.nonzero(first)):
                 law[a:, e:] += weight / (n + 1) * first[a, e] * second[: n + 1 - a, : n + 1 - e]
     return law
+
+
+def per_line_basis_nonzeros(path, count, dim):
+    """Rows, columns and values (Python lists) of the body of a basis file
+    whose header holds ``count`` and ``dim``, read one line at a time.
+
+    Raises the reader's :class:`ValidationError` messages: the first faulty
+    line, or a line count that differs from ``count``, names the path and line.
+    """
+    rows, cols, vals = [], [], []
+    lineno = 1
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            where = f"{path}:{lineno}"
+            if lineno - 2 == count:
+                raise ValidationError(f"{where}: more vectors than the header's c={count}")
+            try:
+                pairs = []
+                for text in line.split():
+                    col, val = text.split(":")
+                    pairs.append((int(col), int(val)))
+                if any(not -2**63 <= v < 2**63 for pair in pairs for v in pair):
+                    raise ValueError
+            except ValueError:
+                raise ValidationError(
+                    f"{where}: expected column:value pairs of integers in int64 range"
+                ) from None
+            line_cols = [c for c, _ in pairs]
+            if line_cols != sorted(set(line_cols)):
+                raise ValidationError(f"{where}: columns must strictly increase")
+            if any(not 0 <= c < dim for c in line_cols):
+                raise ValidationError(f"{where}: column outside 0..{dim - 1}")
+            if any(v == 0 for _, v in pairs):
+                raise ValidationError(f"{where}: a listed value is 0")
+            rows += [lineno - 2] * len(pairs)
+            cols += line_cols
+            vals += [v for _, v in pairs]
+    if lineno - 1 != count:
+        raise ValidationError(
+            f"{path}:{lineno + 1}: {lineno - 1} vectors, but the header says c={count}"
+        )
+    return rows, cols, vals

@@ -4,10 +4,13 @@ import base64
 import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
+from fiberwalk import __version__
 from fiberwalk.cli import main
 from fiberwalk.lattice import compute_lattice_basis, in_kernel, load_basis, save_basis
 from fiberwalk.models import build_design_matrix, beta_model, independence
@@ -212,6 +215,11 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert set(manifest["outputs"]) == {"basis.txt", "policy.txt", "trainlog.csv"}
         assert manifest["seed"] == 5
+        # scipy's ndtr and gammaln fix every proposal mass and null weight.
+        assert manifest["versions"] == {
+            "fiberwalk": __version__, "numpy": np.__version__,
+            "python": ".".join(map(str, sys.version_info[:3])), "scipy": scipy.__version__,
+        }
 
     def test_rerun_reproduces_checksums(self, tmp_path, train_cfg):
         sums = []

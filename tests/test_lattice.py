@@ -1,8 +1,12 @@
 """Tests for kernel bases, moves, decomposition, lifting, and enumeration."""
 
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -51,6 +55,7 @@ from .oracles import (
     box_sides,
     exact_matvec,
     kernel_basis,
+    per_line_basis_nonzeros,
     rational_rank,
     sparse_columns,
 )
@@ -335,6 +340,32 @@ def _graph(n, edges, zeros=()):
     return design, observe_graph(spec, design, edges).counts
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Imports the package, its CLI and the benchmark pipeline in a fresh
+# interpreter, lists the networkx modules loaded, then decomposes a
+# barbell (triangles 0-1-2 and 3-4-5 joined by the bridge 2-3) with a
+# pendant node 6 on node 5 and an isolated node 7 by every networkx
+# strategy.
+_IMPORT_GATE_CHILD = """
+import json, sys
+import fiberwalk, fiberwalk.cli, pipeline
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "networkx")
+from fiberwalk.lattice import decompose_initial_point
+from fiberwalk.models import beta_model, build_design_matrix, observe_graph
+spec = beta_model(8)
+design = build_design_matrix(spec)
+edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
+counts = observe_graph(spec, design, edges).counts
+groups = {
+    strategy: [[list(s.node_set), s.columns.tolist()]
+               for s in decompose_initial_point(design, counts, strategy, k=2)]
+    for strategy in ("connected_components", "k_core", "bridge_cuts")
+}
+print(json.dumps({"loaded": loaded, "groups": groups}))
+"""
+
+
 class TestDecompose:
     def test_two_disjoint_triangles(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -342,6 +373,25 @@ class TestDecompose:
         assert len(subs) == 2
         assert all(len(s.node_set) == 3 for s in subs)
         assert all(s.sub_matrix.n_cols == 3 for s in subs)
+
+    def test_networkx_loads_only_to_decompose(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+        out = subprocess.run([sys.executable, "-c", _IMPORT_GATE_CHILD], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        report = json.loads(out)
+        assert report["loaded"] == []
+        node_sets = {
+            "connected_components": [[0, 1, 2, 3, 4, 5, 6]],
+            "k_core": [[0, 1, 2, 3, 4, 5]],
+            "bridge_cuts": [[0, 1, 2], [3, 4, 5]],
+        }
+        labels = _graph(8, [])[0].column_labels
+        assert report["groups"] == {
+            strategy: [[nodes, [c for c, pair in enumerate(labels) if set(pair) <= set(nodes)]]
+                       for nodes in groups]
+            for strategy, groups in node_sets.items()
+        }
 
     def test_path_has_empty_2_core(self):
         edges = [(0, 1), (1, 2), (2, 3)]
@@ -628,6 +678,40 @@ class TestDesignProductsMatchTheDenseMatrix:
         assert enumerate_fiber(dm, shifted) == box_fiber(dm.entries, shifted, spec.cell_bound)
 
 
+# A basis file's body under a header whose count is near the line count:
+# lines of digits, signs, colons and spaces, or of column:value pairs.
+# Half the files draw no fault at all, so the reader accepts them.
+@st.composite
+def _pair_line(draw, faults):
+    """Pairs with ascending columns in 0..8 and values in {-2, -1, 1, 3}, with
+    ``faults`` sometimes a column -1, descending or repeated columns, or a 0 or
+    int64-edge value."""
+    cols = sorted(draw(st.lists(st.integers(0, 8), unique=True, max_size=4)))
+    if faults and draw(st.integers(0, 9)) == 0:
+        cols.insert(0, -1)
+    if faults and draw(st.integers(0, 3)) == 0:
+        cols.reverse()
+    if faults and cols and draw(st.integers(0, 9)) == 0:
+        cols.append(cols[-1])
+    edge = [0, 2**63 - 1, -2**63, 2**63, -2**63 - 1]
+    vals = [draw(st.sampled_from(edge)) if faults and draw(st.integers(0, 9)) == 0
+            else draw(st.sampled_from([-2, -1, 1, 3])) for _ in cols]
+    return " ".join(f"{c}:{v}" for c, v in zip(cols, vals))
+
+
+@st.composite
+def basis_bodies(draw):
+    """``(count, dim, text)`` of a basis file's header numbers and body."""
+    faults = draw(st.booleans())
+    text = st.text(alphabet="0123456789+-: ", max_size=12)
+    lines = [draw(text if faults and draw(st.integers(0, 3)) == 0 else _pair_line(faults))
+             for _ in range(draw(st.integers(0, 5)))]
+    count = max(0, len(lines) + draw(st.integers(-1, 1))) if faults else len(lines)
+    dim = draw(st.integers(0, 10)) if faults else 9
+    end = draw(st.sampled_from(["", "\n"])) if lines else ""
+    return count, dim, "\n".join(lines) + end
+
+
 class TestBasisFile:
     def test_round_trip(self, tmp_path):
         dm = build_design_matrix(independence(3, 4))
@@ -712,6 +796,68 @@ class TestBasisFile:
         path.write_text(text)
         with pytest.raises(ValidationError):
             load_basis(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(basis_bodies())
+    @example((1, 3, "1:2:3 4\n"))
+    @example((2, 3, "\n\n"))
+    @example((0, 0, ""))
+    def test_bulk_reader_agrees_with_the_per_line_reader(self, tmp_path_factory, body):
+        count, dim, text = body
+        path = tmp_path_factory.mktemp("basis") / "basis.txt"
+        path.write_bytes(f"fiberwalk-basis v2 c={count} d={dim}\n{text}".encode())
+
+        def outcome(read):
+            try:
+                return [list(map(int, part)) for part in read()]
+            except ValidationError as exc:
+                return str(exc)
+
+        def bulk():
+            basis = load_basis(path)
+            return basis.rows, basis.cols, basis.vals
+
+        assert outcome(bulk) == outcome(lambda: per_line_basis_nonzeros(path, count, dim))
+
+    @staticmethod
+    def _fifty_vector_error(tmp_path, body):
+        """The full error text of reading ``body`` under a c=50 d=51 header from ``basis.txt``."""
+        path = tmp_path / "basis.txt"
+        path.write_text("".join(f"{line}\n" for line in ["fiberwalk-basis v2 c=50 d=51", *body]))
+        with pytest.raises(ValidationError) as info:
+            load_basis(path)
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("3:1 x", "expected column:value pairs of integers in int64 range"),
+            ("1:2:3 4", "expected column:value pairs of integers in int64 range"),
+            (f"0:1 1:{2**63}", "expected column:value pairs of integers in int64 range"),
+            ("4:1 2:-1", "columns must strictly increase"),
+            ("2:1 2:-1", "columns must strictly increase"),
+            ("0:1 51:-1", "column outside 0..50"),
+            ("0:1 1:0", "a listed value is 0"),
+        ],
+        ids=["not-a-pair", "colons-as-many-as-tokens", "past-int64", "columns-decrease",
+             "column-repeats", "column-past-width", "zero-value"],
+    )
+    def test_fault_message_names_path_and_line(self, tmp_path, line, message):
+        body = [f"{i}:1 {i + 1}:-1" for i in range(50)]
+        body[6] = line
+        want = f"{tmp_path / 'basis.txt'}:8: {message}"
+        assert self._fifty_vector_error(tmp_path, body) == want
+        # The first faulty line is the one named, before a line count that is off.
+        assert self._fifty_vector_error(tmp_path, body + ["0:0"]) == want
+        assert self._fifty_vector_error(tmp_path, body[:30]) == want
+
+    def test_line_count_messages_name_path_and_line(self, tmp_path):
+        body = [f"{i}:1 {i + 1}:-1" for i in range(50)]
+        path = tmp_path / "basis.txt"
+        assert (self._fifty_vector_error(tmp_path, body + ["0:1"])
+                == f"{path}:52: more vectors than the header's c=50")
+        assert (self._fifty_vector_error(tmp_path, body[:47])
+                == f"{path}:49: 47 vectors, but the header says c=50")
 
 
 def _make_sub(columns):
