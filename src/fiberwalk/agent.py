@@ -169,13 +169,18 @@ class PolicySample:
 
 
 def mask_coefficients(coeffs, mask_k):
-    """Keep the mask_k largest(|.|) entries, ties broken by lowest index."""
+    """Keep the mask_k largest(|.|) entries, ties broken by lowest index.
+
+    The entries are integers in the coefficient bounds, so they are kept by
+    magnitude class, from the largest down: a pass per class, not a sort.
+    """
     if mask_k is None or mask_k >= len(coeffs):
         return coeffs
-    order = np.argsort(-np.abs(coeffs), kind="stable")
-    out = np.zeros_like(coeffs)
-    keep = order[:mask_k]
-    out[keep] = coeffs[keep]
+    mags, out, left = np.abs(coeffs), np.zeros_like(coeffs), mask_k
+    for m in range(int(mags.max()), 0, -1):
+        keep = np.flatnonzero(mags == m)[:left]
+        out[keep] = coeffs[keep]
+        left -= len(keep)
     return out
 
 
@@ -281,12 +286,13 @@ class Trajectory:
 def _apply_step(params, direction, step_size, max_step, radius, name):
     """``params += step_size * direction`` capped at length ``max_step``, then projected onto
     the ball of ``radius``.  Both arrays are changed in place, ``direction`` into the step;
-    a non-finite step raises before ``params`` changes."""
+    a non-finite step raises before ``params`` changes.  A finite sum of squares has
+    finite entries, so only a non-finite norm needs the entries checked."""
     direction *= step_size
     norm = math.sqrt(direction @ direction)  # np.linalg.norm's own expression for a 1-D vector
     if norm > max_step:
         direction *= max_step / norm
-    if not np.isfinite(direction).all():
+    if not math.isfinite(norm) and not np.isfinite(direction).all():
         raise NumericError(f"non-finite {name} after update")
     params += direction
     norm = math.sqrt(params @ params)

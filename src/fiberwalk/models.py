@@ -213,10 +213,14 @@ def _margin_totals(rows, n, values):
     """``M @ values`` for the margin-rows table ``rows`` of ``n`` rows.
 
     Each column's value is added at its rows, in the values' dtype widened
-    to at least int64: exact on integer counts, in column order on floats.
+    to at least int64: exact on integer counts, in column order on floats
+    (``np.bincount`` adds its weights in the order ``np.add.at`` does).
     """
+    weights = np.repeat(values, rows.shape[1])
+    if weights.dtype.kind == "f":
+        return np.bincount(rows.ravel(), weights, n)
     out = np.zeros(n, dtype=np.result_type(values, np.int64))
-    np.add.at(out, rows.ravel(), np.repeat(values, rows.shape[1]))
+    np.add.at(out, rows.ravel(), weights)
     return out
 
 
@@ -312,17 +316,24 @@ def _fit_bernoulli(rows, target, tol, max_iter):
     """Damped fixed-point MLE of the beta model (each column is 0 or 1).
 
     Works on one weight b per row through the column probability
-    p = exp(s) / (1 + exp(s)), s = the sum of its rows' weights; each
+    p = 1 / (1 + exp(-s)), s = the sum of its two rows' weights; each
     sweep nudges b_i by half of log(target_i / expected_i).  A row with
-    target 0 is held at the weight floor.
+    target 0 is held at the weight floor.  A sweep makes one column-sized
+    array, ``b[first] + b[second]``, and takes it to ``p`` in place.
     """
     n = len(target)
     CAP = 40.0
     zero = target == 0
     beta = np.where(zero, -CAP, 0.0)
+    first, second = np.ascontiguousarray(rows.T)
     gap = math.inf
     for _ in range(max_iter):
-        probs = 1.0 / (1.0 + np.exp(-np.clip(beta[rows].sum(axis=1), -CAP, CAP)))
+        probs = beta[first] + beta[second]
+        np.clip(probs, -CAP, CAP, out=probs)
+        np.negative(probs, out=probs)
+        np.exp(probs, out=probs)
+        probs += 1.0
+        np.divide(1.0, probs, out=probs)
         expected = _margin_totals(rows, n, probs)
         gap = float(np.max(np.abs(expected - target)))
         if gap <= tol:
@@ -367,20 +378,22 @@ def chi_square_statistic(observed, expected):
 def chi_square_many(points, expected):
     """Pearson statistic of each row of a (m, d) block of fiber points.
 
-    Each row is summed left to right, so its value does not depend on
-    the other rows of the block.  Cells with expected count 0
-    contribute nothing when the observed count is also 0, and force
-    the +inf sentinel otherwise (the model rules out a cell that was
+    Each row is summed left to right over its d cells, so its value does
+    not depend on the other rows of the block.  The block is scored in
+    one array: a cell with expected count 0 adds a +0.0 term, which
+    leaves the sum unchanged, and forces the +inf sentinel where its
+    observed count is positive (the model rules out a cell that was
     observed).
     """
-    pts = np.asarray(points, dtype=float)
+    points = np.asarray(points)
     expected = np.asarray(expected, dtype=float)
     zero = expected == 0
-    dev = pts[:, ~zero] - expected[~zero]
-    out = np.zeros(len(pts))
-    if dev.shape[1]:
-        out = np.cumsum(dev * dev / expected[~zero], axis=1)[:, -1]
-    out[(pts[:, zero] > 0).any(axis=1)] = math.inf
+    terms = np.subtract(points, expected, dtype=float)
+    np.multiply(terms, terms, out=terms)
+    np.divide(terms, expected, out=terms, where=~zero)
+    terms[:, zero] = 0.0
+    out = np.cumsum(terms, axis=1, out=terms)[:, -1] if terms.shape[1] else np.zeros(len(terms))
+    out[(points[:, zero] > 0).any(axis=1)] = math.inf
     return out
 
 

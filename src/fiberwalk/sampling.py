@@ -45,13 +45,17 @@ rounded draw whose masked-away entries all rank below ``S`` (smaller
 magnitude, or equal magnitude at a higher index), which factorizes over
 the coordinates.  All of it is kept in log space so very wide
 coefficient vectors cannot underflow.
+
+The masses use ``scipy.special.ndtr`` and the null weights its
+``gammaln``, imported when a state is first priced or weighted: a run
+that does neither (``train``, ``enumerate``, explore) does not load them.
 """
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .agent import policy_distribution, policy_sample
 from .errors import ContractViolation
@@ -150,9 +154,18 @@ def explore(ac, basis, start, steps, rng, expected, upper):
     return _walk(basis, start, steps, rng, expected, 0, False, StateTable(ac, None), upper)
 
 
+@cache
+def _special():
+    """The ``scipy.special`` module, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _between(z, a, b):
     """Normal mass between the z-scores ``z[a]`` and ``z[b]``, measured on the
     survival function where ``z[a]`` lies above the mean."""
+    ndtr = _special().ndtr
     cdf, sf = ndtr(z), ndtr(-z)
     return np.abs(np.where(z[a] > 0, sf[b] - sf[a], cdf[b] - cdf[a]))
 
@@ -248,7 +261,7 @@ def proposal_log_prob(table, coeffs, law):
 
 def null_log_weight(counts):
     """ln of ``1/prod(x_i!)`` up to a constant; exactly 0 on a 0/1 point (uniform)."""
-    return -float(gammaln(np.asarray(counts) + 1.0).sum())
+    return -float(_special().gammaln(np.asarray(counts) + 1.0).sum())
 
 
 def log_accept_ratio(table, coeffs, here, there):

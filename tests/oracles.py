@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from fiberwalk._exact import integer_kernel_basis
 from fiberwalk.agent import SIGMA_MAX, policy_distribution, window_scores
-from fiberwalk.errors import ValidationError
+from fiberwalk.errors import FitError, ValidationError
 from fiberwalk.lattice import LatticeBasis
 
 
@@ -372,3 +372,82 @@ def per_line_basis_nonzeros(path, count, dim):
             f"{path}:{lineno + 1}: {lineno - 1} vectors, but the header says c={count}"
         )
     return rows, cols, vals
+
+
+# ------------------------------------------------------------------
+# The package's earlier forms of four width-bound functions, kept
+# verbatim: the properties in test_agent and test_models check that the
+# faster forms give the same bytes.  ``_fit_bernoulli`` calls the
+# ``_margin_totals`` below, as it did in the package.
+# ------------------------------------------------------------------
+
+
+def mask_coefficients(coeffs, mask_k):
+    """Keep the mask_k largest(|.|) entries, ties broken by lowest index."""
+    if mask_k is None or mask_k >= len(coeffs):
+        return coeffs
+    order = np.argsort(-np.abs(coeffs), kind="stable")
+    out = np.zeros_like(coeffs)
+    keep = order[:mask_k]
+    out[keep] = coeffs[keep]
+    return out
+
+
+def _margin_totals(rows, n, values):
+    """``M @ values`` for the margin-rows table ``rows`` of ``n`` rows.
+
+    Each column's value is added at its rows, in the values' dtype widened
+    to at least int64: exact on integer counts, in column order on floats.
+    """
+    out = np.zeros(n, dtype=np.result_type(values, np.int64))
+    np.add.at(out, rows.ravel(), np.repeat(values, rows.shape[1]))
+    return out
+
+
+def _fit_bernoulli(rows, target, tol, max_iter):
+    """Damped fixed-point MLE of the beta model (each column is 0 or 1).
+
+    Works on one weight b per row through the column probability
+    p = exp(s) / (1 + exp(s)), s = the sum of its rows' weights; each
+    sweep nudges b_i by half of log(target_i / expected_i).  A row with
+    target 0 is held at the weight floor.
+    """
+    n = len(target)
+    CAP = 40.0
+    zero = target == 0
+    beta = np.where(zero, -CAP, 0.0)
+    gap = math.inf
+    for _ in range(max_iter):
+        probs = 1.0 / (1.0 + np.exp(-np.clip(beta[rows].sum(axis=1), -CAP, CAP)))
+        expected = _margin_totals(rows, n, probs)
+        gap = float(np.max(np.abs(expected - target)))
+        if gap <= tol:
+            return probs
+        live = ~zero & (expected > 0)
+        beta[live] += 0.5 * (np.log(target[live]) - np.log(expected[live]))
+        beta = np.clip(beta, -CAP, CAP)
+        beta[zero] = -CAP
+    raise FitError(
+        f"beta-model fit did not reach degree gap {tol} within {max_iter} iterations "
+        f"(last gap {gap:.6g})"
+    )
+
+
+def chi_square_many(points, expected):
+    """Pearson statistic of each row of a (m, d) block of fiber points.
+
+    Each row is summed left to right, so its value does not depend on
+    the other rows of the block.  Cells with expected count 0
+    contribute nothing when the observed count is also 0, and force
+    the +inf sentinel otherwise (the model rules out a cell that was
+    observed).
+    """
+    pts = np.asarray(points, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    zero = expected == 0
+    dev = pts[:, ~zero] - expected[~zero]
+    out = np.zeros(len(pts))
+    if dev.shape[1]:
+        out = np.cumsum(dev * dev / expected[~zero], axis=1)[:, -1]
+    out[(pts[:, zero] > 0).any(axis=1)] = math.inf
+    return out

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fiberwalk import agent as agent_module
 from fiberwalk.agent import (
@@ -21,6 +22,7 @@ from fiberwalk.agent import (
     ActorCritic,
     Trajectory,
     TrainConfig,
+    _apply_step,
     actor_update,
     compute_gae,
     critic_update,
@@ -46,6 +48,7 @@ from .oracles import (
     central_difference,
     gae_double_sum,
     gaussian_log_density,
+    mask_coefficients as argsort_mask,
     policy_log_density,
     relative_error,
     sample_score,
@@ -292,6 +295,29 @@ class TestMasking:
         coeffs = np.array([2, -1, 0])
         assert mask_coefficients(coeffs, None) is coeffs
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_a_stable_argsort(self, data):
+        # Integer draws in a few magnitude classes: ties in every class, all-zero
+        # vectors, and mask_k at or above the nonzero count.
+        bound = data.draw(st.sampled_from([2, 4]))
+        size = data.draw(st.integers(1, 60))
+        coeffs = data.draw(hnp.arrays(np.int64, size, elements=st.integers(-bound, bound)))
+        if data.draw(st.integers(0, 9)) == 0:
+            coeffs[:] = 0
+        k = data.draw(st.integers(1, size + 1))
+        got, want = mask_coefficients(coeffs, k), argsort_mask(coeffs, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_same_bytes_as_a_stable_argsort_on_wide_sparse_draws(self):
+        # A wide beta-model draw: 2,345 rounded coefficients, mostly 0.
+        rng = np.random.default_rng(7)
+        for sigma in (0.3, 0.6, 1.0, 3.0):
+            for _ in range(50):
+                coeffs = np.rint(rng.normal(0.0, sigma, 2345)).clip(-2, 2).astype(np.int64)
+                got, want = mask_coefficients(coeffs, 10), argsort_mask(coeffs, 10)
+                assert got.tobytes() == want.tobytes()
+
     def test_default_rule(self):
         # Past 100 cells the mask keeps 10 coefficients, unless there are at most 10.
         assert default_mask_k(100, 50) is None
@@ -506,6 +532,27 @@ class TestActorUpdate:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * ac.net.params.nbytes
+
+
+class TestApplyStep:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_direction_raises_before_params_change(self, bad):
+        params = np.arange(5.0)
+        direction = np.ones(5)
+        direction[2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite w "):
+            _apply_step(params, direction, 0.5, 1.0, 1e3, "w")
+        assert params.tobytes() == np.arange(5.0).tobytes()
+
+    def test_finite_direction_whose_norm_overflows_takes_a_zero_step(self):
+        # Each entry is finite, but the sum of squares is inf: the cap scales the
+        # step by max_step / inf = 0.
+        params = np.arange(5.0)
+        direction = np.full(5, 1e200)
+        with np.errstate(over="ignore"):
+            _apply_step(params, direction, 1.0, 1.0, 1e3, "w")
+        assert params.tobytes() == np.arange(5.0).tobytes()
+        assert direction.tobytes() == np.zeros(5).tobytes()
 
 
 class TestDeepCopy:

@@ -3,7 +3,9 @@
 import base64
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -280,6 +282,22 @@ class TestTrain:
         assert sum_a["policy.txt"] != sum_b["policy.txt"]
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs train, an explore-mode sample and test from one config in a fresh
+# interpreter, listing the scipy.special modules loaded after each.
+_SPECIAL_GATE_CHILD = """
+import json, sys
+from fiberwalk.cli import main
+cfg, out = sys.argv[1:]
+loaded = {}
+for command in ("train", "sample", "test"):
+    assert main([command, "--config", cfg, "--out", f"{out}/{command}"]) == 0
+    loaded[command] = sorted(m for m in sys.modules if m.startswith("scipy.special"))
+print(json.dumps(loaded))
+"""
+
+
 def _manifest(out):
     return json.loads((out / "manifest.json").read_text())
 
@@ -314,6 +332,20 @@ class TestSampleAndTest:
         manifest = _manifest(out)
         assert set(manifest["outputs"]) == {"sample.csv"}
         assert 1 <= manifest["discovered_count"] <= 5  # margins (4, 4): 5 fiber points
+
+    def test_scipy_special_loads_only_to_price_a_state(self, tmp_path, table22):
+        trained = tmp_path / "train"
+        cfg = self._policy_cfg(
+            tmp_path, table22, trained, "mdp.steps_per_episode=10", "train.episodes=1",
+            "train.hidden=4", "sample.mode=explore", "sample.steps=5", "test.chains=1",
+            "test.chain_length=2",
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        out = subprocess.run([sys.executable, "-c", _SPECIAL_GATE_CHILD, cfg, str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        loaded = json.loads(out.splitlines()[-1])
+        assert loaded["train"] == loaded["sample"] == []
+        assert "scipy.special" in loaded["test"]
 
     def test_unknown_sample_mode_exit_2(self, tmp_path, train_cfg, table22, capsys):
         trained = self._trained(tmp_path, train_cfg)

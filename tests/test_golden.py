@@ -8,12 +8,16 @@ the program wrote before it, not only against a second run of itself.
 import hashlib
 import itertools
 import json
+import os
+import sys
 
 import numpy as np
 
 from fiberwalk import agent
 from fiberwalk.cli import main
 from fiberwalk.neuralnet import DenseNet
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GOLDEN = {
     # The policy embeds the sha256 of the basis file, so its hash also pins that file.
@@ -139,3 +143,30 @@ def test_outputs_of_a_wide_graph_run_are_golden(tmp_path, monkeypatch):
         for command, name in WIDE_GOLDEN
     }
     assert digests == WIDE_GOLDEN
+
+
+# perfbench's graph70 workload, seed 1, data set 0: the beta model on G(70, 0.3),
+# d = 2,415 cells, with the mask, the stddev floor and the Bernoulli fit of a
+# wide problem.  The policy pins the basis file's sha256 too, but the basis
+# file is pinned on its own, as the benchmark checks it.
+GRAPH70_GOLDEN = {
+    ("train", "basis.txt"): "b36a9c4bacffb52428800fe2f136bdf119bf149c54a48c9fe9017440007d071d",
+    ("train", "policy.txt"): "3c3f970d01f66bf5ea7701b6cba4bbe4d031a172efbd9b957575c7a2c0c67dec",
+    ("test", "results.csv"): "e16175c00c454f919b5a3cf781ac556e73307f447dc77791964bf81bec7c3793",
+}
+
+
+def test_outputs_of_the_benchmark_graph70_run_are_golden(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    config = workloads.write_inputs("graph70", 1, str(tmp_path))[0]
+    monkeypatch.chdir(tmp_path)  # the configs name their files relative to this directory
+    for command, out in (("train", workloads.TRAIN_DIR), ("test", workloads.TEST_DIR)):
+        assert main([command, "--config", config, "--out", out]) == 0
+    digests = {
+        (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+        for command, name in GRAPH70_GOLDEN
+    }
+    assert digests == GRAPH70_GOLDEN

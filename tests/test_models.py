@@ -37,6 +37,7 @@ from fiberwalk.models import (
     read_table_csv,
 )
 
+from . import oracles
 from .oracles import embed_full, rational_rank, reference_fit, relative_error
 
 
@@ -306,6 +307,67 @@ class TestFitExpectedCounts:
         assert got.min() >= 0
         assert spec.cell_bound is None or got.max() <= spec.cell_bound
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 70), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1), st.data())
+    def test_bernoulli_fit_same_bytes_as_its_earlier_form(self, n, p, seed, data):
+        # G(n, p), some nodes isolated and some joined to every node that is not.
+        # A full-degree node has no finite MLE, so both forms give up with one message.
+        adj = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+        isolated = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+        full = data.draw(st.sets(st.integers(0, n - 1), max_size=1)) - isolated
+        for i in full:
+            adj[i, :] = adj[:, i] = True
+        for i in isolated:
+            adj[i, :] = adj[:, i] = False
+        spec = beta_model(n)
+        rows, k = spec._column_rows
+        counts = np.triu(adj, 1)[np.triu_indices(n, 1)].astype(np.int64)
+        assume(counts.sum() > 0)
+        target = oracles._margin_totals(rows, k, counts)
+        self._assert_same_fit(rows, target, 300)
+
+    def test_boundary_degree_sequence_fails_with_the_earlier_message(self):
+        # A star: the centre's degree is n - 1, the bound of the degree polytope.
+        spec = beta_model(8)
+        rows, k = spec._column_rows
+        counts = np.array([i == 0 for i, _ in spec.cell_labels()], dtype=np.int64)
+        message = self._assert_same_fit(rows, oracles._margin_totals(rows, k, counts),
+                                        models.FIT_MAX_ITER)
+        assert message.startswith("beta-model fit did not reach degree gap 1e-08 within 10000")
+
+    @staticmethod
+    def _assert_same_fit(rows, target, max_iter):
+        """Both forms' fits, byte for byte, or both FitError messages; returns the message."""
+        try:
+            want = oracles._fit_bernoulli(rows, target, models.FIT_TOL, max_iter)
+        except FitError as err:
+            with pytest.raises(FitError) as got:
+                models._fit_bernoulli(rows, target, models.FIT_TOL, max_iter)
+            assert str(got.value) == str(err)
+            return str(err)
+        got = models._fit_bernoulli(rows, target, models.FIT_TOL, max_iter)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_margin_totals_same_bytes_as_their_earlier_form(self, data):
+        # Independence up to 4x4, all-two-way up to 3x3x3, the beta model on 3-8 nodes,
+        # each with up to a third of its cells structural zeros.
+        family = data.draw(st.sampled_from([INDEPENDENCE, ALL_TWO_WAY, BETA_MODEL]))
+        sizes = {BETA_MODEL: (1, 3, 8), INDEPENDENCE: (2, 2, 4), ALL_TWO_WAY: (3, 2, 3)}
+        ndim, low, top = sizes[family]
+        shape = data.draw(st.lists(st.integers(low, top), min_size=ndim, max_size=ndim))
+        full_dim = ModelSpec(family, shape, ()).full_dim
+        zeros = data.draw(st.sets(st.integers(0, full_dim - 1), max_size=full_dim // 3))
+        rows, n = ModelSpec(family, shape, zeros)._column_rows
+        counts = data.draw(hnp.arrays(np.int64, len(rows), elements=st.integers(0, 2**40)))
+        reals = data.draw(hnp.arrays(float, len(rows), elements=st.floats(-1e6, 1e6)))
+        for values in (counts, reals, reals * 1e-300, counts / 7.0):
+            got = models._margin_totals(rows, n, values)
+            want = oracles._margin_totals(rows, n, values)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_zero_grand_total_degenerate(self):
         spec = independence(2, 2)
         dm = build_design_matrix(spec)
@@ -363,6 +425,23 @@ class TestChiSquare:
         assert np.array_equal(chi_square_many(rows[::-1], expected)[::-1], batch)
         assert np.array_equal(chi_square_many(np.vstack([others, rows]), expected)[len(others):], batch)
         assert np.array_equal(chi_square_many(rows[:1], expected), batch[:1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_the_masked_copy_form(self, data):
+        # With and without zero-expected cells, and with observed counts there.
+        d = data.draw(st.integers(1, 300))
+        cells = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+        expected = data.draw(hnp.arrays(float, d, elements=cells))
+        m = data.draw(st.integers(1, 12))
+        points = data.draw(hnp.arrays(np.int64, (m, d), elements=st.integers(0, 30)))
+        if data.draw(st.booleans()):
+            points[:, expected == 0] = 0
+        for block in (points, points.astype(float), points[:1]):
+            kept = block.copy()
+            got, want = chi_square_many(block, expected), oracles.chi_square_many(block, expected)
+            assert got.tobytes() == want.tobytes()
+            assert block.tobytes() == kept.tobytes()
 
 
 class TestFileFormats:
