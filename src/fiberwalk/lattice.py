@@ -315,8 +315,11 @@ def save_basis(path, basis):
 def load_basis(path):
     """Read a version 2 basis file, as :func:`save_basis` writes it.
 
-    A malformed file, or a first line that is not a version 2 header,
-    raises :class:`ValidationError` naming its path and line.
+    :func:`_bulk_nonzeros` parses the whole body at once.  A malformed
+    file, or a first line that is not a version 2 header, raises
+    :class:`ValidationError` naming its path and line: only then is the
+    body parsed again by the same function, one line at a time, to name
+    the first faulty line or a line count that differs from the header's.
     """
     with open_utf8(path) as fh:
         words = fh.readline().split()
@@ -335,62 +338,48 @@ def load_basis(path):
     lines = text.split("\n")  # not splitlines(), which also breaks at \v, \f and others
     if lines[-1] == "":  # the newline that ends the last line
         lines.pop()
-    nonzeros = _bulk_nonzeros(text, lines, dim) if len(lines) == count else None
-    if nonzeros is None:
-        for lineno, line in enumerate(lines, start=2):
-            where = f"{path}:{lineno}"
-            if lineno - 2 == count:
-                raise ValidationError(f"{where}: more vectors than the header's c={count}")
-            _check_line(where, line, dim)
-        raise ValidationError(
-            f"{path}:{len(lines) + 2}: {len(lines)} vectors, but the header says c={count}"
-        )
-    return LatticeBasis(shape=(count, dim), nonzeros=nonzeros)
+    if len(lines) == count:
+        try:
+            return LatticeBasis(shape=(count, dim), nonzeros=_bulk_nonzeros(text, lines, dim))
+        except ValidationError:
+            pass  # named below, at its first faulty line
+    for lineno, line in enumerate(lines, start=2):
+        if lineno - 2 == count:
+            raise ValidationError(f"{path}:{lineno}: more vectors than the header's c={count}")
+        try:
+            _bulk_nonzeros(line, [line], dim)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    raise ValidationError(
+        f"{path}:{len(lines) + 2}: {len(lines)} vectors, but the header says c={count}"
+    )
 
 
 def _bulk_nonzeros(text, lines, dim):
-    """The rows, columns and values of every line's pairs at once, or None if a line is malformed.
+    """The rows, columns and values of the pairs on ``lines``, the lines of ``text``, at once.
 
-    It accepts exactly the lines that :func:`_check_line` passes, read as
-    the same numbers; on None the caller runs that on each line in turn
-    for the first fault's message.
+    A malformed body raises a :class:`ValidationError` that names no
+    line.  The faults are checked in this order: a token that is not a
+    ``column:value`` pair of int64 integers, columns that do not
+    strictly increase within a line, a column outside ``0..dim-1``, a
+    zero value; so on one line it names that line's first fault.
     """
     split = [line.split() for line in lines]
     pairs = list(chain.from_iterable(split))
-    # Colons lie only in pairs: as many as there are pairs, one in each, is exactly one each.
-    if text.count(":") != len(pairs) or not all(":" in pair for pair in pairs):
-        return None
-    fields = ":".join(pairs).split(":") if pairs else []
     try:
+        # Colons lie only in pairs: as many as there are pairs, one in each, is exactly one each.
+        if text.count(":") != len(pairs) or not all(":" in pair for pair in pairs):
+            raise ValueError
+        fields = ":".join(pairs).split(":") if pairs else []
         cols = np.array(fields[0::2], dtype=np.int64)
         vals = np.array(fields[1::2], dtype=np.int64)
     except (ValueError, OverflowError):
-        return None
+        raise ValidationError("expected column:value pairs of integers in int64 range") from None
     rows = np.repeat(np.arange(len(lines)), [len(words) for words in split])
-    if (
-        ((cols < 0) | (cols >= dim) | (vals == 0)).any()
-        or (np.diff(cols)[rows[1:] == rows[:-1]] <= 0).any()
-    ):
-        return None
+    if (np.diff(cols)[rows[1:] == rows[:-1]] <= 0).any():
+        raise ValidationError("columns must strictly increase")
+    if ((cols < 0) | (cols >= dim)).any():
+        raise ValidationError(f"column outside 0..{dim - 1}")
+    if (vals == 0).any():
+        raise ValidationError("a listed value is 0")
     return rows, cols, vals
-
-
-def _check_line(where, line, dim):
-    """Raise a line's first fault as a ValidationError naming ``where``; a good line passes."""
-    cols, vals = [], []
-    try:
-        for pair in line.split():
-            col, val = pair.split(":")
-            cols.append(int(col))
-            vals.append(int(val))
-        np.array([cols, vals], dtype=np.int64)  # OverflowError past int64
-    except (ValueError, OverflowError):
-        raise ValidationError(
-            f"{where}: expected column:value pairs of integers in int64 range"
-        ) from None
-    if any(a >= b for a, b in zip(cols, cols[1:])):
-        raise ValidationError(f"{where}: columns must strictly increase")
-    if cols and (cols[0] < 0 or cols[-1] >= dim):
-        raise ValidationError(f"{where}: column outside 0..{dim - 1}")
-    if not all(vals):
-        raise ValidationError(f"{where}: a listed value is 0")

@@ -392,7 +392,8 @@ def chi_square_many(points, expected):
     np.multiply(terms, terms, out=terms)
     np.divide(terms, expected, out=terms, where=~zero)
     terms[:, zero] = 0.0
-    out = np.cumsum(terms, axis=1, out=terms)[:, -1] if terms.shape[1] else np.zeros(len(terms))
+    # A copy of the last column, so the (m, d) block is freed on return.
+    out = np.cumsum(terms, axis=1, out=terms)[:, -1].copy() if terms.shape[1] else np.zeros(len(terms))
     out[(points[:, zero] > 0).any(axis=1)] = math.inf
     return out
 

@@ -112,3 +112,13 @@ def test_spelled_out_defaults_write_the_same_bytes(tmp_path):
     assert readme["mdp.steps_per_episode"] == str(_field_default(MdpConfig, "steps_per_episode"))
     assert readme["train.episodes"] == str(_field_default(TrainConfig, "episodes"))
     assert readme["enumerate.cap"] == str(inspect.signature(enumerate_fiber).parameters["cap"].default)
+
+
+def test_the_readme_training_config_trains(tmp_path, monkeypatch):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"A minimal training config:\n\n```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "table.csv").write_text("dims=4x4\n" + "3,1,2,2\n" * 4)
+    (tmp_path / "run.cfg").write_text(block + "train.episodes=2\n")
+    monkeypatch.chdir(tmp_path)  # the block names its table relative to this directory
+    assert main(["train", "--config", "run.cfg", "--out", "train"]) == 0

@@ -12,6 +12,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from fiberwalk import agent
 from fiberwalk.cli import main
@@ -145,28 +146,43 @@ def test_outputs_of_a_wide_graph_run_are_golden(tmp_path, monkeypatch):
     assert digests == WIDE_GOLDEN
 
 
-# perfbench's graph70 workload, seed 1, data set 0: the beta model on G(70, 0.3),
-# d = 2,415 cells, with the mask, the stddev floor and the Bernoulli fit of a
-# wide problem.  The policy pins the basis file's sha256 too, but the basis
-# file is pinned on its own, as the benchmark checks it.
-GRAPH70_GOLDEN = {
-    ("train", "basis.txt"): "b36a9c4bacffb52428800fe2f136bdf119bf149c54a48c9fe9017440007d071d",
-    ("train", "policy.txt"): "3c3f970d01f66bf5ea7701b6cba4bbe4d031a172efbd9b957575c7a2c0c67dec",
-    ("test", "results.csv"): "e16175c00c454f919b5a3cf781ac556e73307f447dc77791964bf81bec7c3793",
+# perfbench's workloads, seed 1, data set 0.  graph70 is the beta model on
+# G(70, 0.3), d = 2,415 cells, with the mask, the stddev floor and the
+# Bernoulli fit of a wide problem; table3x3x3z is the only one with IPF and
+# structural zeros.  The policy pins the basis file's sha256 too, but the
+# basis file is pinned on its own, as the benchmark checks it.
+BENCHMARK_GOLDEN = {
+    "table4x4": {
+        ("train", "basis.txt"): "693b8c77d79d3be8db8174f75ae3345dfde5b88d59d471c6821b37dacb57c17a",
+        ("train", "policy.txt"): "71a28a83adf82b9232a7eefc4b7431aeb662310ba4036c3ffc28be2523f8cfc0",
+        ("test", "results.csv"): "8e4e8b4848886375bb4219cd6201e834f273b398e0a09c10d5fa4bee48bd698e",
+    },
+    "table3x3x3z": {
+        ("train", "basis.txt"): "3fc02e40d6b49fe8584955be634e4300934099f10214110d57a1aaa392086d48",
+        ("train", "policy.txt"): "1856e70ad4210a9701ae25b4c171e8adedcde2b55169b5810f3de25e53e55c61",
+        ("test", "results.csv"): "c16202d4d9ba93747f969f3a0d137a2fd69b75ec73f608f930f8984f270047e8",
+    },
+    "graph70": {
+        ("train", "basis.txt"): "b36a9c4bacffb52428800fe2f136bdf119bf149c54a48c9fe9017440007d071d",
+        ("train", "policy.txt"): "3c3f970d01f66bf5ea7701b6cba4bbe4d031a172efbd9b957575c7a2c0c67dec",
+        ("test", "results.csv"): "e16175c00c454f919b5a3cf781ac556e73307f447dc77791964bf81bec7c3793",
+    },
 }
 
 
-def test_outputs_of_the_benchmark_graph70_run_are_golden(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_GOLDEN))
+def test_outputs_of_the_benchmark_runs_are_golden(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
 
-    config = workloads.write_inputs("graph70", 1, str(tmp_path))[0]
+    config = workloads.write_inputs(workload, 1, str(tmp_path))[0]
     monkeypatch.chdir(tmp_path)  # the configs name their files relative to this directory
     for command, out in (("train", workloads.TRAIN_DIR), ("test", workloads.TEST_DIR)):
         assert main([command, "--config", config, "--out", out]) == 0
+    golden = BENCHMARK_GOLDEN[workload]
     digests = {
         (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
-        for command, name in GRAPH70_GOLDEN
+        for command, name in golden
     }
-    assert digests == GRAPH70_GOLDEN
+    assert digests == golden

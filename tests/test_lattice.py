@@ -838,9 +838,15 @@ class TestBasisFile:
             ("2:1 2:-1", "columns must strictly increase"),
             ("0:1 51:-1", "column outside 0..50"),
             ("0:1 1:0", "a listed value is 0"),
+            # A line with two faults names the one checked first: pairs, order, range, zeros.
+            ("2:0 1:-1", "columns must strictly increase"),
+            ("60:0", "column outside 0..50"),
+            ("5:1 x 4:-1", "expected column:value pairs of integers in int64 range"),
+            ("3:1 3:0", "columns must strictly increase"),
         ],
         ids=["not-a-pair", "colons-as-many-as-tokens", "past-int64", "columns-decrease",
-             "column-repeats", "column-past-width", "zero-value"],
+             "column-repeats", "column-past-width", "zero-value", "decrease-before-zero",
+             "range-before-zero", "pair-before-decrease", "repeat-before-zero"],
     )
     def test_fault_message_names_path_and_line(self, tmp_path, line, message):
         body = [f"{i}:1 {i + 1}:-1" for i in range(50)]

@@ -444,6 +444,16 @@ class TestChiSquare:
             assert block.tobytes() == kept.tobytes()
 
 
+    def test_statistics_own_their_data(self):
+        # A column view would keep the whole (m, d) float block alive for m values.
+        rng = np.random.default_rng(17)
+        expected = rng.uniform(0.5, 4.0, size=50)
+        points = rng.integers(0, 7, size=(20, 50))
+        stats = chi_square_many(points, expected)
+        assert stats.base is None and stats.flags.owndata
+        assert stats.tobytes() == oracles.chi_square_many(points, expected).tobytes()
+
+
 class TestFileFormats:
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
