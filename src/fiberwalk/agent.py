@@ -48,20 +48,14 @@ ACTOR_STEP_CAP = 0.1  # longest step an update applies to each parameter vector;
 CRITIC_STEP_CAP = 1.0
 
 
-def default_mask_k(state_dim, n_coeffs):
-    """No mask up to ``MASK_THRESHOLD`` cells or ``DEFAULT_MASK_K`` coefficients."""
-    return None if state_dim <= MASK_THRESHOLD or n_coeffs <= DEFAULT_MASK_K else DEFAULT_MASK_K
-
-
-def default_sigma_min(state_dim):
-    """Stddev floor regime, keyed off the same width threshold as masking.
-
-    Small dense problems keep a unit floor so the sampler stays
-    exploratory after convergence; wide sparse problems need the
-    policy to concentrate almost all coefficients at zero, which a
-    floor would forbid.
-    """
-    return 1.0 if state_dim <= MASK_THRESHOLD else SIGMA_MIN
+def width_defaults(state_dim, n_coeffs):
+    """``(mask_k, sigma_min)`` for ``auto``.  Up to ``MASK_THRESHOLD`` cells: no mask, and a
+    unit stddev floor that keeps the sampler exploratory after convergence.  Wider: keep
+    ``DEFAULT_MASK_K`` coefficients (all, if there are no more) and the ``SIGMA_MIN`` floor,
+    as a wide sparse policy must put almost every coefficient at zero."""
+    if state_dim <= MASK_THRESHOLD:
+        return None, 1.0
+    return (None if n_coeffs <= DEFAULT_MASK_K else DEFAULT_MASK_K), SIGMA_MIN
 
 
 @dataclass
@@ -131,10 +125,9 @@ def make_actor_critic(
         raise ContractViolation(f"hidden layer widths must be positive, got {hidden!r}")
     rng = np.random.default_rng(seed)
     net = make_dense((state_dim, *hidden, 2 * n_coeffs), rng)
-    if mask_k == "auto":
-        mask_k = default_mask_k(state_dim, n_coeffs)
-    if sigma_min == "auto":
-        sigma_min = default_sigma_min(state_dim)
+    auto_mask_k, auto_sigma_min = width_defaults(state_dim, n_coeffs)
+    mask_k = auto_mask_k if mask_k == "auto" else mask_k
+    sigma_min = auto_sigma_min if sigma_min == "auto" else sigma_min
     return ActorCritic(
         net=net,
         critic_weights=np.zeros(hidden[-1]),
@@ -342,9 +335,9 @@ class TrainConfig:
     """Discount, GAE weight, window and episode counts, and the step-size schedules.
 
     The schedules are a Robbins-Monro pair, ``a0 / t^(2/3)`` for the
-    actor and ``b0 / t`` for the critic; ``swap`` exchanges the two
-    decay laws.  Both pairings satisfy the summability conditions, they
-    differ in which iterate is the fast one.
+    actor and ``b0 / t`` for the critic; ``swap`` exchanges the decay laws,
+    and ``a0`` stays the actor's scale.  Both pairings satisfy the
+    summability conditions, they differ in which iterate is the fast one.
     """
 
     gamma: float = 0.99
@@ -370,15 +363,8 @@ class TrainConfig:
 
     def schedules(self):
         """``(actor, critic)`` step sizes as functions of the update count."""
-        def power_two_thirds(t):
-            return self.a0 / t ** (2.0 / 3.0)
-
-        def harmonic(t):
-            return self.b0 / t
-
-        if self.swap:
-            return harmonic, power_two_thirds
-        return power_two_thirds, harmonic
+        actor_power, critic_power = (1.0, 2.0 / 3.0) if self.swap else (2.0 / 3.0, 1.0)
+        return (lambda t: self.a0 / t ** actor_power), (lambda t: self.b0 / t ** critic_power)
 
 
 @dataclass(frozen=True)
@@ -474,32 +460,36 @@ def write_train_log(path, log):
 
 
 # ------------------------------------------------------------------
-# Policy file format (version 3): "fiberwalk-policy v3", the settings of
-# _POLICY_HEADER as key=value lines, "layers=<in>,<h1>,...,<out>", then one
-# line of standard padded base64 (RFC 4648) of the little-endian float64
-# values: the network's param_vector() followed by the critic weights.
+# Policy file format (version 3): "fiberwalk-policy v3", a key=value line per
+# (key, cast) of POLICY_SETTINGS, written repr(cast(value)) or "none" for None
+# and read back with cast, "basis_sha256=<hex>", "layers=<in>,<h1>,...,<out>",
+# then one line of standard padded base64 (RFC 4648) of the little-endian
+# float64 values: the network's param_vector() followed by the critic weights.
 # The layer widths fix how many values follow, and so the line's length.
 # ------------------------------------------------------------------
+
+POLICY_SETTINGS = (  # every ActorCritic field but net and critic_weights, in file order
+    ("coeff_min", int),
+    ("coeff_max", int),
+    ("mask_k", lambda value: None if value == "none" else int(value)),
+    ("ball_radius", float),
+    ("input_scale", float),
+    ("sigma_min", float),
+)
 
 
 def serialize_policy(ac, basis_sha256):
     """The v3 policy file text of ``ac``, pinned to the sha256 hex digest of its basis file."""
-    header = "\n".join([
-        "fiberwalk-policy v3",
-        f"coeff_min={ac.coeff_min}",
-        f"coeff_max={ac.coeff_max}",
-        f"mask_k={'none' if ac.mask_k is None else ac.mask_k}",
-        f"ball_radius={repr(float(ac.ball_radius))}",
-        f"input_scale={repr(float(ac.input_scale))}",
-        f"sigma_min={repr(float(ac.sigma_min))}",
-        f"basis_sha256={basis_sha256}",
-        f"layers={','.join(map(str, ac.net.dims))}",
-    ])
+    header = ["fiberwalk-policy v3"]
+    for key, cast in POLICY_SETTINGS:
+        value = getattr(ac, key)
+        header.append(f"{key}={'none' if value is None else repr(cast(value))}")
+    header += [f"basis_sha256={basis_sha256}", f"layers={','.join(map(str, ac.net.dims))}"]
     values = np.concatenate([ac.net.params, ac.critic_weights]).astype("<f8", copy=False)
     body = binascii.b2a_base64(values)  # ends in a line break
     del values  # each whole-file copy is freed once the next one is made
     body = body.decode("ascii")
-    return header + "\n" + body
+    return "\n".join(header) + "\n" + body
 
 
 def _widths(value):
@@ -509,16 +499,7 @@ def _widths(value):
     return dims
 
 
-_POLICY_HEADER = (
-    ("coeff_min", int),
-    ("coeff_max", int),
-    ("mask_k", lambda value: None if value == "none" else int(value)),
-    ("ball_radius", float),
-    ("input_scale", float),
-    ("sigma_min", float),
-    ("basis_sha256", str),
-    ("layers", _widths),
-)
+_POLICY_HEADER = (*POLICY_SETTINGS, ("basis_sha256", str), ("layers", _widths))
 _BODY_LINE = len(_POLICY_HEADER) + 2  # 1-based number of the values line
 
 

@@ -23,6 +23,7 @@ import scipy
 
 from . import __version__
 from .agent import (
+    POLICY_SETTINGS,
     TrainConfig,
     deserialize_policy,
     make_actor_critic,
@@ -67,7 +68,6 @@ from .sampling import (
 )
 
 _WALKERS = {"uniform": mh_uniform, "explore": explore}
-_POLICY_SETTINGS = ("coeff_min", "coeff_max", "mask_k", "sigma_min", "ball_radius", "input_scale")
 
 _UNSET = object()
 
@@ -360,7 +360,7 @@ def run_train(cfg):
         manifest.output("trainlog.csv", write_train_log, log)
         basis_sha = manifest.data["outputs"]["basis.txt"]
         manifest.output("policy.txt", _write_text, serialize_policy(ac, basis_sha256=basis_sha))
-    policy = {key: getattr(ac, key) for key in _POLICY_SETTINGS}
+    policy = {key: getattr(ac, key) for key, _ in POLICY_SETTINGS}
     policy["hidden"] = list(ac.net.dims[1:-1])
     manifest.data["settings"] = {"mdp": asdict(mdp), "train": asdict(train_cfg), "policy": policy}
 
@@ -489,6 +489,8 @@ def main(argv=None):
             raise ConfigError(f"{args.config}: unknown config key {unknown}")
         if args.seed is not None:
             cfg.seed = args.seed
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
         return COMMANDS[args.command](cfg)
     except FiberwalkError as exc:
         print(f"fiberwalk {args.command}: {exc}", file=sys.stderr)

@@ -451,3 +451,19 @@ def chi_square_many(points, expected):
         out = np.cumsum(dev * dev / expected[~zero], axis=1)[:, -1]
     out[(pts[:, zero] > 0).any(axis=1)] = math.inf
     return out
+
+
+def policy_header_lines(ac, basis_sha256):
+    """The v3 policy file's header lines, written line by line as the package once did:
+    the property in test_agent checks that the table-driven writer gives the same bytes."""
+    return [
+        "fiberwalk-policy v3",
+        f"coeff_min={ac.coeff_min}",
+        f"coeff_max={ac.coeff_max}",
+        f"mask_k={'none' if ac.mask_k is None else ac.mask_k}",
+        f"ball_radius={repr(float(ac.ball_radius))}",
+        f"input_scale={repr(float(ac.input_scale))}",
+        f"sigma_min={repr(float(ac.sigma_min))}",
+        f"basis_sha256={basis_sha256}",
+        f"layers={','.join(map(str, ac.net.dims))}",
+    ]

@@ -27,7 +27,6 @@ from fiberwalk.agent import (
     compute_gae,
     critic_update,
     critic_value,
-    default_mask_k,
     deserialize_policy,
     make_actor_critic,
     mask_coefficients,
@@ -35,6 +34,7 @@ from fiberwalk.agent import (
     policy_sample,
     serialize_policy,
     train,
+    width_defaults,
     window_scores,
     write_train_log,
 )
@@ -49,6 +49,7 @@ from .oracles import (
     gae_double_sum,
     gaussian_log_density,
     mask_coefficients as argsort_mask,
+    policy_header_lines,
     policy_log_density,
     relative_error,
     sample_score,
@@ -320,10 +321,12 @@ class TestMasking:
 
     def test_default_rule(self):
         # Past 100 cells the mask keeps 10 coefficients, unless there are at most 10.
-        assert default_mask_k(100, 50) is None
-        assert default_mask_k(101, 11) == 10
-        assert default_mask_k(101, 10) is None
-        assert default_mask_k(101, 6) is None
+        assert width_defaults(100, 50)[0] is None
+        assert width_defaults(101, 11)[0] == 10
+        assert width_defaults(101, 10)[0] is None
+        assert width_defaults(101, 6)[0] is None
+        # The stddev floor keys off the same width: a unit floor, then SIGMA_MIN.
+        assert (width_defaults(100, 50)[1], width_defaults(101, 6)[1]) == (1.0, SIGMA_MIN)
 
 
 class TestCriticValue:
@@ -740,6 +743,13 @@ class TestSchedulesAndConfig:
         assert actor(8) == pytest.approx(0.05 / 8.0)
         assert critic(8) == pytest.approx(0.05 / 4.0)
 
+    def test_swap_keeps_each_learner_s_scale(self):
+        # a0 is the actor's scale under either pairing; only the decay laws move.
+        actor, critic = TrainConfig(a0=0.5, b0=0.01, swap=True).schedules()
+        assert (actor(1), critic(1)) == (0.5, 0.01)
+        assert actor(8) == pytest.approx(0.5 / 8.0)
+        assert critic(8) == pytest.approx(0.01 / 4.0)
+
     def test_invalid_gamma(self):
         with pytest.raises(ContractViolation):
             TrainConfig(gamma=1.0)
@@ -993,6 +1003,9 @@ class TestPolicySerializationProperty:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_is_bit_exact(self, data):
+        # Bounds may be numpy ints and the ball radius an int; each header line is the
+        # one the earlier line-by-line writer gave.
+        integer = st.sampled_from([int, np.int32, np.int64])
         state_dim = data.draw(st.integers(1, 6))
         n_coeffs = data.draw(st.integers(1, 4))
         hidden = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
@@ -1001,10 +1014,10 @@ class TestPolicySerializationProperty:
             state_dim,
             n_coeffs,
             hidden=hidden,
-            coeff_min=cmin,
-            coeff_max=data.draw(st.integers(cmin + 1, 4)),
+            coeff_min=data.draw(integer)(cmin),
+            coeff_max=data.draw(integer)(data.draw(st.integers(cmin + 1, 4))),
             mask_k=data.draw(st.one_of(st.none(), st.integers(1, n_coeffs))),
-            ball_radius=data.draw(_POSITIVE),
+            ball_radius=data.draw(st.one_of(st.integers(1, 10**6), _POSITIVE)),
             input_scale=data.draw(_POSITIVE),
             sigma_min=data.draw(_SIGMA_MIN),
         )
@@ -1015,6 +1028,7 @@ class TestPolicySerializationProperty:
         sha = data.draw(st.binary(min_size=32, max_size=32)).hex()
 
         text = serialize_policy(ac, basis_sha256=sha)
+        assert text.split("\n")[:9] == policy_header_lines(ac, sha)
         back, back_sha = deserialize_policy(text)
         assert serialize_policy(back, basis_sha256=back_sha) == text
         assert back_sha == sha
@@ -1031,4 +1045,3 @@ class TestPolicySerializationProperty:
             ac.coeff_min, ac.coeff_max, ac.mask_k
         )
         assert back.net.dims == ac.net.dims
-        assert text.splitlines()[8] == "layers=" + ",".join(map(str, ac.net.dims))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import scipy
 
 from fiberwalk import __version__
+from fiberwalk.agent import POLICY_SETTINGS, ActorCritic
 from fiberwalk.cli import main
 from fiberwalk.lattice import compute_lattice_basis, in_kernel, load_basis, save_basis
 from fiberwalk.models import build_design_matrix, beta_model, independence
@@ -206,6 +208,21 @@ class TestValidation:
         assert captured.err == f"fiberwalk {command}: {cfg}: unknown config key train.episode\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sample", "test"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2_before_any_output(
+        self, tmp_path, train_cfg, capsys, command, where
+    ):
+        # numpy's generators take no negative seed; the run is refused before it starts.
+        cfg, flag = train_cfg, ["--seed", "-1"]
+        if where == "config":
+            cfg, flag = _write(tmp_path / "neg.cfg", open(train_cfg).read() + "seed=-1\n"), []
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"fiberwalk {command}: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, train_cfg):
@@ -280,6 +297,17 @@ class TestTrain:
         sum_a = json.loads((out_a / "manifest.json").read_text())["outputs"]
         sum_b = json.loads((out_b / "manifest.json").read_text())["outputs"]
         assert sum_a["policy.txt"] != sum_b["policy.txt"]
+
+    def test_policy_settings_table_covers_every_setting_and_the_manifest(
+        self, tmp_path, train_cfg
+    ):
+        # A setting added to ActorCritic must reach the policy file and the manifest.
+        keys = [key for key, _ in POLICY_SETTINGS]
+        fields = [f.name for f in dataclasses.fields(ActorCritic)]
+        assert keys == [name for name in fields if name not in ("net", "critic_weights")]
+        out = tmp_path / "run"
+        assert main(["train", "--config", train_cfg, "--out", str(out)]) == 0
+        assert set(_manifest(out)["settings"]["policy"]) == {*keys, "hidden"}
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
