@@ -6,8 +6,9 @@ defining a diagonal Gaussian whose samples are rounded, clamped to the
 coefficient bounds and optionally masked down to the largest few
 entries.  The critic is the linear map ``features . omega`` on the
 network's last hidden layer, read from the same forward pass, so one
-pass evaluates both.  A step only draws; the window scores its draws at
-once, from the stacked head outputs.  The actor ascends the GAE-weighted
+pass evaluates both.  A step only draws, from the pass at its state, which
+a step rejected in place reuses; the window scores its draws at once, from
+the stacked head outputs.  The actor ascends the GAE-weighted
 score direction averaged over a rollout window, one batched backward
 pass over the window's stacked layer outputs; the critic descends the
 squared n-step bootstrap error.  Each step is added in place to its
@@ -196,8 +197,9 @@ def policy_sample(ac, state, rng, dist=None):
     """Draw a coefficient action at ``state``.
 
     ``dist`` is the ``(mu, sigma)`` already evaluated at ``state``, as a
-    walk keeps it for its current state; passing it skips the network
-    pass, so ``cache`` and ``features`` are ``None``.  The draw
+    walk keeps it for its current state and training for a state that a
+    step left in place; passing it skips the network pass, so ``cache``
+    and ``features`` are ``None``.  The draw
     ``mu + sigma * standard_normal`` has the bits of ``rng.normal(mu, sigma)``
     at a fraction of its cost.
     """
@@ -386,6 +388,12 @@ def train(env, ac, cfg, start):
     approximation sequences.  Reproducible: all
     randomness flows from ``cfg.seed``.  The policy's coefficient bounds
     must be the environment's.
+
+    The network pass at the current state is kept until a feasible step
+    moves the state or the window's update changes the network: a step
+    rejected in place pays for its draw and its MDP step, not a pass.  A
+    window makes one pass at its first state and one after each feasible
+    step, the bootstrap's included, with the bits of a pass at every step.
     """
     if env.basis.count == 0:
         raise ValidationError("cannot train with an empty move basis")
@@ -414,23 +422,34 @@ def train(env, ac, cfg, start):
             k = min(cfg.window, steps_per_episode - done)
             caches, draws, rewards, values = [], [], [], []
             feasible_count = 0
+            cache = dist = None  # the pass at state, and its law once a rejected step reuses it
             for _ in range(k):
-                sample = policy_sample(ac, state, rng)
+                if cache is None:
+                    sample = policy_sample(ac, state, rng)
+                    cache, value = sample.cache, critic_value(ac, sample.features)
+                else:
+                    if dist is None:
+                        dist = _head_distribution(ac, cache[-1])[:2]
+                    sample = policy_sample(ac, state, rng, dist=dist)
                 outcome = env.step(sample.coeffs)
-                caches.append(sample.cache)
+                caches.append(cache)
                 draws.append(sample.continuous)
-                values.append(critic_value(ac, sample.features))
+                values.append(value)
                 rewards.append(outcome.reward)
                 feasible_count += outcome.feasible
                 state = outcome.next
-            end_cache = _forward(ac, state)
-            layers = [np.array(rows) for rows in zip(*caches, end_cache)]
+                if outcome.feasible:
+                    cache = dist = None
+            if cache is None:
+                cache = _forward(ac, state)
+                value = critic_value(ac, cache[-2])
+            layers = [np.array(rows) for rows in zip(*caches, cache)]
             traj = Trajectory(
                 layers=layers,
                 scores=window_scores(ac, layers[-1][:k], np.array(draws)),
                 rewards=np.array(rewards),
                 values=np.array(values),
-                bootstrap_value=critic_value(ac, end_cache[-2]),
+                bootstrap_value=value,
             )
             n_updates += 1
             alpha = actor_sched(n_updates)

@@ -17,7 +17,17 @@ import numpy as np
 from scipy.special import ndtr
 
 from fiberwalk._exact import integer_kernel_basis
-from fiberwalk.agent import SIGMA_MAX, policy_distribution, window_scores
+from fiberwalk.agent import (
+    SIGMA_MAX,
+    Trajectory,
+    WindowStats,
+    actor_update,
+    critic_update,
+    critic_value,
+    policy_distribution,
+    policy_sample,
+    window_scores,
+)
 from fiberwalk.errors import FitError, ValidationError
 from fiberwalk.lattice import LatticeBasis
 
@@ -467,3 +477,45 @@ def policy_header_lines(ac, basis_sha256):
         f"basis_sha256={basis_sha256}",
         f"layers={','.join(map(str, ac.net.dims))}",
     ]
+
+
+def train_every_step(env, ac, cfg, start):
+    """``agent.train``'s windows with a network pass at every step and one more for the
+    bootstrap, whether or not the state moved: the loop that keeping a pass replaced."""
+    rng = np.random.default_rng(cfg.seed)
+    actor_sched, critic_sched = cfg.schedules()
+    log = []
+    for _ in range(cfg.episodes):
+        env.reset(np.asarray(start, dtype=np.int64))
+        state = env.current
+        done = 0
+        while done < env.config.steps_per_episode:
+            k = min(cfg.window, env.config.steps_per_episode - done)
+            caches, draws, rewards, values = [], [], [], []
+            feasible_count = 0
+            for _ in range(k):
+                sample = policy_sample(ac, state, rng)
+                outcome = env.step(sample.coeffs)
+                caches.append(sample.cache)
+                draws.append(sample.continuous)
+                values.append(critic_value(ac, sample.features))
+                rewards.append(outcome.reward)
+                feasible_count += outcome.feasible
+                state = outcome.next
+            end_cache = ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)
+            layers = [np.array(rows) for rows in zip(*caches, end_cache)]
+            traj = Trajectory(
+                layers=layers,
+                scores=window_scores(ac, layers[-1][:k], np.array(draws)),
+                rewards=np.array(rewards),
+                values=np.array(values),
+                bootstrap_value=critic_value(ac, end_cache[-2]),
+            )
+            n = len(log) + 1
+            alpha, beta = actor_sched(n), critic_sched(n)
+            critic_update(ac, traj, beta, cfg.gamma)
+            actor_update(ac, traj, alpha, cfg.gamma, cfg.lam)
+            log.append(WindowStats(n, float(traj.rewards.mean()), feasible_count / k,
+                                   env.discovered.count, alpha, beta))
+            done += k
+    return log

@@ -39,9 +39,16 @@ from fiberwalk.agent import (
     write_train_log,
 )
 from fiberwalk.errors import ContractViolation, NumericError, ValidationError
-from fiberwalk.fibermdp import FiberEnv
+from fiberwalk.fibermdp import FiberEnv, MdpConfig
 from fiberwalk.lattice import compute_lattice_basis
-from fiberwalk.models import build_design_matrix, independence
+from fiberwalk.models import (
+    all_two_way,
+    beta_model,
+    build_design_matrix,
+    independence,
+    observe_graph,
+    observe_table,
+)
 from fiberwalk.neuralnet import DenseNet
 
 from .oracles import (
@@ -55,6 +62,7 @@ from .oracles import (
     sample_score,
     score_gradient,
     step_score,
+    train_every_step,
     window_direction_oracle,
 )
 
@@ -179,15 +187,47 @@ class TestOneNetworkPass:
         assert not [v for v in vars(sample).values() if isinstance(v, DenseNet)]
         assert critic_value(ac, sample.features) == critic_value(ac, _features(ac, state))
 
-    def test_one_forward_per_step_and_one_backward_per_window(self, calls):
+    @staticmethod
+    def _count_feasible(monkeypatch):
+        feasible = []
+        original = FiberEnv.step
+
+        def step(env, coeffs):
+            outcome = original(env, coeffs)
+            feasible.append(outcome.feasible)
+            return outcome
+
+        monkeypatch.setattr(FiberEnv, "step", step)
+        return feasible
+
+    def test_one_forward_per_state_and_one_backward_per_window(self, calls, monkeypatch):
+        feasible = self._count_feasible(monkeypatch)
         dm = build_design_matrix(independence(2, 2))
         env = FiberEnv(dm, compute_lattice_basis(dm), np.array([2, 1, 1, 2]))
         ac = make_actor_critic(4, 1, hidden=(6, 3), seed=0)
         log = train(env, ac, TrainConfig(episodes=1, window=8), start=env.current)
-        steps = env.config.steps_per_episode
-        # One forward pass per step, plus one at each window's end for the bootstrap
-        # value; one backward pass per window, over all of its steps at once.
-        assert calls == {"forward_cached": steps + len(log), "backward": len(log)}
+        # One forward pass at each window's first state and one at the state after
+        # each feasible step, the bootstrap's included: a step rejected in place
+        # reuses the pass at its state.  One backward pass per window, over all of
+        # its steps at once.
+        assert len(feasible) == env.config.steps_per_episode
+        assert (len(log), sum(feasible)) == (13, 74)
+        assert calls == {"forward_cached": len(log) + sum(feasible), "backward": len(log)}
+
+    def test_a_rejection_heavy_fiber_skips_most_passes(self, calls, monkeypatch):
+        feasible = self._count_feasible(monkeypatch)
+        spec = all_two_way(3, 3, 3, structural_zeros={0, 13, 26})
+        dm = build_design_matrix(spec)
+        table = np.random.default_rng(1).integers(1, 5, size=27)
+        table[[0, 13, 26]] = 0
+        data = observe_table(spec, dm, table.reshape(3, 3, 3))
+        env = FiberEnv(dm, compute_lattice_basis(dm), data.counts)
+        ac = make_actor_critic(dm.n_cols, env.basis.count, hidden=(8, 8), seed=1,
+                               input_scale=4.0)
+        log = train(env, ac, TrainConfig(episodes=2, seed=1), start=data.counts)
+        steps = len(feasible)
+        assert calls == {"forward_cached": len(log) + sum(feasible), "backward": len(log)}
+        assert calls["forward_cached"] < (steps + len(log)) / 2
 
 
 class TestWindowScores:
@@ -717,6 +757,44 @@ class TestTrain:
         ac = make_actor_critic(4, 0, hidden=(6,), seed=0)
         with pytest.raises(ValidationError):
             train(env, ac, TrainConfig(episodes=1), start=env.current)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=st.booleans(),
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        nodes=st.integers(4, 5),
+        window=st.integers(1, 9),
+        episodes=st.integers(1, 3),
+        steps=st.integers(1, 40),
+        mask_k=st.sampled_from([None, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keeping_a_pass_matches_a_pass_at_every_step(
+        self, graph, shape, nodes, window, episodes, steps, mask_k, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if graph:  # a random 0/1 graph under the beta model
+            spec = beta_model(nodes)
+            dm = build_design_matrix(spec)
+            pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+            edges = [pair for pair in pairs if rng.random() < 0.5]
+            counts = observe_graph(spec, dm, edges).counts
+        else:  # a random independence table
+            spec = independence(*shape)
+            dm = build_design_matrix(spec)
+            counts = observe_table(spec, dm, rng.integers(0, 5, size=shape)).counts
+        basis = compute_lattice_basis(dm)
+        ac = make_actor_critic(dm.n_cols, basis.count, hidden=(5, 3), seed=seed % 1000,
+                               mask_k=mask_k, input_scale=max(1.0, float(counts.max())))
+        cfg = TrainConfig(window=window, episodes=episodes, seed=seed)
+        runs = []
+        for run in (train, train_every_step):
+            env = FiberEnv(dm, basis, counts, MdpConfig(steps_per_episode=steps))
+            learner = copy.deepcopy(ac)
+            log = run(env, learner, cfg, start=counts)
+            runs.append((learner.net.params.tobytes(), learner.critic_weights.tobytes(),
+                         [repr(dataclasses.astuple(row)) for row in log]))
+        assert runs[0] == runs[1]
 
     def test_write_train_log(self, tmp_path):
         env = self._env()

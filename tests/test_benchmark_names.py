@@ -54,6 +54,7 @@ def test_traced_pass_gives_finite_layer_metrics(tracing):
     tracer.install()
     try:
         log = train(env, ac, TrainConfig(episodes=2, seed=1), start=data.counts)
+        training_spans = len(tracer.spans)
         results = besag_clifford_pvalues(ac, basis, spec, data, chains=2, chain_length=4, seed=1)
     finally:
         tracer.uninstall()
@@ -61,6 +62,11 @@ def test_traced_pass_gives_finite_layer_metrics(tracing):
     metrics, notes = tracing.layer_metrics(tracer, run)
     assert all(math.isfinite(value) for value, _ in metrics.values())
     assert metrics["fibermdp.step_calls"] == (40, "count")
+    # Training makes a forward pass at each window's first state and after each
+    # feasible step; a step rejected in place reuses the pass at its state.
+    forwards = sum(s[tracing.NAME] == "neuralnet.forward" for s in tracer.spans[:training_spans])
+    feasible_steps, _ = metrics["fibermdp.feasible_steps"]
+    assert forwards == len(log) + feasible_steps
     # Each test walks 4 strides of 100 Metropolis steps, one proposal each.
     assert metrics["sampling.mh_steps"] == (2 * 400, "count")
     assert metrics["sampling.proposals"] == (2 * 400, "count")
