@@ -144,17 +144,16 @@ def make_actor_critic(
 def _forward(ac, state):
     """One network pass at ``state``: every layer's output, the input first.  The
     head output is the last; the last hidden layer, the critic's input, precedes it."""
-    return ac.net.forward_cached(np.asarray(state, dtype=float) / ac.input_scale)
+    return ac.net.forward_cached(np.divide(state, ac.input_scale))
 
 
-@dataclass(frozen=True)
 class PolicySample:
     """One draw: the coefficients, the continuous draw they round from, and the forward
-    pass's layer outputs, from which :func:`window_scores` scores the draw."""
+    pass's layer outputs (every layer's, the input first), from which
+    :func:`window_scores` scores the draw."""
 
-    coeffs: np.ndarray
-    continuous: np.ndarray
-    cache: list  # every layer's output at the state, the input first
+    def __init__(self, coeffs, continuous, cache):
+        self.coeffs, self.continuous, self.cache = coeffs, continuous, cache
 
     @property
     def features(self):
@@ -166,7 +165,8 @@ def mask_coefficients(coeffs, mask_k):
     """Keep the mask_k largest(|.|) entries, ties broken by lowest index.
 
     The entries are integers in the coefficient bounds, so they are kept by
-    magnitude class, from the largest down: a pass per class, not a sort.
+    magnitude class, from the largest down: a pass per class, not a sort, and
+    none once ``mask_k`` entries are kept.
     """
     if mask_k is None or mask_k >= len(coeffs):
         return coeffs
@@ -175,6 +175,8 @@ def mask_coefficients(coeffs, mask_k):
         keep = np.flatnonzero(mags == m)[:left]
         out[keep] = coeffs[keep]
         left -= len(keep)
+        if not left:
+            break
     return out
 
 

@@ -4,8 +4,9 @@ States are fiber points, inside the box ``0 <= x <= design.cell_bound``;
 an action is a bounded integer coefficient vector over the lattice
 basis, applied as a move.  Transitions are deterministic.  The reward
 never exceeds zero: a candidate outside the box is charged its
-:func:`~fiberwalk.models.overshoot`, the one box test that the walks
-share, and the zero move is charged ``-d`` so the agent cannot stall.
+:func:`~fiberwalk.models.overshoot`, the distance outside, which is zero
+where the walks' box test :func:`~fiberwalk.models.inside` holds, and the
+zero move is charged ``-d`` so the agent cannot stall.
 An infeasible candidate leaves the state unchanged, keeping the walk
 on the fiber during training exactly as at deployment.  Visited points
 are counted, not stored: :class:`DiscoveredSet` keeps one digest per

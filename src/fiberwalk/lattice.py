@@ -76,14 +76,11 @@ class LatticeBasis:
         return out
 
 
-@dataclass(frozen=True)
 class Move:
     """An integer vector in the kernel of a design matrix."""
 
-    delta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.int64))
+    def __init__(self, delta):
+        self.delta = np.asarray(delta, dtype=np.int64)
 
     @property
     def is_zero(self):

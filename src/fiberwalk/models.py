@@ -199,9 +199,14 @@ class DesignMatrix:
         return _margin_totals(self.rows, self.n_rows, counts)
 
 
+def inside(x, upper):
+    """Whether ``x`` lies in the box ``0..upper`` (``None``: no upper bound)."""
+    return x.min() >= 0 and (upper is None or x.max() <= upper)
+
+
 def overshoot(x, upper):
     """Minus the total distance of ``x`` outside ``0..upper`` (``None``: no bound); 0 inside."""
-    if x.min() >= 0 and (upper is None or x.max() <= upper):
+    if inside(x, upper):
         return 0
     out = np.minimum(x, 0).sum()
     if upper is not None:

@@ -6,7 +6,9 @@ Metropolis-corrected chain keeps one only if it passes the Metropolis
 test, so its stationary law is its table's target on the fiber.  On top of
 the chain, the exchangeable-sample protocol turns many independent
 chains into one exact conditional p-value each.  A walk stays in the
-family's box ``0 <= x <= upper`` (:func:`~fiberwalk.models.overshoot`).
+family's box ``0 <= x <= upper``: it tests a candidate with the box's
+predicate, :func:`~fiberwalk.models.inside`, and leaves the distance
+outside, :func:`~fiberwalk.models.overshoot`, to the MDP's reward.
 One target serves every family, the conditional null law proportional
 to ``1/prod(x_i!)``: for tables given their margins (Diaconis and
 Sturmfels 1998), and on the beta model's 0/1 box the uniform law on
@@ -61,7 +63,7 @@ from .agent import policy_distribution, policy_sample
 from .errors import ContractViolation
 from .fibermdp import DiscoveredSet
 from .lattice import combine_moves
-from .models import chi_square_many, chi_square_statistic, fit_expected_counts, overshoot
+from .models import chi_square_many, chi_square_statistic, fit_expected_counts, inside, overshoot
 
 STUCK_FACTOR = 10  # consecutive infeasible proposals per dimension before warning
 TABLE_BYTES = 2 << 20  # budget of a StateTable's states, counted as they are held
@@ -124,7 +126,7 @@ def _walk(basis, start, steps, rng, expected, chain_id, metropolis, table, upper
     for _ in range(steps):
         coeffs = policy_sample(table.ac, state, rng, dist=(here.mu, here.sigma)).coeffs
         candidate = state + combine_moves(coeffs, basis).delta
-        if overshoot(candidate, upper):
+        if not inside(candidate, upper):
             consecutive += 1
             stuck = stuck or consecutive >= limit
         else:
@@ -133,7 +135,7 @@ def _walk(basis, start, steps, rng, expected, chain_id, metropolis, table, upper
             accept = True
             if metropolis:
                 ratio = log_accept_ratio(table, coeffs, here, there)
-                accept = ratio > -np.inf and np.log(rng.uniform()) < ratio
+                accept = ratio > -np.inf and np.log(rng.random()) < ratio
             if accept:
                 state, here = candidate, there
                 discovered.add(state)

@@ -385,7 +385,7 @@ def per_line_basis_nonzeros(path, count, dim):
 
 
 # ------------------------------------------------------------------
-# The package's earlier forms of four width-bound functions, kept
+# The package's earlier forms of five width-bound functions, kept
 # verbatim: the properties in test_agent and test_models check that the
 # faster forms give the same bytes.  ``_fit_bernoulli`` calls the
 # ``_margin_totals`` below, as it did in the package.
@@ -400,6 +400,18 @@ def mask_coefficients(coeffs, mask_k):
     out = np.zeros_like(coeffs)
     keep = order[:mask_k]
     out[keep] = coeffs[keep]
+    return out
+
+
+def mask_by_every_class(coeffs, mask_k):
+    """The magnitude-class mask that scans every class down to 1, whatever it has kept."""
+    if mask_k is None or mask_k >= len(coeffs):
+        return coeffs
+    mags, out, left = np.abs(coeffs), np.zeros_like(coeffs), mask_k
+    for m in range(int(mags.max()), 0, -1):
+        keep = np.flatnonzero(mags == m)[:left]
+        out[keep] = coeffs[keep]
+        left -= len(keep)
     return out
 
 

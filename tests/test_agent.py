@@ -55,6 +55,7 @@ from .oracles import (
     central_difference,
     gae_double_sum,
     gaussian_log_density,
+    mask_by_every_class,
     mask_coefficients as argsort_mask,
     policy_header_lines,
     policy_log_density,
@@ -133,6 +134,19 @@ class TestPolicySample:
         ac = make_actor_critic(4, len(mu), hidden=(5,), coeff_min=-50, coeff_max=50)
         drawn = policy_sample(ac, None, np.random.default_rng(2024), dist=(mu, sigma))
         assert np.array_equal(drawn.continuous, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        state=hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 2**60)),
+        scale=st.floats(1e-3, 1e6),
+    )
+    def test_dividing_an_integer_state_casts_it_first(self, state, scale):
+        # The network's input is np.divide(state, input_scale); every pinned digest
+        # assumes it has the bits of the float cast divided by the scale.
+        want = np.asarray(state, dtype=float) / scale
+        assert np.divide(state, scale).tobytes() == want.tobytes()
+        ac = make_actor_critic(len(state), 2, hidden=(3,), input_scale=scale)
+        assert agent_module._forward(ac, state)[0].tobytes() == want.tobytes()
 
     def test_given_distribution_skips_the_network(self):
         ac = _small_ac(n_coeffs=5, mask_k=2)
@@ -349,6 +363,27 @@ class TestMasking:
         k = data.draw(st.integers(1, size + 1))
         got, want = mask_coefficients(coeffs, k), argsort_mask(coeffs, k)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_a_scan_of_every_class(self, data):
+        # The mask stops once it has kept mask_k entries; the reference scans
+        # every smaller class too.  Wide bounds leave many classes to skip.
+        bound = data.draw(st.sampled_from([1, 2, 5, 12]))
+        size = data.draw(st.integers(1, 60))
+        coeffs = data.draw(hnp.arrays(np.int64, size, elements=st.integers(-bound, bound)))
+        k = data.draw(st.integers(1, size + 1))
+        got, want = mask_coefficients(coeffs, k), mask_by_every_class(coeffs, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_stops_once_mask_k_are_kept(self, monkeypatch):
+        # The largest class alone fills the mask, so the four smaller ones are never scanned.
+        scans = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or flatnonzero(a))
+        out = mask_coefficients(np.array([5, 0, -1, 2, -5, 3]), 2)
+        assert out.tolist() == [5, 0, 0, 0, -5, 0]
+        assert len(scans) == 1
 
     def test_same_bytes_as_a_stable_argsort_on_wide_sparse_draws(self):
         # A wide beta-model draw: 2,345 rounded coefficients, mostly 0.

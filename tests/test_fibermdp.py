@@ -13,6 +13,7 @@ from fiberwalk.models import (
     beta_model,
     build_design_matrix,
     independence,
+    inside,
     observe_graph,
     verify_marginals,
 )
@@ -177,3 +178,12 @@ class TestOvershoot:
         assert got == -np.abs(x - np.clip(x, 0, upper)).sum()
         if upper is None:
             assert got == x[x < 0].sum()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=hnp.arrays(np.int64, st.integers(1, 30), elements=st.integers(-3, 3)),
+        upper=st.sampled_from([None, 0, 1]),
+    )
+    def test_inside_is_a_zero_overshoot(self, x, upper):
+        # A walk tests a candidate with inside; the MDP charges the overshoot.
+        assert inside(x, upper) == (overshoot(x, upper) == 0)

@@ -700,6 +700,18 @@ class TestGoldenTraces:
         assert got == digest
 
 
+class TestMetropolisUniform:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63))
+    def test_random_gives_the_doubles_of_uniform(self, seed):
+        # The Metropolis test draws rng.random(); every pinned trace assumes it
+        # takes the double that rng.uniform() takes from the same stream.
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert np.float64(a.random()).tobytes() == np.float64(b.uniform()).tobytes()
+            assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+
+
 class TestRankPValue:
     def test_observed_above_everything(self):
         stats = np.zeros(99)
