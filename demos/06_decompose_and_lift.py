@@ -1,10 +1,12 @@
 """Subdivide a graph problem, solve small kernels, lift the moves back.
 
 Kernel elimination on a design matrix with millions of columns is
-hopeless, but a graph can be cut into highly connected pieces whose
+hopeless, but a graph can be cut by chosen node sets into pieces whose
 bases are cheap.  Each piece is the parent design restricted to its
 nodes and the node pairs inside them, so its moves embed into the
 parent kernel by zero padding: each vector is written at its columns.
+The node sets are chosen before the graph is observed, so the lifted
+moves are the same at every point of the fiber.
 """
 
 import numpy as np
@@ -30,8 +32,8 @@ parent = build_design_matrix(spec)
 counts = observe_graph(spec, parent, edges).counts
 print(f"parent design matrix: {parent.n_rows} x {parent.n_cols}")
 
-subs = decompose_initial_point(parent, counts, "bridge_cuts")
-print(f"bridge-cut decomposition: {len(subs)} sub-problems, "
+subs = decompose_initial_point(parent, [cluster_a, cluster_b])
+print(f"node-set decomposition: {len(subs)} sub-problems, "
       f"sizes {[len(s.node_set) for s in subs]}")
 
 sub_bases = [compute_lattice_basis(s.sub_matrix) for s in subs]

@@ -77,7 +77,7 @@ KEYS = frozenset({
     "model.family", "model.shape", "model.nodes", "model.structural_zeros",
     "data.table", "data.graph",
     "policy.file", "policy.basis",
-    "decompose.strategy", "decompose.k", "decompose.node_sets",
+    "decompose.node_sets",
     "mdp.c1", "mdp.c2", "mdp.steps_per_episode", "mdp.gamma",
     "train.lambda", "train.window", "train.episodes", "train.a0", "train.b0",
     "train.swap_schedules", "train.hidden", "train.mask_k", "train.ball_radius",
@@ -108,9 +108,9 @@ def _int_list(text):
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _int_lists(text):
-    """``;``-separated groups of comma-separated integers."""
-    return [_int_list(group) for group in text.split(";")]
+def _node_sets(text):
+    """``;``-separated groups of comma-separated 1-based nodes, as sets of 0-based nodes."""
+    return [{v - 1 for v in _int_list(group)} for group in text.split(";")]
 
 
 def _mask_k(text):
@@ -250,24 +250,11 @@ def _observed_data(cfg, spec, design):
     return observe_table(spec, design, cells)
 
 
-def _decomposition(cfg):
-    """Keyword arguments of :func:`decompose_initial_point`, or None for one exact basis."""
-    strategy = cfg.get("decompose.strategy")
-    if strategy is None:
-        return None
-    node_sets = cfg.get("decompose.node_sets", cast=_int_lists)
-    return {
-        "strategy": strategy,
-        "k": cfg.get("decompose.k", cast=int),
-        "node_sets": None if node_sets is None else [{v - 1 for v in g} for g in node_sets],
-    }
-
-
-def _compute_moves(design, counts, decomposition):
-    """Kernel basis, optionally via subdivide-and-lift on graph data."""
-    if decomposition is None:
+def _compute_moves(design, node_sets):
+    """Kernel basis, or the moves lifted from the sub-problems of ``node_sets`` (None: no split)."""
+    if node_sets is None:
         return compute_lattice_basis(design)
-    subs = decompose_initial_point(design, counts, **decomposition)
+    subs = decompose_initial_point(design, node_sets)
     sub_bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
     return lift_basis(sub_bases, subs, design.n_cols)
 
@@ -341,11 +328,11 @@ def run_train(cfg):
         input_scale=cfg.get("train.input_scale", _UNSET, float),
         sigma_min=cfg.get("train.sigma_min", _UNSET, _sigma_min),
     )
-    decomposition = _decomposition(cfg)
+    node_sets = cfg.get("decompose.node_sets", cast=_node_sets)
     _, design, data, _, _ = _ingest(manifest, cfg)
 
     with manifest.stage("basis"):
-        basis = _compute_moves(design, data.counts, decomposition)
+        basis = _compute_moves(design, node_sets)
 
     with manifest.stage("train"):
         net.setdefault("input_scale", max(1.0, float(data.counts.max())))
@@ -441,13 +428,11 @@ def run_enumerate(cfg):
 
 def run_lift(cfg):
     manifest = Manifest("lift", cfg)
-    decomposition = _decomposition(cfg)
-    if decomposition is None:
-        raise ConfigError("lift requires decompose.strategy")
-    _, design, data, _, _ = _ingest(manifest, cfg)
+    node_sets = cfg.require("decompose.node_sets", _node_sets)
+    _, design, _, _, _ = _ingest(manifest, cfg)
 
     with manifest.stage("lift"):
-        basis = _compute_moves(design, data.counts, decomposition)
+        basis = _compute_moves(design, node_sets)
 
     with manifest.stage("write"):
         manifest.output("lifted_basis.txt", save_basis, basis)

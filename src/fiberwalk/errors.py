@@ -38,7 +38,7 @@ class ConfigError(ValidationError):
 
 
 class DecompositionError(ValidationError):
-    """A decomposition strategy produced no usable sub-problem."""
+    """Node sets that share a node pair, or that hold none of the design's columns."""
 
 
 class IncompatiblePolicyError(ValidationError):

@@ -4,8 +4,7 @@ States are fiber points, inside the box ``0 <= x <= design.cell_bound``;
 an action is a bounded integer coefficient vector over the lattice
 basis, applied as a move.  Transitions are deterministic.  The reward
 never exceeds zero: a candidate outside the box is charged its
-:func:`~fiberwalk.models.overshoot`, the distance outside, which is zero
-where the walks' box test :func:`~fiberwalk.models.inside` holds, and the
+:func:`~fiberwalk.models.overshoot`, the distance outside, and the
 zero move is charged ``-d`` so the agent cannot stall.
 An infeasible candidate leaves the state unchanged, keeping the walk
 on the fiber during training exactly as at deployment.  Visited points
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .lattice import combine_moves
-from .models import overshoot, verify_marginals
+from .models import inside, overshoot, verify_marginals
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class FiberEnv:
     def reset(self, start):
         """Jump to a feasible start point; keeps the discovered set."""
         start = np.asarray(start, dtype=np.int64)
-        if overshoot(start, self.design.cell_bound):
+        if not inside(start, self.design.cell_bound):
             raise ContractViolation("start point lies outside the box")
         if not verify_marginals(self.design, start, self._marginals):
             raise ContractViolation("start point lies on a different fiber")

@@ -7,10 +7,11 @@ vector space with exactly ``d - rank(M)`` primitive integer vectors.
 A basis is held as its nonzeros, a handful per vector even when d is
 in the thousands: the elimination emits them, a move is one integer
 scatter of them, and the basis file lists only them.
-A large graph problem can be split into sub-problems, each a set of
-the parent design's columns, so the parent's structural zeros and 0/1
-box carry over; a graph design's rows are its nodes, so a sub-problem's
-margin-rows table is the parent's, renumbered to its nodes.  Their small
+A large graph problem can be split into sub-problems, each the parent
+design's columns whose node pairs lie inside a chosen node set, so the
+parent's structural zeros and 0/1 box carry over; a graph design's rows
+are its nodes, so a sub-problem's margin-rows table is the parent's,
+renumbered to its nodes.  Their small
 bases are lifted back by zero padding: each vector's nonzeros are
 written at its parent columns.
 """
@@ -29,12 +30,7 @@ from .errors import (
     ValidationError,
     open_utf8,
 )
-from .models import DesignMatrix, overshoot
-
-CONNECTED_COMPONENTS = "connected_components"
-K_CORE = "k_core"
-BRIDGE_CUTS = "bridge_cuts"
-INDUCED_SUBGRAPHS = "induced_subgraphs"
+from .models import DesignMatrix
 
 
 @dataclass(frozen=True, init=False)
@@ -150,73 +146,43 @@ def in_kernel(design, delta):
     return not design.marginals(delta).any()
 
 
-def decompose_initial_point(design, counts, strategy, k=None, node_sets=None):
-    """Split a graph problem into sub-problems, each a set of the parent's columns.
+def decompose_initial_point(design, node_sets):
+    """Split a graph problem into sub-problems, one for each of ``node_sets``.
 
-    ``counts`` is a point of the graph ``design``'s 0/1 box, as
-    :func:`~fiberwalk.models.observe_graph` builds it; its nonzero
-    columns are the edges.  Strategies: connected components; the
-    k-core (split into its components); bridge cuts (components after
-    removing all bridges); or caller-chosen, pairwise edge-disjoint
-    induced subgraphs on 0-based nodes.  A sub-problem keeps the
-    design's rows for its nodes and the columns whose pairs lie inside
-    them, so structural zeros and the box carry over; a node set with
-    no such column is skipped.  Every edge lands in at most one.
+    ``node_sets`` are sets of 0-based nodes of the graph ``design``.  A
+    sub-problem keeps the design's rows for its nodes and the columns
+    whose pairs lie inside them, so structural zeros and the 0/1 box
+    carry over; a node set with no such column is skipped.  The design
+    and the sets alone fix the sub-problems, never an observed graph.
+    Two sets that share a column, a pair of two shared nodes, are
+    refused: that column would be lifted twice.
     """
-    import networkx as nx  # here, not at the top: only a decomposing run pays for it
-
     if design.cell_bound != 1:
         raise ContractViolation("decomposition applies only to graph data (cell bound 1)")
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (design.n_cols,) or overshoot(counts, 1):
-        raise ValidationError(f"observed graph must be a 0/1 point of length {design.n_cols}")
-    if not counts.any():
-        raise DecompositionError("graph has no edges")
+    if not node_sets:
+        raise ContractViolation("decomposition requires node sets")
     n = design.n_rows
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(design.rows[np.flatnonzero(counts)].tolist())
-
-    if strategy == CONNECTED_COMPONENTS:
-        groups = list(nx.connected_components(graph))
-    elif strategy == K_CORE:
-        if k is None:
-            raise ContractViolation("k_core strategy requires k")
-        groups = list(nx.connected_components(nx.k_core(graph, k)))
-    elif strategy == BRIDGE_CUTS:
-        pruned = graph.copy()
-        pruned.remove_edges_from(list(nx.bridges(graph)))
-        groups = list(nx.connected_components(pruned))
-    elif strategy == INDUCED_SUBGRAPHS:
-        if not node_sets:
-            raise ContractViolation("induced_subgraphs strategy requires node sets")
-        groups = [set(int(v) for v in s) for s in node_sets]
-        stray = set().union(*groups) - set(range(n))
-        if stray:
-            raise ValidationError(f"node set names node {min(stray)}, outside 0..{n - 1} (from 0)")
-        seen = set()
-        for g in groups:
-            edges = {tuple(sorted(e)) for e in graph.subgraph(g).edges}
-            if seen & edges:
-                raise DecompositionError(f"edge {min(seen & edges)} is in two induced subgraphs")
-            seen |= edges
-    else:
-        raise ContractViolation(f"unknown decomposition strategy {strategy!r}")
-
+    groups = [sorted({int(v) for v in s}) for s in node_sets]
+    stray = set(chain.from_iterable(groups)) - set(range(n))
+    if stray:
+        raise ValidationError(f"node set names node {min(stray)}, outside 0..{n - 1} (from 0)")
+    columns = [np.flatnonzero(np.isin(design.rows, nodes).all(axis=1)) for nodes in groups]
+    shared = np.flatnonzero(np.bincount(np.concatenate(columns)) > 1)
+    if shared.size:
+        pair = design.column_labels[shared[0]]
+        raise DecompositionError(f"node pair {pair} (from 0) lies in two node sets")
     subs = []
-    for g in groups:
-        nodes = sorted(g)
-        columns = np.flatnonzero(np.isin(design.rows, nodes).all(axis=1))
-        if columns.size:
+    for nodes, cols in zip(groups, columns):
+        if cols.size:
             sub_matrix = DesignMatrix(
-                rows=np.searchsorted(nodes, design.rows[columns]),
+                rows=np.searchsorted(nodes, design.rows[cols]),
                 n_rows=len(nodes),
-                column_labels=tuple(design.column_labels[c] for c in columns),
+                column_labels=tuple(design.column_labels[c] for c in cols),
                 cell_bound=design.cell_bound,
             )
-            subs.append(SubProblem(sub_matrix, columns, tuple(nodes)))
+            subs.append(SubProblem(sub_matrix, cols, tuple(nodes)))
     if not subs:
-        raise DecompositionError(f"strategy {strategy!r} produced no usable sub-problem")
+        raise DecompositionError("no node set holds a column of the design")
     return subs
 
 

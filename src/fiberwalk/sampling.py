@@ -6,9 +6,8 @@ Metropolis-corrected chain keeps one only if it passes the Metropolis
 test, so its stationary law is its table's target on the fiber.  On top of
 the chain, the exchangeable-sample protocol turns many independent
 chains into one exact conditional p-value each.  A walk stays in the
-family's box ``0 <= x <= upper``: it tests a candidate with the box's
-predicate, :func:`~fiberwalk.models.inside`, and leaves the distance
-outside, :func:`~fiberwalk.models.overshoot`, to the MDP's reward.
+family's box ``0 <= x <= upper``, tested by the box's predicate
+:func:`~fiberwalk.models.inside`.
 One target serves every family, the conditional null law proportional
 to ``1/prod(x_i!)``: for tables given their margins (Diaconis and
 Sturmfels 1998), and on the beta model's 0/1 box the uniform law on
@@ -63,7 +62,7 @@ from .agent import policy_distribution, policy_sample
 from .errors import ContractViolation
 from .fibermdp import DiscoveredSet
 from .lattice import combine_moves
-from .models import chi_square_many, chi_square_statistic, fit_expected_counts, inside, overshoot
+from .models import chi_square_many, chi_square_statistic, fit_expected_counts, inside
 
 STUCK_FACTOR = 10  # consecutive infeasible proposals per dimension before warning
 TABLE_BYTES = 2 << 20  # budget of a StateTable's states, counted as they are held
@@ -114,7 +113,7 @@ def _walk(basis, start, steps, rng, expected, chain_id, metropolis, table, upper
     if steps < 0:
         raise ContractViolation(f"step count cannot be negative, got {steps}")
     state = np.asarray(start, dtype=np.int64)
-    if overshoot(state, upper):
+    if not inside(state, upper):
         raise ContractViolation("start point lies outside the box")
     discovered = DiscoveredSet()
     discovered.add(state)

@@ -381,12 +381,7 @@ class TestLiftSoundness:
             ]
             if len(edges) < 2:
                 continue
-            subs = decompose_initial_point(
-                parent,
-                observe_graph(spec, parent, edges).counts,
-                "induced_subgraphs",
-                node_sets=[set(nodes)],
-            )
+            subs = decompose_initial_point(parent, [set(nodes)])
             sub = subs[0]
             sub_basis = compute_lattice_basis(sub.sub_matrix)
             if sub_basis.count == 0:

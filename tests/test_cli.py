@@ -126,7 +126,7 @@ class TestValidation:
         base = {
             "table": f"model.family=independence\nmodel.shape=2x2\ndata.table={table}\n",
             "graph": f"model.family=beta_model\nmodel.nodes=3\ndata.graph={graph}\n"
-            "decompose.strategy=induced_subgraphs\ndecompose.node_sets=1,2,3\n",
+            "decompose.node_sets=1,2,3\n",
         }[family]
         cfg = _write(tmp_path / "c.cfg", base + "train.episodes=1\n" + line + "\n")
         out = tmp_path / "o"
@@ -600,7 +600,7 @@ class TestSampleAndTest:
         graph = _write(tmp_path / "g.txt", "\n".join(edges) + "\n")
         model = ["model.family=beta_model", "model.nodes=8", f"data.graph={graph}"]
         cfg = _write(tmp_path / "train.cfg", "\n".join(model + [
-            "decompose.strategy=connected_components",
+            "decompose.node_sets=1,2,3,4;5,6,7,8",
             "mdp.steps_per_episode=10", "train.episodes=1", "train.hidden=4",
         ]))
         trained = tmp_path / "trained"
@@ -627,7 +627,7 @@ class TestLift:
                     "model.family=beta_model",
                     "model.nodes=8",
                     f"data.graph={graph}",
-                    "decompose.strategy=connected_components",
+                    "decompose.node_sets=1,2,3,4;5,6,7,8",
                 ]
             ),
         )
@@ -651,7 +651,7 @@ class TestLift:
         assert self._lift(
             tmp_path, edges,
             "model.family=beta_model", "model.nodes=6", "model.structural_zeros=1",
-            "decompose.strategy=connected_components",
+            "decompose.node_sets=1,2,3,4;5,6",
         ) == 0
         basis = load_basis(tmp_path / "lifted" / "lifted_basis.txt")
         parent = build_design_matrix(beta_model(6, structural_zeros=[1]))
@@ -662,23 +662,44 @@ class TestLift:
     def test_node_outside_the_graph_exits_2(self, tmp_path, capsys, node_sets):
         assert self._lift(
             tmp_path, [(1, 2), (2, 3), (3, 1), (4, 5)],
-            "model.family=beta_model", "model.nodes=6",
-            "decompose.strategy=induced_subgraphs", f"decompose.node_sets={node_sets}",
+            "model.family=beta_model", "model.nodes=6", f"decompose.node_sets={node_sets}",
         ) == 2
         assert "outside 0..5" in capsys.readouterr().err
+
+    def test_sets_sharing_a_pair_exit_2(self, tmp_path, capsys):
+        # Nodes 2 and 3 (1-based) lie in both sets, so their pair would be lifted twice.
+        assert self._lift(
+            tmp_path, [(1, 2), (2, 3), (3, 1), (4, 5)],
+            "model.family=beta_model", "model.nodes=6", "decompose.node_sets=1,2,3;2,3,4",
+        ) == 2
+        assert "node pair (1, 2) (from 0) lies in two node sets" in capsys.readouterr().err
+
+    def test_missing_node_sets_exit_2(self, tmp_path, capsys):
+        assert self._lift(tmp_path, [(1, 2)], "model.family=beta_model", "model.nodes=3") == 2
+        assert "decompose.node_sets is required" in capsys.readouterr().err
+        out = tmp_path / "lifted"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("line", ["decompose.strategy=bridge_cuts", "decompose.k=2"])
+    def test_strategy_keys_are_unknown(self, tmp_path, capsys, line):
+        assert self._lift(
+            tmp_path, [(1, 2)], "model.family=beta_model", "model.nodes=3",
+            "decompose.node_sets=1,2,3", line,
+        ) == 2
+        assert f"unknown config key {line.split('=')[0]}" in capsys.readouterr().err
 
     def test_table_data_exits_2(self, tmp_path, table22):
         cfg = _write(
             tmp_path / "lift.cfg",
             "\n".join([
                 "model.family=independence", "model.shape=2x2", f"data.table={table22}",
-                "decompose.strategy=connected_components",
+                "decompose.node_sets=1,2",
             ]),
         )
         assert main(["lift", "--config", cfg, "--out", str(tmp_path / "lifted")]) == 2
 
-    def test_bridge_cuts_basis_is_golden(self, tmp_path):
-        # Two 6-node clusters joined by the bridge 3-9.
+    def test_node_set_basis_is_golden(self, tmp_path):
+        # Two 6-node clusters joined by the bridge 3-9, cut by their node sets.
         edges = [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6),
             (7, 8), (7, 9), (7, 11), (8, 9), (8, 10), (9, 10), (9, 12), (10, 11), (10, 12),
@@ -686,7 +707,8 @@ class TestLift:
         ]
         assert self._lift(
             tmp_path, edges,
-            "model.family=beta_model", "model.nodes=12", "decompose.strategy=bridge_cuts",
+            "model.family=beta_model", "model.nodes=12",
+            "decompose.node_sets=1,2,3,4,5,6;7,8,9,10,11,12",
         ) == 0
         digest = _manifest(tmp_path / "lifted")["outputs"]["lifted_basis.txt"]
         assert digest == "9f09c7637cf81952bcbfe3f2b6aaa72e5f1ad5b001aa5f0184cfe1941df9a9cf"

@@ -63,7 +63,7 @@ def test_readme_lists_exactly_the_keys_the_cli_reads():
     reads = _cli_reads()
     readme = _readme_defaults()
     assert set(readme) == set(reads) | {"seed"} == cli.KEYS
-    assert len(readme) == 33
+    assert len(readme) == 31
     # A default that lives in cli.py is written there once, as a literal.
     for key, default in reads.items():
         if default is not None:

@@ -24,10 +24,6 @@ from fiberwalk.errors import (
     ValidationError,
 )
 from fiberwalk.lattice import (
-    BRIDGE_CUTS,
-    CONNECTED_COMPONENTS,
-    INDUCED_SUBGRAPHS,
-    K_CORE,
     LatticeBasis,
     SubProblem,
     combine_moves,
@@ -46,7 +42,6 @@ from fiberwalk.models import (
     beta_model,
     build_design_matrix,
     independence,
-    observe_graph,
     verify_marginals,
 )
 
@@ -333,107 +328,80 @@ class TestCombineMoves:
             assert not any(exact_matvec(mat, combine_moves(coeffs, basis).delta))
 
 
-def _graph(n, edges, zeros=()):
-    """Design and 0/1 counts of a graph on ``n`` nodes (0-based edges)."""
-    spec = beta_model(n, structural_zeros=zeros)
-    design = build_design_matrix(spec)
-    return design, observe_graph(spec, design, edges).counts
+def _graph_design(n, zeros=()):
+    """Beta-model design on ``n`` nodes, without the pair columns ``zeros``."""
+    return build_design_matrix(beta_model(n, structural_zeros=zeros))
+
+
+def _pair_columns(design, nodes):
+    """The design's columns whose node pair lies inside ``nodes``, by their labels."""
+    return [c for c, pair in enumerate(design.column_labels) if set(pair) <= set(nodes)]
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Imports the package, its CLI and the benchmark pipeline in a fresh
-# interpreter, lists the networkx modules loaded, then decomposes a
-# barbell (triangles 0-1-2 and 3-4-5 joined by the bridge 2-3) with a
-# pendant node 6 on node 5 and an isolated node 7 by every networkx
-# strategy.
+# interpreter, decomposes an 8-node graph by the node sets of two
+# triangles, then lists the networkx modules loaded.
 _IMPORT_GATE_CHILD = """
 import json, sys
 import fiberwalk, fiberwalk.cli, pipeline
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "networkx")
 from fiberwalk.lattice import decompose_initial_point
-from fiberwalk.models import beta_model, build_design_matrix, observe_graph
-spec = beta_model(8)
-design = build_design_matrix(spec)
-edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]
-counts = observe_graph(spec, design, edges).counts
-groups = {
-    strategy: [[list(s.node_set), s.columns.tolist()]
-               for s in decompose_initial_point(design, counts, strategy, k=2)]
-    for strategy in ("connected_components", "k_core", "bridge_cuts")
-}
+from fiberwalk.models import beta_model, build_design_matrix
+subs = decompose_initial_point(build_design_matrix(beta_model(8)), [{0, 1, 2}, {3, 4, 5}])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "networkx")
+groups = [[list(s.node_set), s.columns.tolist()] for s in subs]
 print(json.dumps({"loaded": loaded, "groups": groups}))
 """
 
 
 class TestDecompose:
     def test_two_disjoint_triangles(self):
-        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        subs = decompose_initial_point(*_graph(6, edges), "connected_components")
+        subs = decompose_initial_point(_graph_design(6), [{0, 1, 2}, {3, 4, 5}])
         assert len(subs) == 2
         assert all(len(s.node_set) == 3 for s in subs)
         assert all(s.sub_matrix.n_cols == 3 for s in subs)
 
-    def test_networkx_loads_only_to_decompose(self):
+    def test_no_networkx_module_loads(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
         out = subprocess.run([sys.executable, "-c", _IMPORT_GATE_CHILD], env=env,
                              capture_output=True, text=True, check=True).stdout
         report = json.loads(out)
         assert report["loaded"] == []
-        node_sets = {
-            "connected_components": [[0, 1, 2, 3, 4, 5, 6]],
-            "k_core": [[0, 1, 2, 3, 4, 5]],
-            "bridge_cuts": [[0, 1, 2], [3, 4, 5]],
-        }
-        labels = _graph(8, [])[0].column_labels
-        assert report["groups"] == {
-            strategy: [[nodes, [c for c, pair in enumerate(labels) if set(pair) <= set(nodes)]]
-                       for nodes in groups]
-            for strategy, groups in node_sets.items()
-        }
-
-    def test_path_has_empty_2_core(self):
-        edges = [(0, 1), (1, 2), (2, 3)]
-        with pytest.raises(DecompositionError):
-            decompose_initial_point(*_graph(4, edges), "k_core", k=2)
+        design = _graph_design(8)
+        assert report["groups"] == [
+            [nodes, _pair_columns(design, nodes)] for nodes in ([0, 1, 2], [3, 4, 5])
+        ]
 
     def test_induced_subgraph_restriction(self):
-        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
-        subs = decompose_initial_point(
-            *_graph(5, edges), "induced_subgraphs", node_sets=[{0, 1, 2}]
-        )
+        subs = decompose_initial_point(_graph_design(5), [{0, 1, 2}])
         assert len(subs) == 1
         assert subs[0].sub_matrix.n_cols == 3
         assert subs[0].sub_matrix.column_labels == ((0, 1), (0, 2), (1, 2))
         assert subs[0].columns.tolist() == [0, 1, 4]
 
     def test_overlapping_induced_subgraphs_rejected(self):
-        edges = [(0, 1), (1, 2)]
-        with pytest.raises(DecompositionError):
-            decompose_initial_point(
-                *_graph(3, edges), "induced_subgraphs", node_sets=[{0, 1}, {0, 1, 2}]
-            )
+        with pytest.raises(DecompositionError, match=r"node pair \(0, 1\) \(from 0\) lies in two"):
+            decompose_initial_point(_graph_design(3), [{0, 1}, {0, 1, 2}])
 
-    def test_bridge_cuts_split_barbell(self):
-        # Two triangles joined by a bridge 2-3.
-        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
-        subs = decompose_initial_point(*_graph(6, edges), "bridge_cuts")
-        assert len(subs) == 2
-        assert {s.node_set for s in subs} == {(0, 1, 2), (3, 4, 5)}
+    def test_sets_may_share_a_structural_zero_pair(self):
+        # Both sets hold nodes 0 and 1, but the model rules their pair (index 0) out.
+        subs = decompose_initial_point(_graph_design(4, zeros=[0]), [{0, 1, 2}, {0, 1, 3}])
+        assert [s.columns.tolist() for s in subs] == [[0, 2], [1, 3]]
 
     def test_parent_edges_at_most_once(self):
-        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        subs = decompose_initial_point(*_graph(6, edges), "connected_components")
+        # The sets share node 2 and so no pair.
+        subs = decompose_initial_point(_graph_design(6), [{0, 1, 2}, {2, 3, 4, 5}])
         seen = []
         for s in subs:
             seen.extend(s.columns.tolist())
-        assert len(seen) == len(set(seen))
+        assert len(seen) == len(set(seen)) == 3 + 6
 
     def test_structural_zero_carries_over(self):
-        # A 4-cycle whose chord 0-2 (pair index 1) the model rules out.
-        design, counts = _graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)], zeros=[1])
-        subs = decompose_initial_point(design, counts, "connected_components")
+        # A 4-cycle's nodes, whose chord 0-2 (pair index 1) the model rules out.
+        design = _graph_design(6, zeros=[1])
+        subs = decompose_initial_point(design, [{0, 1, 2, 3}, {4, 5}])
         cycle = subs[0]
         assert cycle.node_set == (0, 1, 2, 3)
         assert cycle.sub_matrix.column_labels == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -443,29 +411,18 @@ class TestDecompose:
         assert in_kernel(design, lifted.vectors[0])
 
     def test_node_set_without_allowed_pair_is_skipped(self):
-        design, counts = _graph(4, [(0, 1), (1, 3), (2, 3)], zeros=[1])
-        subs = decompose_initial_point(
-            design, counts, "induced_subgraphs", node_sets=[{0, 2}, {3}, {1, 2, 3}]
-        )
+        subs = decompose_initial_point(_graph_design(4, zeros=[1]), [{0, 2}, {3}, {1, 2, 3}])
         assert [s.node_set for s in subs] == [(1, 2, 3)]
 
     @pytest.mark.parametrize("node_sets", [[{0, 1, 4}], [{-1, 0, 1}]])
     def test_node_outside_the_graph_refused(self, node_sets):
         with pytest.raises(ValidationError, match="outside 0..3"):
-            decompose_initial_point(
-                *_graph(4, [(0, 1), (1, 2)]), "induced_subgraphs", node_sets=node_sets
-            )
-
-    def test_counts_outside_the_box_refused(self):
-        # A repeated pair: the point [2, 1, 1] is not a simple graph.
-        design = build_design_matrix(beta_model(3))
-        with pytest.raises(ValidationError, match="0/1"):
-            decompose_initial_point(design, [2, 1, 1], "connected_components")
+            decompose_initial_point(_graph_design(4), node_sets)
 
     def test_table_design_refused(self):
         design = build_design_matrix(independence(2, 2))
         with pytest.raises(ContractViolation, match="cell bound"):
-            decompose_initial_point(design, [1, 0, 0, 1], "connected_components")
+            decompose_initial_point(design, [{0, 1}])
 
 
 class TestLiftMove:
@@ -480,12 +437,9 @@ class TestLiftMove:
         assert not lifted.vectors.any()
 
     def test_triangle_move_lifts_into_parent_kernel(self):
-        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
-        parent, counts = _graph(5, edges)
+        parent = _graph_design(5)
         # A triangle alone has no move; with node 3 its 6 pairs have 2.
-        subs = decompose_initial_point(
-            parent, counts, "induced_subgraphs", node_sets=[{0, 1, 2, 3}]
-        )
+        subs = decompose_initial_point(parent, [{0, 1, 2, 3}])
         sub_basis = compute_lattice_basis(subs[0].sub_matrix)
         lifted = lift_basis([sub_basis], subs, parent.n_cols)
         assert lifted.count == 2
@@ -494,12 +448,8 @@ class TestLiftMove:
 
     def test_lift_basis_collects_all_vectors(self):
         # Two disjoint 4-cliques; each beta-model kernel has dimension 2.
-        edges = [
-            (a, b) for group in ([0, 1, 2, 3], [4, 5, 6, 7])
-            for i, a in enumerate(group) for b in group[i + 1:]
-        ]
-        parent, counts = _graph(8, edges)
-        subs = decompose_initial_point(parent, counts, "connected_components")
+        parent = _graph_design(8)
+        subs = decompose_initial_point(parent, [{0, 1, 2, 3}, {4, 5, 6, 7}])
         bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
         lifted = lift_basis(bases, subs, parent.n_cols)
         assert lifted.count == sum(b.count for b in bases)
@@ -519,33 +469,26 @@ class TestLiftMove:
 
 @st.composite
 def _decomposed_graphs(draw):
-    """A random graph, structural zeros off its edges, and a strategy's sub-problems."""
+    """A graph design with structural zeros, node sets that may overlap, and
+    their sub-problems, or the :class:`DecompositionError` that refuses them."""
     n = draw(st.integers(4, 10))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    on = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [p for p, flag in zip(pairs, on) if flag]
-    assume(edges)
-    off = [k for k, flag in enumerate(on) if not flag]
-    zeros = draw(st.lists(st.sampled_from(off), unique=True)) if off else []
-    strategy = draw(st.sampled_from([CONNECTED_COMPONENTS, K_CORE, BRIDGE_CUTS, INDUCED_SUBGRAPHS]))
-    # Disjoint node sets share no node, so they share no edge.
-    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    node_sets = [{v for v in range(n) if labels[v] == g} for g in range(3)]
-    design, counts = _graph(n, edges, zeros)
+    d = n * (n - 1) // 2
+    zeros = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d // 2))
+    design = _graph_design(n, zeros)
+    node_sets = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=6), min_size=1, max_size=4))
     try:
-        subs = decompose_initial_point(
-            design, counts, strategy, k=draw(st.integers(1, 3)), node_sets=node_sets
-        )
-    except DecompositionError:
-        assume(False)
-    return design, counts, zeros, subs
+        return design, zeros, node_sets, decompose_initial_point(design, node_sets)
+    except DecompositionError as exc:
+        return design, zeros, node_sets, exc
 
 
 class TestDecomposeAndLiftProperties:
     @settings(max_examples=150, deadline=None)
     @given(_decomposed_graphs())
     def test_lifted_moves_are_parent_moves_on_their_columns(self, case):
-        design, counts, zeros, subs = case
+        design, zeros, node_sets, subs = case
+        if isinstance(subs, DecompositionError):
+            return
         bases = [compute_lattice_basis(s.sub_matrix) for s in subs]
         try:
             lifted = lift_basis(bases, subs, design.n_cols)
@@ -565,17 +508,27 @@ class TestDecomposeAndLiftProperties:
     @settings(max_examples=150, deadline=None)
     @given(_decomposed_graphs())
     def test_sub_problems_are_restrictions_of_the_parent(self, case):
-        design, counts, zeros, subs = case
-        edges_seen = []
+        design, zeros, node_sets, subs = case
+        # Refused exactly when some allowed pair column lies in two sets, and then it names the first.
+        columns = [_pair_columns(design, s) for s in node_sets]
+        in_two = sorted(c for c in set(sum(columns, [])) if sum(c in cols for cols in columns) > 1)
+        if in_two:
+            assert isinstance(subs, DecompositionError)
+            assert f"node pair {design.column_labels[in_two[0]]} (from 0)" in str(subs)
+            return
+        if not any(columns):
+            assert isinstance(subs, DecompositionError)
+            return
+        kept = [(sorted(s), cols) for s, cols in zip(node_sets, columns) if cols]
+        assert [(list(sub.node_set), sub.columns.tolist()) for sub in subs] == kept
         for sub in subs:
             nodes = list(sub.node_set)
             assert np.array_equal(sub.sub_matrix.entries, design.entries[np.ix_(nodes, sub.columns)])
-            assert list(sub.columns) == sorted(sub.columns)
-            edges_seen.extend(c for c in sub.columns if counts[c])
             if not zeros:
                 full = build_design_matrix(beta_model(len(nodes)))
                 assert np.array_equal(sub.sub_matrix.entries, full.entries)
-        assert len(edges_seen) == len(set(edges_seen))
+        seen = np.concatenate([sub.columns for sub in subs])
+        assert len(seen) == len(set(seen.tolist()))
 
 
 class TestEnumerateFiber:

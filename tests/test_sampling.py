@@ -21,7 +21,12 @@ from fiberwalk.agent import (
     mask_coefficients,
 )
 from fiberwalk.errors import ContractViolation
-from fiberwalk.lattice import compute_lattice_basis, enumerate_fiber
+from fiberwalk.lattice import (
+    compute_lattice_basis,
+    decompose_initial_point,
+    enumerate_fiber,
+    lift_basis,
+)
 from fiberwalk.models import (
     all_two_way,
     beta_model,
@@ -249,11 +254,17 @@ def _transition_matrix(ac, basis, fiber, log_weight, upper=np.inf):
 _CYCLE6 = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
 
 
-def _graph_oracle_setup():
+def _graph_oracle_setup(node_sets=None):
+    """The oracle graph's model, design, data, basis and a random policy; with
+    ``node_sets``, the basis is the moves lifted from their sub-problems."""
     spec = beta_model(6)
     dm = build_design_matrix(spec)
     data = observe_graph(spec, dm, _CYCLE6)
-    basis = compute_lattice_basis(dm)
+    if node_sets is None:
+        basis = compute_lattice_basis(dm)
+    else:
+        subs = decompose_initial_point(dm, node_sets)
+        basis = lift_basis([compute_lattice_basis(s.sub_matrix) for s in subs], subs, dm.n_cols)
     ac = make_actor_critic(dm.n_cols, basis.count, hidden=(8,), seed=3, coeff_min=-1, coeff_max=1)
     ac.net.params[:] = np.random.default_rng(3).normal(scale=0.5, size=ac.net.n_params)
     return spec, dm, data, basis, ac
@@ -318,8 +329,10 @@ class TestExactStationaryLaw:
 
 def _count_law_problem(fiber_name):
     """The null kernel, the Pearson statistics and the null log weights of an oracle fiber."""
-    if fiber_name == "graph":
-        spec, dm, data, basis, ac = _graph_oracle_setup()
+    if fiber_name.startswith("graph"):
+        # graph-lifted: node sets that share only node 3 lift 2 vectors; the full basis has 9.
+        node_sets = [{0, 1, 2, 3}, {3, 4, 5}] if fiber_name == "graph-lifted" else None
+        spec, dm, data, basis, ac = _graph_oracle_setup(node_sets)
         fiber = sorted(enumerate_fiber(dm, data.marginals))
         trans = _transition_matrix(ac, basis, fiber, null_log_weight, upper=1)
     else:
@@ -336,7 +349,7 @@ class TestExactPValueLaw:
     """The serial test's p-value law, exact by enumeration when the observation is null."""
 
     @pytest.mark.parametrize("stride", [1, 20])
-    @pytest.mark.parametrize("fiber_name", ["3x3", "3x3-mask1", "graph"])
+    @pytest.mark.parametrize("fiber_name", ["3x3", "3x3-mask1", "graph", "graph-lifted"])
     def test_p_value_is_super_uniform_and_the_randomized_rank_uniform(self, fiber_name, stride):
         n = 10
         trans, stats, log_weights = _count_law_problem(fiber_name)
